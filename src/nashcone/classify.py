@@ -22,6 +22,7 @@ from .graph import (
     ValidationReport,
     _leading_minors_negdef,
     canonical_intersections,
+    is_connected,
     validate,
 )
 
@@ -109,8 +110,7 @@ def structural_rationality(g: ResolutionGraph) -> StructuralReport:
     n = g.n
     edges = g.edges()
     simple = all(m == 1 for _, _, m in edges)
-    connected = validate(g).connected
-    tree = connected and simple and len(edges) == n - 1
+    tree = is_connected(g.mult) and simple and len(edges) == n - 1
     all_genus_zero = all(gi == 0 for gi in g.genera)
     iii = all(-g.weights[i] > sum(g.mult[i]) for i in range(n))
     return StructuralReport(
@@ -261,18 +261,6 @@ def make_family(kind: str, *params: int) -> ResolutionGraph:
     )
 
 
-def _connected_mult(mult: tuple[tuple[int, ...], ...], n: int) -> bool:
-    seen = {0}
-    stack = [0]
-    while stack:
-        v = stack.pop()
-        for u in range(n):
-            if mult[v][u] > 0 and u not in seen:
-                seen.add(u)
-                stack.append(u)
-    return len(seen) == n
-
-
 def _upper_encoding(mult, n: int) -> tuple[int, ...]:
     return tuple(mult[i][j] for i in range(n) for j in range(i + 1, n))
 
@@ -315,7 +303,7 @@ def enumerate_graphs(max_vertices: int, min_weight: int, max_genus: int, max_mul
                     mult[i][j] = mult[j][i] = enc[pos]
                     pos += 1
             mult_t = tuple(map(tuple, mult))
-            if not _connected_mult(mult_t, n):
+            if not is_connected(mult_t):
                 continue
             if any(_apply_perm_mult(mult_t, s, n) < enc for s in perms):
                 continue  # not the canonical labeling of its class

@@ -6,21 +6,25 @@ the strict interior of the anti-nef cone. Both depend only on the
 intersection matrix.
 
 Decision procedure for (*): the closed anti-nef cone is the non-negative
-span of the columns of C = -M^-1, so the pair (i, j) admits a witness
-exactly when some column has C[i][k] < C[j][k]. Witnesses are synthesized
-from that column, pushed into the strict interior, and re-verified before
-they are returned; the generator fact itself is cross-checked against a
-brute-force box search in the test suite rather than assumed.
+span of the columns of C = -M^-1 = A/d, with A = adj(-M) and d = det(-M) > 0
+from one fraction-free elimination. The pair (i, j) admits a witness
+exactly when some column has A[i][k] < A[j][k]. The witness is read off in
+integers: with s = A.(1,...,1) (a strictly anti-nef ray) and the least
+t >= 0 such that 2^t (A[j][k] - A[i][k]) > s[i] - s[j], the vector
+w = 2^t A[:,k] + s is strictly anti-nef with w[i] < w[j], and the witness
+is w / gcd(2^t d, w_1, ..., w_n). Every witness is re-verified before it is
+returned; the generator fact itself is cross-checked against a brute-force
+box search in the test suite rather than assumed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
+from math import gcd
 
-from .cone import ConeStatus, Divisor, clear_denominators, lipman_status, neg_inverse
+from .cone import ConeStatus, Divisor, lipman_status, neg_adjugate
 from .errors import InternalInvariantError
-from .graph import ResolutionGraph
+from .graph import IntersectionMatrix, ResolutionGraph
 
 __all__ = [
     "StarStarReport",
@@ -63,33 +67,40 @@ def check_star_star(g: ResolutionGraph) -> StarStarReport:
     return StarStarReport(holds=not violations, violations=violations)
 
 
-def _synthesize_witness(g: ResolutionGraph, C, i: int, j: int) -> Divisor | None:
-    """Integer witness for the ordered pair (i, j), or None if none exists.
+class _Adjugate:
+    """adj(-M), det(-M) and the row sums of adj(-M), for one matrix."""
 
-    Uses the smallest generator column with C[i][k] < C[j][k], perturbed by
-    eps times the interior vector C.(1,...,1) to make every pairing strictly
-    negative; eps is halved until the perturbation keeps coefficient i below
-    coefficient j, which must happen since the column gap is positive.
-    """
-    n = g.n
-    k = next((k for k in range(n) if C[i][k] < C[j][k]), None)
-    if k is None:
-        return None
-    column = C.column(k)
-    interior = tuple(sum(row) for row in C.entries)
-    eps = Fraction(1)
-    while True:
-        v = [column[r] + eps * interior[r] for r in range(n)]
-        if v[i] < v[j]:
-            break
-        eps /= 2
-    witness = Divisor(clear_denominators(v))
-    M = g.intersection_matrix()
-    if lipman_status(witness, M) is not ConeStatus.STRICT_LIPMAN or not witness[i] < witness[j]:
-        raise InternalInvariantError(
-            f"synthesized witness {witness.coeffs} failed re-verification for pair ({i}, {j})"
-        )
-    return witness
+    def __init__(self, M: IntersectionMatrix):
+        self.M = M
+        self.A, self.d = neg_adjugate(M)
+        self.s = [sum(row) for row in self.A]
+
+    def witness(self, i: int, j: int) -> Divisor | None:
+        """Integer witness for the ordered pair (i, j), or None if none exists.
+
+        Takes the first generator column k with A[i][k] < A[j][k] (A is
+        symmetric, so column k is row k) and adds 2^-t times the interior
+        ray s, with t the least exponent that keeps coefficient i below
+        coefficient j. Scaled by 2^t this is w = 2^t A[:,k] + s; divided by
+        gcd(2^t d, w) it is C[:,k] + 2^-t C.(1,...,1) with its denominators
+        cleared.
+        """
+        A, s = self.A, self.s
+        k = next((k for k, (x, y) in enumerate(zip(A[i], A[j])) if x < y), None)
+        if k is None:
+            return None
+        gap = A[j][k] - A[i][k]
+        # least t >= 0 with gap * 2^t > s[i] - s[j]: with q the floor of
+        # (s[i] - s[j]) / gap, clamped at 0, that is the least t with 2^t > q
+        t = (max(s[i] - s[j], 0) // gap).bit_length()
+        w = [(x << t) + y for x, y in zip(A[k], s)]
+        c = gcd(self.d << t, *w)
+        witness = Divisor(tuple(x // c for x in w))
+        if lipman_status(witness, self.M) is not ConeStatus.STRICT_LIPMAN or not witness[i] < witness[j]:
+            raise InternalInvariantError(
+                f"synthesized witness {witness.coeffs} failed re-verification for pair ({i}, {j})"
+            )
+        return witness
 
 
 def check_star(g: ResolutionGraph) -> StarCertificate:
@@ -97,14 +108,14 @@ def check_star(g: ResolutionGraph) -> StarCertificate:
 
     A single vertex has no ordered pairs, so the condition holds vacuously.
     """
-    C = neg_inverse(g.intersection_matrix())
+    adj = _Adjugate(g.intersection_matrix())
     witnesses: dict[tuple[int, int], Divisor] = {}
     failing: list[tuple[int, int]] = []
     for i in range(g.n):
         for j in range(g.n):
             if i == j:
                 continue
-            w = _synthesize_witness(g, C, i, j)
+            w = adj.witness(i, j)
             if w is None:
                 failing.append((i, j))
             else:
@@ -122,8 +133,7 @@ def star_witness(g: ResolutionGraph, i: int, j: int) -> Divisor | None:
         raise ValueError("witness pair needs two distinct vertices")
     if not (0 <= i < g.n and 0 <= j < g.n):
         raise ValueError("vertex index out of range")
-    C = neg_inverse(g.intersection_matrix())
-    return _synthesize_witness(g, C, i, j)
+    return _Adjugate(g.intersection_matrix()).witness(i, j)
 
 
 def halfspace_coverage(divisors) -> set[tuple[int, int]]:

@@ -1,8 +1,10 @@
 """Exact divisor arithmetic on the exceptional lattice.
 
-All decisions here are sign decisions on exact integers or rationals;
-boundary cases (a pairing that is exactly zero) are meaningful, so no
-floating point is allowed anywhere in this module.
+All decisions here are sign decisions on exact integers; boundary cases
+(a pairing that is exactly zero) are meaningful, so no floating point is
+allowed anywhere in this module. The inverse of the intersection matrix
+enters only through its integer form: adj(-M) and det(-M) from one
+fraction-free elimination, so that -M^-1 = adj(-M) / det(-M).
 """
 
 from __future__ import annotations
@@ -10,9 +12,8 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
-from .errors import InternalInvariantError
 from .graph import IntersectionMatrix, ResolutionGraph
 
 __all__ = [
@@ -20,6 +21,7 @@ __all__ = [
     "RationalMatrix",
     "ConeStatus",
     "pair",
+    "neg_adjugate",
     "neg_inverse",
     "lipman_status",
     "fundamental_cycle",
@@ -104,34 +106,42 @@ def pair(d1: Divisor, d2: Divisor, M: IntersectionMatrix) -> int:
     return sum(d1[i] * Md2[i] for i in range(M.n))
 
 
+def neg_adjugate(M: IntersectionMatrix) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """(adj(-M), det(-M)) by one fraction-free Gauss-Jordan pass.
+
+    Bareiss elimination (Math. Comp. 22, 1968) on [-M | I]: after step k the
+    pivot is the (k+1)-st leading principal minor of -M and every division is
+    exact, so all entries stay integers, and the pass ends at
+    [det(-M) I | adj(-M)]. On a negative-definite M every pivot is positive
+    and no row exchange is needed; a pivot <= 0 means M is not negative
+    definite, and the matrix is refused.
+    """
+    n = M.n
+    a = [[-x for x in row] + [int(i == j) for j in range(n)] for i, row in enumerate(M.entries)]
+    prev = 1
+    for k in range(n):
+        pivot_row = a[k]
+        p = pivot_row[k]
+        if p <= 0:
+            raise ValueError("intersection matrix is not negative definite")
+        for i in range(n):
+            if i != k:
+                f = a[i][k]
+                a[i] = [(p * x - f * y) // prev for x, y in zip(a[i], pivot_row)]
+        prev = p
+    return tuple(tuple(row[n:]) for row in a), prev
+
+
 def neg_inverse(M: IntersectionMatrix) -> RationalMatrix:
-    """-M^-1 by exact Gauss-Jordan elimination.
+    """-M^-1 = adj(-M) / det(-M) as exact rationals.
 
     Column k is the rational divisor pairing to -1 with E_k and 0 with the
     others; on a connected negative-definite graph every entry is positive
-    and the columns generate the closed anti-nef cone.
+    and the columns generate the closed anti-nef cone. Decisions use the
+    integer form from neg_adjugate instead.
     """
-    n = M.n
-    a = [
-        [Fraction(M[i][j]) for j in range(n)] + [Fraction(int(i == j)) for j in range(n)]
-        for i in range(n)
-    ]
-    for col in range(n):
-        piv = None
-        for r in range(col, n):
-            if a[r][col] != 0:
-                piv = r
-                break
-        if piv is None:
-            raise InternalInvariantError("singular intersection matrix")
-        a[col], a[piv] = a[piv], a[col]
-        p = a[col][col]
-        a[col] = [x / p for x in a[col]]
-        for r in range(n):
-            if r != col and a[r][col] != 0:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    return RationalMatrix(tuple(tuple(-a[i][n + j] for j in range(n)) for i in range(n)))
+    A, d = neg_adjugate(M)
+    return RationalMatrix(tuple(tuple(Fraction(x, d) for x in row) for row in A))
 
 
 def lipman_status(D: Divisor, M: IntersectionMatrix) -> ConeStatus:
@@ -176,10 +186,12 @@ def clear_denominators(v) -> tuple[int, ...]:
 def strict_interior_divisor(g: ResolutionGraph) -> Divisor:
     """An integer divisor in the strict interior of the anti-nef cone.
 
-    Clearing denominators of (-M^-1).(1,...,1) gives D with
-    M.D = -s.(1,...,1) for the clearing factor s, so every pairing is
-    strictly negative.
+    With A = adj(-M) and d = det(-M), the row sums s = A.(1,...,1) satisfy
+    M.s = -d.(1,...,1). Dividing s by c = gcd(d, s_1, ..., s_n) clears the
+    denominators of (-M^-1).(1,...,1) = s/d and gives D with
+    M.D = -(d/c).(1,...,1), so every pairing is strictly negative.
     """
-    C = neg_inverse(g.intersection_matrix())
-    interior = tuple(sum(row) for row in C.entries)
-    return Divisor(clear_denominators(interior))
+    A, d = neg_adjugate(g.intersection_matrix())
+    s = [sum(row) for row in A]
+    c = gcd(d, *s)
+    return Divisor(tuple(x // c for x in s))

@@ -24,6 +24,7 @@ __all__ = [
     "load_graph",
     "validate",
     "is_negative_definite",
+    "is_connected",
     "canonical_intersections",
 ]
 
@@ -49,13 +50,19 @@ class ResolutionGraph:
             raise ValueError("graph needs at least one vertex")
         if len(self.genera) != n or len(self.mult) != n:
             raise ValueError("weights, genera and mult must have matching size")
+        # exact integers only: a float would leak into every sign decision,
+        # and bool is an int subclass that no graph file means as a number
+        if any(type(x) is not int for x in (*self.weights, *self.genera)):
+            raise ValueError("weights and genera must be integers")
+        if any(len(row) != n for row in self.mult):
+            raise ValueError("mult must be a square matrix")
+        if any(type(m) is not int for row in self.mult for m in row):
+            raise ValueError("intersection multiplicities must be integers")
         if any(w > -1 for w in self.weights):
             raise ValueError("every self-intersection weight must be <= -1")
         if any(g < 0 for g in self.genera):
             raise ValueError("genera must be non-negative")
         for i, row in enumerate(self.mult):
-            if len(row) != n:
-                raise ValueError("mult must be a square matrix")
             if row[i] != 0:
                 raise ValueError("mult diagonal must be zero")
             for j, m in enumerate(row):
@@ -67,7 +74,7 @@ class ResolutionGraph:
             if len(self.labels) != n:
                 raise ValueError("labels must name every vertex")
             for lab in self.labels:
-                if not lab or any(c.isspace() for c in lab) or "#" in lab:
+                if type(lab) is not str or not lab or any(c.isspace() for c in lab) or "#" in lab:
                     raise ValueError(f"invalid label {lab!r}")
 
     @property
@@ -90,11 +97,17 @@ class ResolutionGraph:
         ]
 
     def intersection_matrix(self) -> IntersectionMatrix:
-        rows = tuple(
-            tuple(self.weights[i] if i == j else self.mult[i][j] for j in range(self.n))
-            for i in range(self.n)
-        )
-        return IntersectionMatrix(rows)
+        """The matrix of E_i . E_j, built on the first call and kept on the
+        graph, which is immutable."""
+        M = self.__dict__.get("_matrix")
+        if M is None:
+            rows = tuple(
+                tuple(self.weights[i] if i == j else self.mult[i][j] for j in range(self.n))
+                for i in range(self.n)
+            )
+            M = IntersectionMatrix(rows)
+            object.__setattr__(self, "_matrix", M)
+        return M
 
 
 @dataclass(frozen=True)
@@ -111,6 +124,9 @@ class IntersectionMatrix:
             for j in range(n):
                 if row[j] != self.entries[j][i]:
                     raise ValueError("intersection matrix must be symmetric")
+        # dual graphs are sparse: products cost O(n + edges) over the nonzeros
+        sparse = tuple(tuple((j, x) for j, x in enumerate(row) if x) for row in self.entries)
+        object.__setattr__(self, "_sparse", sparse)
 
     @property
     def n(self) -> int:
@@ -123,7 +139,7 @@ class IntersectionMatrix:
         """Matrix-vector product M.v, exact."""
         if len(v) != self.n:
             raise ValueError("dimension mismatch")
-        return tuple(sum(row[j] * v[j] for j in range(self.n)) for row in self.entries)
+        return tuple([sum([x * v[j] for j, x in row]) for row in self._sparse])
 
 
 @dataclass(frozen=True)
@@ -279,7 +295,7 @@ def parse_graph_json(text: str) -> ResolutionGraph:
     """Parse the JSON mirror of the graph format."""
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # JSONDecodeError is a ValueError
         raise GraphFormatError(f"invalid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise GraphFormatError("JSON graph must be an object")
@@ -287,16 +303,23 @@ def parse_graph_json(text: str) -> ResolutionGraph:
         if key not in data:
             raise GraphFormatError(f"missing JSON key '{key}'")
     n = data["vertices"]
-    if not isinstance(n, int) or n < 1:
+    if type(n) is not int or n < 1:
         raise GraphFormatError("'vertices' must be a positive integer")
+    for key in ("weights", "genera", "edges"):
+        if not isinstance(data[key], list):
+            raise GraphFormatError(f"'{key}' must be a list")
+    labels = data.get("labels")
+    if labels is not None and not isinstance(labels, list):
+        raise GraphFormatError("'labels' must be a list")
     weights = data["weights"]
     genera = data["genera"]
     if len(weights) != n or len(genera) != n:
         raise GraphFormatError("weights/genera length must equal vertex count")
     mult = [[0] * n for _ in range(n)]
     for entry in data["edges"]:
-        if len(entry) != 3:
-            raise GraphFormatError(f"edge entry {entry!r} must be [i, j, m]")
+        if not (isinstance(entry, list) and len(entry) == 3
+                and all(type(x) is int for x in entry)):
+            raise GraphFormatError(f"edge entry {entry!r} must be [i, j, m] with integer entries")
         i, j, m = entry
         if not (1 <= i < j <= n):
             raise GraphFormatError(f"edge {entry!r} needs 1 <= i < j <= {n}")
@@ -305,7 +328,6 @@ def parse_graph_json(text: str) -> ResolutionGraph:
         if mult[i - 1][j - 1] != 0:
             raise GraphFormatError(f"duplicate edge {i}-{j}")
         mult[i - 1][j - 1] = mult[j - 1][i - 1] = m
-    labels = data.get("labels")
     try:
         return ResolutionGraph(
             weights=tuple(weights),
@@ -366,22 +388,24 @@ def is_negative_definite(M: IntersectionMatrix) -> bool:
     return _leading_minors_negdef([list(row) for row in M.entries])
 
 
-def _connected(g: ResolutionGraph) -> bool:
+def is_connected(mult) -> bool:
+    """Whether the graph with square multiplicity matrix ``mult`` is connected."""
+    n = len(mult)
     seen = {0}
     stack = [0]
     while stack:
         i = stack.pop()
-        for j in range(g.n):
-            if g.mult[i][j] > 0 and j not in seen:
+        for j in range(n):
+            if mult[i][j] > 0 and j not in seen:
                 seen.add(j)
                 stack.append(j)
-    return len(seen) == g.n
+    return len(seen) == n
 
 
 def validate(g: ResolutionGraph) -> ValidationReport:
     """Check the contractibility constraints; failures land in the report."""
     negdef = is_negative_definite(g.intersection_matrix())
-    connected = _connected(g)
+    connected = is_connected(g.mult)
     nonminimal = [
         i for i in range(g.n) if g.genera[i] == 0 and g.weights[i] == -1
     ]

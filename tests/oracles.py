@@ -2,11 +2,14 @@
 
 Everything here is deliberately independent of the library's decision
 procedures: box search with interval propagation for witness existence,
-naive quadratic-form scans for definiteness, and a reorderable variant
-of the fundamental-cycle sequence.
+naive quadratic-form scans for definiteness, a reorderable variant of the
+fundamental-cycle sequence, and the rational-arithmetic route to -M^-1 and
+to the condition (*) witnesses that the integer kernel replaced.
 """
 
+from fractions import Fraction
 from itertools import permutations, product
+from math import lcm
 
 
 def ceil_div(a: int, b: int) -> int:
@@ -136,3 +139,55 @@ def graphs_isomorphic(g1, g2) -> bool:
         ):
             return True
     return False
+
+
+def neg_inverse_fraction(M):
+    """-M^-1 by Gauss-Jordan elimination over Fraction, with row exchanges."""
+    n = M.n
+    a = [
+        [Fraction(M[i][j]) for j in range(n)] + [Fraction(int(i == j)) for j in range(n)]
+        for i in range(n)
+    ]
+    for col in range(n):
+        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
+        if piv is None:
+            raise ValueError("singular intersection matrix")
+        a[col], a[piv] = a[piv], a[col]
+        p = a[col][col]
+        a[col] = [x / p for x in a[col]]
+        for r in range(n):
+            if r != col and a[r][col] != 0:
+                f = a[r][col]
+                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
+    return tuple(tuple(-a[i][n + j] for j in range(n)) for i in range(n))
+
+
+def star_witnesses_fraction(C):
+    """Condition (*) witness per ordered pair from C = -M^-1, by halving eps.
+
+    For (i, j) takes the first column k with C[i][k] < C[j][k], adds eps
+    times the interior vector C.(1,...,1), halving eps from 1 until
+    coefficient i stays below coefficient j, and clears denominators by
+    their lcm. Maps each pair to its witness tuple, or to None when no
+    column qualifies. Not re-verified.
+    """
+    n = len(C)
+    interior = [sum(row) for row in C]
+    out = {}
+    for i in range(n):
+        for j in range(n):
+            if i == j:
+                continue
+            k = next((k for k in range(n) if C[i][k] < C[j][k]), None)
+            if k is None:
+                out[(i, j)] = None
+                continue
+            eps = Fraction(1)
+            while True:
+                v = [C[r][k] + eps * interior[r] for r in range(n)]
+                if v[i] < v[j]:
+                    break
+                eps /= 2
+            m = lcm(*(x.denominator for x in v))
+            out[(i, j)] = tuple(int(x * m) for x in v)
+    return out

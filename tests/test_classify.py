@@ -88,6 +88,20 @@ def test_nash_verdict_report_is_assembled_consistently(star3_5):
     assert r.nash_verdict is NashVerdict.BIJECTIVE_BY_STAR
 
 
+def test_nash_verdict_validates_once(star3_5, monkeypatch):
+    import nashcone.classify as classify_mod
+
+    calls = []
+
+    def counting(g):
+        calls.append(g)
+        return validate(g)
+
+    monkeypatch.setattr(classify_mod, "validate", counting)
+    nash_verdict(star3_5)
+    assert calls == [star3_5]
+
+
 def test_nash_verdict_rejects_unanalyzable():
     bad = ResolutionGraph(weights=(-1, -1), genera=(0, 0), mult=((0, 1), (1, 0)))
     with pytest.raises(ValueError):

@@ -1,6 +1,12 @@
+import contextlib
+import io
 import json
+import os
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nashcone import InternalInvariantError, make_family, parse_graph_json, serialize_graph
 from nashcone.cli import main
@@ -267,3 +273,54 @@ def test_help_exits_zero(capsys):
 def test_unknown_verb(capsys):
     assert main(["frobnicate"]) == 1
     assert capsys.readouterr().err != ""
+
+
+@pytest.mark.parametrize("weights", ["[-2.5, -2]", "[-2.0, -2]", "[true, -2]", "[-2, null]"])
+def test_analyze_rejects_non_integer_weights(tmp_path, capsys, weights):
+    path = tmp_path / "g.json"
+    path.write_text(
+        '{"vertices": 2, "weights": %s, "genera": [0, 0], "edges": [[1, 2, 1]]}' % weights
+    )
+    assert main(["analyze", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+_BASE_GRAPH = {
+    "vertices": 3,
+    "weights": [-2, -3, -2],
+    "genera": [0, 1, 0],
+    "edges": [[1, 2, 1], [2, 3, 1]],
+}
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=5),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=5), inner, max_size=3),
+    max_leaves=12,
+)
+_scalars = st.none() | st.booleans() | st.integers(-6, 6) | st.floats(-6, 6) | st.text(max_size=2)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from(sorted(_BASE_GRAPH)),
+    _json_values
+    | st.lists(_scalars, max_size=4)
+    | st.lists(st.lists(_scalars, min_size=2, max_size=4), max_size=3),
+)
+def test_analyze_any_json_field_exits_cleanly(key, value):
+    # one field of a valid graph replaced by an arbitrary JSON value
+    data = dict(_BASE_GRAPH, **{key: value})
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "g.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(data, fh)
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["analyze", path])
+    assert code in (0, 1), err.getvalue()
+    if code == 1:
+        assert out.getvalue() == ""
+        assert err.getvalue().startswith("error:") and err.getvalue().count("\n") == 1
+    else:
+        assert err.getvalue() == ""

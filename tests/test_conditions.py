@@ -1,3 +1,5 @@
+import time
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,10 +13,16 @@ from nashcone import (
     halfspace_coverage,
     lipman_status,
     make_family,
+    neg_inverse,
     star_witness,
 )
 
-from oracles import find_strict_witness, naive_find_witness
+from oracles import (
+    find_strict_witness,
+    naive_find_witness,
+    neg_inverse_fraction,
+    star_witnesses_fraction,
+)
 
 
 def all_ordered_pairs(n):
@@ -160,3 +168,52 @@ def test_star_matches_oracle_on_small_graphs():
 @given(st.integers(min_value=1, max_value=12))
 def test_chains_always_pass_star(n):
     assert check_star(make_family("an", n)).holds
+
+
+def _differential_corpus():
+    # genera do not enter the intersection matrix, so each matrix of the
+    # desk enumeration is checked once
+    seen = set()
+    for g in enumerate_graphs(4, -5, 1, 2):
+        if (g.weights, g.mult) not in seen:
+            seen.add((g.weights, g.mult))
+            yield g
+    for n in range(1, 16):
+        yield make_family("an", n)
+        if n >= 4:
+            yield make_family("dn", n)
+        if n >= 3:
+            yield make_family("cycle", n, -3)
+
+
+def test_integer_kernel_matches_fraction_oracle():
+    checked = 0
+    for g in _differential_corpus():
+        M = g.intersection_matrix()
+        C = neg_inverse_fraction(M)
+        assert neg_inverse(M).entries == C, g
+        expected = star_witnesses_fraction(C)
+        cert = check_star(g)
+        assert cert.failing_pairs == tuple(p for p, w in expected.items() if w is None), g
+        assert {p: w.coeffs for p, w in cert.witnesses.items()} == {
+            p: w for p, w in expected.items() if w is not None
+        }, g
+        checked += 1
+    assert checked > 4000
+
+
+def test_check_star_large_families():
+    an, dn = make_family("an", 60), make_family("dn", 60)
+    t0 = time.monotonic()
+    an_cert, dn_cert = check_star(an), check_star(dn)
+    elapsed = time.monotonic() - t0
+    assert an_cert.holds
+    assert not dn_cert.holds
+    assert len(dn_cert.failing_pairs) == 1711
+    for g, cert in ((an, an_cert), (dn, dn_cert)):
+        M = g.intersection_matrix()
+        assert len(cert.witnesses) + len(cert.failing_pairs) == g.n * (g.n - 1)
+        for (i, j), w in cert.witnesses.items():
+            assert lipman_status(w, M) is ConeStatus.STRICT_LIPMAN
+            assert w[i] < w[j]
+    assert elapsed < 10.0

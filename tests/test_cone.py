@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from nashcone import (
     ConeStatus,
     Divisor,
+    IntersectionMatrix,
     clear_denominators,
     enumerate_graphs,
     fundamental_cycle,
@@ -17,6 +18,7 @@ from nashcone import (
     pair,
     strict_interior_divisor,
 )
+from nashcone.cone import neg_adjugate
 
 from oracles import all_orders_fundamental_cycles
 
@@ -61,6 +63,18 @@ def test_neg_inverse_known_values(a2, a3):
 
     single = make_family("vertex", 0, -1)
     assert neg_inverse(single.intersection_matrix()).entries == ((Fraction(1),),)
+
+
+def test_neg_adjugate_known_values(a2, a3):
+    assert neg_adjugate(a2.intersection_matrix()) == (((2, 1), (1, 2)), 3)
+    assert neg_adjugate(a3.intersection_matrix()) == (((3, 2, 1), (2, 4, 2), (1, 2, 3)), 4)
+    assert neg_adjugate(make_family("vertex", 0, -1).intersection_matrix()) == (((1,),), 1)
+
+
+@pytest.mark.parametrize("rows", [((-1, 1), (1, -1)), ((-2, 3), (3, -2)), ((-2, 2), (2, -2))])
+def test_neg_adjugate_rejects_non_negative_definite(rows):
+    with pytest.raises(ValueError, match="not negative definite"):
+        neg_adjugate(IntersectionMatrix(rows))
 
 
 def _assert_neg_identity(M, C):

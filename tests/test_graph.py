@@ -133,6 +133,30 @@ def test_json_dict_shape(star3_5):
         ('{"vertices": 1, "weights": [-2], "genera": [0], "edges": [[1,1,1]]}', "1 <= i < j"),
         ('{"vertices": 2, "weights": [-2,-2], "genera": [0], "edges": []}', "length"),
         ("not json at all {", "invalid JSON"),
+        ('{"vertices": 1' + "0" * 5000 + ', "weights": [], "genera": [], "edges": []}',
+         "invalid JSON"),
+        ('{"vertices": true, "weights": [-2], "genera": [0], "edges": []}', "positive integer"),
+        ('{"vertices": 1.0, "weights": [-2], "genera": [0], "edges": []}', "positive integer"),
+        ('{"vertices": 1, "weights": -2, "genera": [0], "edges": []}', "'weights' must be a list"),
+        ('{"vertices": 1, "weights": [-2], "genera": "0", "edges": []}', "'genera' must be a list"),
+        ('{"vertices": 1, "weights": [-2], "genera": [0], "edges": null}', "'edges' must be a list"),
+        ('{"vertices": 2, "weights": [-2,-2], "genera": [0,0], "edges": [["1",2,1]]}',
+         "integer entries"),
+        ('{"vertices": 2, "weights": [-2,-2], "genera": [0,0], "edges": [[1,2,true]]}',
+         "integer entries"),
+        ('{"vertices": 2, "weights": [-2,-2], "genera": [0,0], "edges": [[1,2,1.5]]}',
+         "integer entries"),
+        ('{"vertices": 2, "weights": [-2,-2], "genera": [0,0], "edges": [12]}', "[i, j, m]"),
+        ('{"vertices": 2, "weights": [-2,-2], "genera": [0,0], "edges": ["abc"]}', "[i, j, m]"),
+        ('{"vertices": 2, "weights": [-2.5,-2], "genera": [0,0], "edges": [[1,2,1]]}',
+         "must be integers"),
+        ('{"vertices": 2, "weights": [-2.0,-2], "genera": [0,0], "edges": [[1,2,1]]}',
+         "must be integers"),
+        ('{"vertices": 1, "weights": [-2], "genera": [false], "edges": []}', "must be integers"),
+        ('{"vertices": 1, "weights": [-2], "genera": [0], "edges": [], "labels": "a"}',
+         "'labels' must be a list"),
+        ('{"vertices": 1, "weights": [-2], "genera": [0], "edges": [], "labels": [7]}',
+         "invalid label"),
     ],
 )
 def test_json_parse_errors(payload, fragment):
@@ -152,6 +176,30 @@ def test_graph_invariant_enforcement():
         ResolutionGraph(weights=(-2,), genera=(0,), mult=((1,),))
     with pytest.raises(ValueError):
         ResolutionGraph(weights=(-2,), genera=(0,), mult=((0,),), labels=("bad label",))
+
+
+@pytest.mark.parametrize(
+    "weights,genera,mult",
+    [
+        ((-2.0,), (0,), ((0,),)),
+        ((True,), (0,), ((0,),)),
+        ((-2,), (0.0,), ((0,),)),
+        ((-2,), (False,), ((0,),)),
+        ((-2, -2), (0, 0), ((0, 1.0), (1.0, 0))),
+        ((-2, -2), (0, 0), ((0, True), (True, 0))),
+    ],
+)
+def test_graph_rejects_non_integers(weights, genera, mult):
+    with pytest.raises(ValueError, match="integers"):
+        ResolutionGraph(weights=weights, genera=genera, mult=mult)
+
+
+def test_intersection_matrix_is_built_once(a2):
+    M = a2.intersection_matrix()
+    assert a2.intersection_matrix() is M
+    assert M.entries == ((-2, 1), (1, -2))
+    # the kept matrix is not a field: equality with a fresh graph still holds
+    assert a2 == parse_graph(A2_TEXT)
 
 
 def test_intersection_matrix_requires_symmetry():
