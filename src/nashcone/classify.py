@@ -4,7 +4,12 @@ Pulls the pieces together: rationality decided two ways (Artin's
 fundamental-cycle genus test, and the structural tree/genus/weight
 characterization), a three-state bijectivity verdict for the Nash map,
 constructors for the named graph families used in tests and docs, and an
-exhaustive small-graph enumerator with isomorphism rejection.
+exhaustive small-graph enumerator with isomorphism rejection. The
+enumerator marks the orbit of each least edge encoding in a byte table,
+so it relabels once per structure class, and it grows weight tuples
+vertex by vertex, cutting a prefix whose leading minor already rules out
+negative definiteness. Its table is capped at ENCODING_TABLE_CAP bytes,
+which limits the bounds it accepts.
 """
 
 from __future__ import annotations
@@ -20,7 +25,6 @@ from .graph import (
     IntersectionMatrix,
     ResolutionGraph,
     ValidationReport,
-    _leading_minors_negdef,
     canonical_intersections,
     is_connected,
     validate,
@@ -261,12 +265,102 @@ def make_family(kind: str, *params: int) -> ResolutionGraph:
     )
 
 
-def _upper_encoding(mult, n: int) -> tuple[int, ...]:
-    return tuple(mult[i][j] for i in range(n) for j in range(i + 1, n))
+# Largest orbit-marking table, in bytes, that enumerate_graphs will allocate.
+ENCODING_TABLE_CAP = 1 << 24
 
 
-def _apply_perm_mult(mult, sigma, n: int) -> tuple[int, ...]:
-    return tuple(mult[sigma[i]][sigma[j]] for i in range(n) for j in range(i + 1, n))
+def _encoding_columns(n: int, base: int) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
+    """Relabelings of n vertices and, per upper-triangle position k, the place
+    value that position k takes in each relabeled encoding.
+
+    An encoding lists mult[i][j] for i < j in row order and is read as a
+    base-``base`` number, first position most significant, so numeric order
+    is product order. Relabeling by s moves the entry of pair {s[i], s[j]}
+    to the position of (i, j), hence the image of enc under s has index
+    sum(enc[k] * cols[k][index of s]).
+    """
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    pos = {p: k for k, p in enumerate(pairs)}
+    place = [base ** (len(pairs) - 1 - k) for k in range(len(pairs))]
+    perms = list(permutations(range(n)))
+    cols = [[0] * len(perms) for _ in pairs]
+    for c, s in enumerate(perms):
+        for k, (i, j) in enumerate(pairs):
+            cols[pos[min(s[i], s[j]), max(s[i], s[j])]][c] = place[k]
+    return perms, [tuple(col) for col in cols]
+
+
+def _structures(n: int, base: int):
+    """Yield (mult, aut) for each connected structure class on n vertices
+    with multiplicities below ``base``: mult is the least edge encoding of
+    its class, in increasing order, and aut the relabelings that fix it."""
+    npairs = n * (n - 1) // 2
+    perms, cols = _encoding_columns(n, base)
+    zero = (0,) * len(perms)
+    seen = bytearray(base ** npairs)
+    idx = 0
+    while idx != -1:
+        enc, rest = [0] * npairs, idx
+        for k in reversed(range(npairs)):
+            rest, enc[k] = divmod(rest, base)
+        images = list(map(sum, zip(zero, *(cols[k] for k, m in enumerate(enc) for _ in range(m)))))
+        for image in images:
+            seen[image] = 1
+        mult = [[0] * n for _ in range(n)]
+        pos = 0
+        for i in range(n):
+            for j in range(i + 1, n):
+                mult[i][j] = mult[j][i] = enc[pos]
+                pos += 1
+        mult_t = tuple(map(tuple, mult))
+        if is_connected(mult_t):
+            yield mult_t, [s for s, image in zip(perms, images) if image == idx]
+        idx = seen.find(0, idx + 1)
+
+
+def _negdef_weights(mult, weight_range: range):
+    """Weight tuples over weight_range, in product order, that make the
+    matrix with off-diagonal ``mult`` negative definite.
+
+    A depth-first search over prefixes: every leading principal submatrix
+    of a negative-definite matrix is negative definite, so a prefix whose
+    leading minor has the wrong sign is cut with all its extensions. The
+    minors come from fraction-free (Bareiss) elimination extended by one
+    column per vertex; the matrix is symmetric, so only column k is new.
+    With w_k set to 0 that column gives beta, and the k-th minor is
+    D_k(w) = D_{k-1} * w + beta by expansion along row k. The sign test
+    (-1)^(k+1) * D_k(w) > 0 fails from some w on, so the scan stops there.
+    """
+    n = len(mult)
+    weights = [0] * n
+    urows = []  # urows[c][t]: row t of column c after t elimination steps
+    minors = [1]  # minors[k] is D_{k-1}, the leading k x k minor
+
+    def extend(k: int):
+        if k == n:
+            yield tuple(weights)
+            return
+        col = [mult[i][k] for i in range(k)] + [0]
+        prev = 1
+        for t in range(k):
+            p, ct = minors[t + 1], col[t]
+            for i in range(t + 1, k):
+                col[i] = (p * col[i] - urows[i][t] * ct) // prev
+            col[k] = (p * col[k] - ct * ct) // prev
+            prev = p
+        urows.append(col)
+        sign = -1 if k % 2 == 0 else 1
+        for w in weight_range:
+            minor = prev * w + col[k]
+            if sign * minor <= 0:
+                break
+            weights[k] = w
+            minors.append(minor)
+            yield from extend(k + 1)
+            minors.pop()
+        urows.pop()
+
+    return extend(0)
 
 
 def enumerate_graphs(max_vertices: int, min_weight: int, max_genus: int, max_mult: int = 1):
@@ -278,7 +372,24 @@ def enumerate_graphs(max_vertices: int, min_weight: int, max_genus: int, max_mul
     interchangeable, so a class representative is the lexicographically
     least (structure, weights, genera) triple under relabeling; weights
     are reduced by the structure's automorphisms, genera by the
-    stabilizer of the chosen weights.
+    stabilizer of the chosen weights. Output runs by vertex count, then
+    structure, weights and genera, each in increasing product order.
+
+    Structures are found by orbit marking (the orderly idea of Read 1978):
+    edge encodings are walked in increasing order over a byte table, and
+    the first unmarked one is the least of its orbit, since every smaller
+    encoding has been visited and its whole orbit marked. So the n!
+    relabelings run once per structure class, not once per encoding, and
+    the ones that fix the encoding are its automorphisms. Weights come
+    from a depth-first search that cuts a prefix as soon as a leading
+    minor shows the matrix cannot be negative definite.
+
+    The table has (max_mult + 1) ** (n(n-1)/2) bytes at n vertices. Bounds
+    whose largest table exceeds ENCODING_TABLE_CAP (16 MiB) raise
+    ValueError before anything is yielded: every n >= 8, n = 7 with
+    max_mult >= 2, n = 6 with max_mult >= 3, n = 5 with max_mult >= 5,
+    and fewer vertices only with max_mult >= 16. Seven vertices with
+    simple edges take seconds.
     """
     if max_vertices < 1:
         raise ValueError("max_vertices must be >= 1")
@@ -288,37 +399,25 @@ def enumerate_graphs(max_vertices: int, min_weight: int, max_genus: int, max_mul
         raise ValueError("max_genus must be >= 0")
     if max_mult < 1:
         raise ValueError("max_mult must be >= 1")
+    base = max_mult + 1
+    pairs = max_vertices * (max_vertices - 1) // 2
+    # base >= 2, so a long exponent alone settles it, before any huge power
+    if pairs >= ENCODING_TABLE_CAP.bit_length() or base ** pairs > ENCODING_TABLE_CAP:
+        raise ValueError(
+            f"{max_vertices} vertices with edge multiplicities up to {max_mult} exceed the "
+            f"enumeration table cap of {ENCODING_TABLE_CAP} bytes"
+        )
 
     weight_range = range(min_weight, 0)
     genus_range = range(max_genus + 1)
 
     for n in range(1, max_vertices + 1):
-        npairs = n * (n - 1) // 2
-        perms = list(permutations(range(n)))
-        for enc in product(range(max_mult + 1), repeat=npairs):
-            mult = [[0] * n for _ in range(n)]
-            pos = 0
-            for i in range(n):
-                for j in range(i + 1, n):
-                    mult[i][j] = mult[j][i] = enc[pos]
-                    pos += 1
-            mult_t = tuple(map(tuple, mult))
-            if not is_connected(mult_t):
-                continue
-            if any(_apply_perm_mult(mult_t, s, n) < enc for s in perms):
-                continue  # not the canonical labeling of its class
-            aut = [s for s in perms if _apply_perm_mult(mult_t, s, n) == enc]
-            for weights in product(weight_range, repeat=n):
+        for mult, aut in _structures(n, base):
+            for weights in _negdef_weights(mult, weight_range):
                 if any(tuple(weights[s[i]] for i in range(n)) < weights for s in aut):
-                    continue
-                rows = [
-                    [weights[i] if i == j else mult[i][j] for j in range(n)]
-                    for i in range(n)
-                ]
-                if not _leading_minors_negdef(rows):
                     continue
                 stab = [s for s in aut if tuple(weights[s[i]] for i in range(n)) == weights]
                 for genera in product(genus_range, repeat=n):
                     if any(tuple(genera[s[i]] for i in range(n)) < genera for s in stab):
                         continue
-                    yield ResolutionGraph(weights=weights, genera=genera, mult=mult_t)
+                    yield ResolutionGraph(weights=weights, genera=genera, mult=mult)

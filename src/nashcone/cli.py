@@ -14,7 +14,9 @@ output; text output uses vertex labels.
 from __future__ import annotations
 
 import json
+import os
 import sys
+from itertools import chain
 from multiprocessing import Pool
 
 import click
@@ -212,14 +214,20 @@ def _enum_line(g: ResolutionGraph) -> str:
 @click.option("--max-genus", type=int, required=True)
 @click.option("--max-mult", type=int, default=1, show_default=True)
 @click.option("--parallel", type=int, default=1, show_default=True,
-              help="worker processes; output order stays deterministic")
+              help="worker processes, at most the CPU count; output order stays deterministic")
 def enumerate(max_vertices: int, min_weight: int, max_genus: int, max_mult: int,
               parallel: int) -> None:
     """Stream one JSON report line per graph, smallest graphs first."""
+    if parallel < 1:
+        raise ValueError(f"--parallel must be >= 1, got {parallel}")
+    workers = min(parallel, os.cpu_count() or 1)
     stream = enumerate_graphs(max_vertices, min_weight, max_genus, max_mult)
-    if parallel > 1:
-        with Pool(parallel) as pool:
-            for line in pool.imap(_enum_line, stream, chunksize=16):
+    if workers > 1:
+        first = next(stream, None)  # bound errors surface here, before any worker starts
+        if first is None:
+            return
+        with Pool(workers) as pool:
+            for line in pool.imap(_enum_line, chain((first,), stream), chunksize=16):
                 click.echo(line)
     else:
         for g in stream:

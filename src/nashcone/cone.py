@@ -159,10 +159,14 @@ def lipman_status(D: Divisor, M: IntersectionMatrix) -> ConeStatus:
 
 
 def fundamental_cycle(g: ResolutionGraph) -> Divisor:
-    """Smallest nonzero anti-nef cycle, by the incremental computation
-    sequence: start at the reduced cycle and bump the lowest component that
-    still pairs positively. Terminates because the form is negative definite;
-    the result is independent of the tie-break (property-tested).
+    """Smallest nonzero anti-nef cycle, by Laufer's computation sequence:
+    start at the reduced cycle and add the lowest component E_i that still
+    pairs positively. Adding E_i lowers Z.E_i by -M_ii >= 1, so it may be
+    added k = ceil(Z.E_i / -M_ii) times in a row, each addition a legal
+    step; the k steps are taken at once, so a coefficient that needs a
+    long run of additions to one component costs one pass, not one per
+    unit. Terminates because the form is negative definite; the result is
+    independent of the tie-break (property-tested).
     """
     M = g.intersection_matrix()
     z = [1] * g.n
@@ -171,9 +175,10 @@ def fundamental_cycle(g: ResolutionGraph) -> Divisor:
         bad = next((i for i in range(g.n) if s[i] > 0), None)
         if bad is None:
             return Divisor(tuple(z))
-        z[bad] += 1
+        k = -(s[bad] // M[bad][bad])  # ceil(s / -M_ii), as M_ii < 0 < s
+        z[bad] += k
         for l in range(g.n):
-            s[l] += M[l][bad]
+            s[l] += k * M[l][bad]
 
 
 def clear_denominators(v) -> tuple[int, ...]:

@@ -191,3 +191,57 @@ def star_witnesses_fraction(C):
             m = lcm(*(x.denominator for x in v))
             out[(i, j)] = tuple(int(x * m) for x in v)
     return out
+
+
+def _apply_perm_mult(mult, sigma, n: int) -> tuple[int, ...]:
+    return tuple(mult[sigma[i]][sigma[j]] for i in range(n) for j in range(i + 1, n))
+
+
+def enumerate_graphs_brute(max_vertices: int, min_weight: int, max_genus: int, max_mult: int = 1):
+    """The enumerator that orbit marking replaced: every edge encoding is
+    tested for connectivity and then against all n! relabelings, and every
+    weight tuple by a full leading-minor elimination."""
+    from nashcone.graph import ResolutionGraph, _leading_minors_negdef, is_connected
+
+    if max_vertices < 1:
+        raise ValueError("max_vertices must be >= 1")
+    if min_weight > -1:
+        raise ValueError("min_weight must be <= -1")
+    if max_genus < 0:
+        raise ValueError("max_genus must be >= 0")
+    if max_mult < 1:
+        raise ValueError("max_mult must be >= 1")
+
+    weight_range = range(min_weight, 0)
+    genus_range = range(max_genus + 1)
+
+    for n in range(1, max_vertices + 1):
+        npairs = n * (n - 1) // 2
+        perms = list(permutations(range(n)))
+        for enc in product(range(max_mult + 1), repeat=npairs):
+            mult = [[0] * n for _ in range(n)]
+            pos = 0
+            for i in range(n):
+                for j in range(i + 1, n):
+                    mult[i][j] = mult[j][i] = enc[pos]
+                    pos += 1
+            mult_t = tuple(map(tuple, mult))
+            if not is_connected(mult_t):
+                continue
+            if any(_apply_perm_mult(mult_t, s, n) < enc for s in perms):
+                continue  # not the canonical labeling of its class
+            aut = [s for s in perms if _apply_perm_mult(mult_t, s, n) == enc]
+            for weights in product(weight_range, repeat=n):
+                if any(tuple(weights[s[i]] for i in range(n)) < weights for s in aut):
+                    continue
+                rows = [
+                    [weights[i] if i == j else mult[i][j] for j in range(n)]
+                    for i in range(n)
+                ]
+                if not _leading_minors_negdef(rows):
+                    continue
+                stab = [s for s in aut if tuple(weights[s[i]] for i in range(n)) == weights]
+                for genera in product(genus_range, repeat=n):
+                    if any(tuple(genera[s[i]] for i in range(n)) < genera for s in stab):
+                        continue
+                    yield ResolutionGraph(weights=weights, genera=genera, mult=mult_t)

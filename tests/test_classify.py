@@ -22,7 +22,7 @@ from nashcone import (
 )
 from nashcone.graph import ResolutionGraph
 
-from oracles import graphs_isomorphic
+from oracles import enumerate_graphs_brute, graphs_isomorphic
 
 
 def test_arithmetic_genus_known_values(a2, g2w1, star3_5, cycle3):
@@ -260,3 +260,42 @@ def test_an_witnesses_cover_and_verify():
         expected = {(i, j) for i in range(n) for j in range(n) if i != j}
         assert halfspace_coverage([d1, d2]) == expected
         assert check_star(g).holds
+
+
+# every bound set the suite enumerates, plus two where the n! scan dominated
+@pytest.mark.parametrize(
+    "bounds",
+    [
+        (1, -2, 1, 1),
+        (2, -2, 0, 2),
+        (2, -3, 0, 2),
+        (3, -2, 0, 1),
+        (3, -3, 0, 2),
+        (3, -3, 1, 2),
+        (3, -4, 1, 2),
+        (4, -3, 0, 2),
+        (4, -5, 1, 2),
+        (5, -2, 0, 1),
+        (5, -2, 0, 2),
+        (6, -2, 0, 1),
+    ],
+)
+def test_enumerate_matches_brute_force_oracle(bounds):
+    assert list(enumerate_graphs(*bounds)) == list(enumerate_graphs_brute(*bounds))
+
+
+@pytest.mark.parametrize(
+    "bounds",
+    [(7, -2, 0, 2), (8, -2, 0, 1), (6, -2, 0, 3), (5, -2, 0, 5), (4, -2, 0, 16), (10**9, -2, 0, 1)],
+)
+def test_enumerate_refuses_bounds_over_table_cap(bounds):
+    with pytest.raises(ValueError, match="cap"):
+        next(enumerate_graphs(*bounds))
+
+
+@pytest.mark.parametrize(
+    "bounds", [(7, -2, 0, 1), (6, -2, 0, 2), (5, -2, 0, 4), (4, -2, 0, 15), (1, -2, 0, 10**6)]
+)
+def test_enumerate_allows_bounds_within_table_cap(bounds):
+    first = next(enumerate_graphs(*bounds))  # one vertex: the table of n = 1 has one byte
+    assert first == ResolutionGraph(weights=(-2,), genera=(0,), mult=((0,),))

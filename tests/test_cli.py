@@ -253,6 +253,75 @@ def test_enumerate_bad_bounds(capsys):
     assert capsys.readouterr().err != ""
 
 
+def _one_error_line(err: str) -> bool:
+    return err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """Replace multiprocessing.Pool in the CLI by a recorder that maps in
+    process, so no worker is ever started, on a machine with 3 CPUs."""
+    import nashcone.cli as cli_mod
+
+    sizes = []
+
+    class Recorder:
+        def __init__(self, processes):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def imap(self, fn, iterable, chunksize=1):
+            return map(fn, iterable)
+
+    monkeypatch.setattr(cli_mod, "Pool", Recorder)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    return sizes
+
+
+def test_enumerate_parallel_clamped_to_cpu_count(capsys, pool_sizes):
+    args = ["enumerate", "--max-vertices=3", "--min-weight=-2", "--max-genus=0"]
+    assert main(args) == 0
+    serial = capsys.readouterr().out
+    assert main(args + ["--parallel", "1000000"]) == 0
+    assert capsys.readouterr().out == serial
+    assert main(args + ["--parallel", "2"]) == 0
+    assert capsys.readouterr().out == serial
+    assert pool_sizes == [3, 2]
+
+
+@pytest.mark.parametrize("value", ["0", "-1", "-1000000"])
+def test_enumerate_parallel_below_one_rejected(value, capsys, pool_sizes):
+    args = ["enumerate", "--max-vertices=2", "--min-weight=-2", "--max-genus=0"]
+    assert main(args + ["--parallel", value]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and _one_error_line(err) and "--parallel" in err
+    assert pool_sizes == []
+
+
+@pytest.mark.parametrize("parallel", ["1", "2"])
+def test_enumerate_over_table_cap_exits_1(parallel, capsys, pool_sizes):
+    import tracemalloc
+
+    args = ["enumerate", "--max-vertices", "7", "--min-weight=-2", "--max-genus=0",
+            "--max-mult", "2", "--parallel", parallel]
+    tracemalloc.start()
+    try:
+        code = main(args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 1
+    out, err = capsys.readouterr()
+    assert out == "" and _one_error_line(err) and "cap" in err
+    assert peak < 1 << 20  # the refused table would take 3**21 bytes, 10 GB
+    assert pool_sizes == []
+
+
 def test_internal_error_maps_to_exit_2(graph_file, capsys, monkeypatch):
     import nashcone.cli as cli_mod
 

@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 from itertools import permutations, product
 
@@ -9,6 +10,7 @@ from nashcone import (
     ConeStatus,
     Divisor,
     IntersectionMatrix,
+    ResolutionGraph,
     clear_denominators,
     enumerate_graphs,
     fundamental_cycle,
@@ -20,7 +22,7 @@ from nashcone import (
 )
 from nashcone.cone import neg_adjugate
 
-from oracles import all_orders_fundamental_cycles
+from oracles import all_orders_fundamental_cycles, laufer_with_order
 
 
 def test_divisor_basics():
@@ -155,6 +157,27 @@ def test_fundamental_cycle_order_independent(d4, star3_5):
     for g in [d4, star3_5, make_family("an", 4), make_family("cycle", 4, -3)]:
         M = g.intersection_matrix()
         assert all_orders_fundamental_cycles(M) == {fundamental_cycle(g).coeffs}
+
+
+def test_fundamental_cycle_matches_one_step_oracle():
+    # laufer_with_order over range(n) is the one-step sequence that the
+    # batched steps replaced, with the same lowest-index tie-break
+    graphs = [make_family("an", 30), make_family("dn", 30), make_family("star3", 9)]
+    for corpus in (enumerate_graphs(4, -4, 1, 2), enumerate_graphs(5, -3, 0, 1),
+                   enumerate_graphs(3, -6, 0, 4), graphs):
+        for g in corpus:
+            M = g.intersection_matrix()
+            assert fundamental_cycle(g).coeffs == laufer_with_order(M, range(g.n)), g
+
+
+def test_fundamental_cycle_large_coefficients():
+    # -M has determinant 1; the one-step sequence needs m - 1 steps here
+    m = 10**9
+    g = ResolutionGraph(weights=(-1, -(m * m + 1)), genera=(0, 0), mult=((0, m), (m, 0)))
+    t0 = time.monotonic()
+    Z = fundamental_cycle(g)
+    assert time.monotonic() - t0 < 1.0
+    assert Z.coeffs == (m, 1)
 
 
 def test_strict_interior_known_values(a2, a3):
