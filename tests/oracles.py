@@ -3,8 +3,11 @@
 Everything here is deliberately independent of the library's decision
 procedures: box search with interval propagation for witness existence,
 naive quadratic-form scans for definiteness, a reorderable variant of the
-fundamental-cycle sequence, and the rational-arithmetic route to -M^-1 and
-to the condition (*) witnesses that the integer kernel replaced.
+one-step fundamental-cycle sequence, and the rational-arithmetic route to
+-M^-1 and to the condition (*) witnesses that the integer kernel replaced.
+The one exception is the brute-force enumerator that orbit marking
+replaced, kept verbatim: it uses the library's graph type, connectivity
+test and leading-minor elimination.
 """
 
 from fractions import Fraction
@@ -104,7 +107,9 @@ def negdef_brute(M, box=5):
 
 
 def laufer_with_order(M, order):
-    """Fundamental-cycle sequence with an arbitrary tie-break priority."""
+    """Fundamental-cycle sequence with an arbitrary tie-break priority, one
+    addition per step; with order range(n) it is the sequence that
+    cone.fundamental_cycle batches."""
     n = M.n
     Z = [1] * n
     s = list(M.mulvec(Z))
