@@ -29,11 +29,8 @@ from .conditions import (
 from .cone import (
     ConeStatus,
     Divisor,
-    RationalMatrix,
-    clear_denominators,
     fundamental_cycle,
     lipman_status,
-    neg_inverse,
     pair,
     strict_interior_divisor,
 )
@@ -77,7 +74,6 @@ __all__ = [
     "NashVerdict",
     "NashconeError",
     "NoMultiplierGuarantee",
-    "RationalMatrix",
     "ResolutionGraph",
     "StarCertificate",
     "StarStarReport",
@@ -88,7 +84,6 @@ __all__ = [
     "canonical_intersections",
     "check_star",
     "check_star_star",
-    "clear_denominators",
     "enumerate_graphs",
     "fundamental_cycle",
     "graph_to_json_dict",
@@ -101,7 +96,6 @@ __all__ = [
     "make_family",
     "min_realizing_multiple",
     "nash_verdict",
-    "neg_inverse",
     "pair",
     "parse_graph",
     "parse_graph_json",

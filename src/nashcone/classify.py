@@ -22,6 +22,8 @@ from .cone import ConeStatus, Divisor, fundamental_cycle, lipman_status, pair
 from .conditions import StarCertificate, StarStarReport, check_star, check_star_star
 from .errors import InternalInvariantError
 from .graph import (
+    MAX_VERTICES,
+    _build_graph,
     IntersectionMatrix,
     ResolutionGraph,
     ValidationReport,
@@ -139,9 +141,7 @@ def nash_verdict(g: ResolutionGraph) -> ClassificationReport:
     warning note and the analysis proceeds.
     """
     report = validate(g)
-    if not report.analyzable:
-        problems = [m for m in report.messages if not m.startswith("warning")]
-        raise ValueError("; ".join(problems) or "graph cannot be analyzed")
+    report.require_analyzable()
 
     star_star = check_star_star(g)
     star = check_star(g)
@@ -156,7 +156,7 @@ def nash_verdict(g: ResolutionGraph) -> ClassificationReport:
     else:
         verdict = NashVerdict.INCONCLUSIVE
 
-    notes = [m for m in report.messages if m.startswith("warning")]
+    notes = list(report.warnings)
     if structural.all_genus_zero:
         notes.append(_GENUS_NOTE)
     if verdict is NashVerdict.INCONCLUSIVE:
@@ -195,13 +195,6 @@ def an_witness_divisors(n: int) -> tuple[Divisor, Divisor]:
     return d1, d2
 
 
-def _path_mult(n: int) -> list[list[int]]:
-    mult = [[0] * n for _ in range(n)]
-    for i in range(n - 1):
-        mult[i][i + 1] = mult[i + 1][i] = 1
-    return mult
-
-
 def make_family(kind: str, *params: int) -> ResolutionGraph:
     """Construct a named example graph.
 
@@ -209,60 +202,51 @@ def make_family(kind: str, *params: int) -> ResolutionGraph:
     fork at one end, n >= 4), "star3" (three arms of weight -n on a -2
     center, n >= 5), "vertex" (single vertex, params genus >= 0 and
     weight <= -1), "cycle" (m genus-0 vertices in a cycle of weight w,
-    m >= 3 and w <= -3 so the cycle stays negative definite).
+    m >= 3 and w <= -3 so the cycle stays negative definite). The
+    families an, dn and cycle take at most MAX_VERTICES vertices, the cap
+    on graph files.
     """
     arity = {"an": 1, "dn": 1, "star3": 1, "vertex": 2, "cycle": 2}
     if kind not in arity:
         raise ValueError(f"unknown family kind: {kind!r}")
     if len(params) != arity[kind]:
         raise ValueError(f"family {kind!r} takes {arity[kind]} parameter(s), got {len(params)}")
+    if kind in ("an", "dn", "cycle") and params[0] > MAX_VERTICES:
+        raise ValueError(f"{kind}: vertex count {params[0]} exceeds the cap of {MAX_VERTICES}")
+    genera = None
     if kind == "an":
         (n,) = params
         if n < 1:
             raise ValueError("an: n must be >= 1")
-        return ResolutionGraph(
-            weights=(-2,) * n, genera=(0,) * n, mult=tuple(map(tuple, _path_mult(n)))
-        )
-    if kind == "dn":
+        weights, edges = [-2] * n, [(i, i + 1) for i in range(1, n)]
+    elif kind == "dn":
         (n,) = params
         if n < 4:
             raise ValueError("dn: n must be >= 4")
-        mult = _path_mult(n)
-        # fork: drop the chain's last link, hang both E_{n-1} and E_n on E_{n-2}
-        mult[n - 2][n - 1] = mult[n - 1][n - 2] = 0
-        mult[n - 3][n - 1] = mult[n - 1][n - 3] = 1
-        return ResolutionGraph(
-            weights=(-2,) * n, genera=(0,) * n, mult=tuple(map(tuple, mult))
-        )
-    if kind == "star3":
+        # the chain E1..E(n-1), with E(n) forked onto E(n-2)
+        weights, edges = [-2] * n, [(i, i + 1) for i in range(1, n - 1)] + [(n - 2, n)]
+    elif kind == "star3":
         (n,) = params
         if n < 5:
             raise ValueError("star3: n must be >= 5")
-        mult = [[0] * 4 for _ in range(4)]
-        for arm in range(3):
-            mult[arm][3] = mult[3][arm] = 1
-        return ResolutionGraph(
-            weights=(-n, -n, -n, -2), genera=(0, 0, 0, 0), mult=tuple(map(tuple, mult))
-        )
-    if kind == "vertex":
-        genus, weight = params
-        if genus < 0:
-            raise ValueError("vertex: genus must be >= 0")
-        if weight > -1:
-            raise ValueError("vertex: weight must be <= -1")
-        return ResolutionGraph(weights=(weight,), genera=(genus,), mult=((0,),))
-    m, weight = params  # remaining kind: cycle
-    if m < 3:
-        raise ValueError("cycle: length must be >= 3")
-    if weight > -3:
-        raise ValueError("cycle: weight must be <= -3")
-    mult = [[0] * m for _ in range(m)]
-    for i in range(m):
-        j = (i + 1) % m
-        mult[i][j] = mult[j][i] = 1
-    return ResolutionGraph(
-        weights=(weight,) * m, genera=(0,) * m, mult=tuple(map(tuple, mult))
-    )
+        weights, edges = [-n, -n, -n, -2], [(1, 4), (2, 4), (3, 4)]
+    elif kind == "vertex":
+        genus, weight = params  # ResolutionGraph checks their ranges
+        weights, genera, edges = [weight], [genus], []
+    else:  # cycle
+        m, weight = params
+        if m < 3:
+            raise ValueError("cycle: length must be >= 3")
+        if weight > -3:
+            raise ValueError("cycle: weight must be <= -3")
+        weights, edges = [weight] * m, [(i, i + 1) for i in range(1, m)] + [(1, m)]
+    data = {
+        "vertices": len(weights),
+        "weights": weights,
+        "genera": genera or [0] * len(weights),
+        "edges": [[i, j, 1] for i, j in edges],
+    }
+    return _build_graph(data, {})
 
 
 # Largest orbit-marking table, in bytes, that enumerate_graphs will allocate.

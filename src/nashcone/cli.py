@@ -30,6 +30,7 @@ from .classify import (
 from .errors import InternalInvariantError, NashconeError
 from .graph import (
     ResolutionGraph,
+    graph_to_json_dict,
     load_graph,
     serialize_graph,
     serialize_graph_json,
@@ -44,13 +45,7 @@ __all__ = ["main", "entry", "emit_report", "report_to_dict"]
 def report_to_dict(r: ClassificationReport) -> dict:
     """JSON form of a classification report, 1-based indices throughout."""
     g = r.graph
-    graph_dict = {
-        "vertices": g.n,
-        "weights": list(g.weights),
-        "genera": list(g.genera),
-        "edges": [[i + 1, j + 1, m] for i, j, m in g.edges()],
-        "labels": [g.label(i) for i in range(g.n)],
-    }
+    graph_dict = {**graph_to_json_dict(g), "labels": [g.label(i) for i in range(g.n)]}
     witnesses = [
         {"pair": [i + 1, j + 1], "divisor": list(r.star.witnesses[(i, j)].coeffs)}
         for (i, j) in sorted(r.star.witnesses)
@@ -143,16 +138,6 @@ def _read_graph_file(path: str) -> ResolutionGraph:
         return load_graph(fh.read())
 
 
-def _require_analyzable(g: ResolutionGraph) -> None:
-    # witness/check work with the anti-nef cone, which only makes sense
-    # over a connected negative-definite matrix; refuse early (exit 1)
-    # rather than let the kernels fail on a singular inverse (exit 2)
-    report = validate(g)
-    if not report.analyzable:
-        problems = [m for m in report.messages if not m.startswith("warning")]
-        raise ValueError("; ".join(problems) or "graph cannot be analyzed")
-
-
 @click.group(name="nashcone")
 def cli() -> None:
     """Decide the anti-nef-cone conditions behind Nash-map bijectivity."""
@@ -175,7 +160,9 @@ def analyze(file: str, as_json: bool) -> None:
 def witness(file: str, pair: tuple[int, int]) -> None:
     """Print one strictly anti-nef witness divisor for a pair, or "none"."""
     g = _read_graph_file(file)
-    _require_analyzable(g)
+    # the anti-nef cone needs a connected negative-definite graph; refuse
+    # here (exit 1) rather than let the kernels fail on it (exit 2)
+    validate(g).require_analyzable()
     i, j = pair
     if not (1 <= i <= g.n and 1 <= j <= g.n):
         raise ValueError(f"pair indices must be in 1..{g.n}")
@@ -257,7 +244,7 @@ def check(file: str, criterion: str, divisor: str, as_json: bool) -> None:
     from .cone import Divisor
 
     g = _read_graph_file(file)
-    _require_analyzable(g)
+    validate(g).require_analyzable()
     try:
         coeffs = tuple(int(tok) for tok in divisor.split(","))
     except ValueError:

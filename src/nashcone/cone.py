@@ -12,13 +12,12 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 
 from .graph import IntersectionMatrix, ResolutionGraph
 
 __all__ = [
     "Divisor",
-    "RationalMatrix",
     "ConeStatus",
     "pair",
     "neg_adjugate",
@@ -26,7 +25,6 @@ __all__ = [
     "lipman_status",
     "fundamental_cycle",
     "strict_interior_divisor",
-    "clear_denominators",
 ]
 
 
@@ -66,28 +64,6 @@ class Divisor:
 
     def is_effective(self) -> bool:
         return all(a >= 0 for a in self.coeffs)
-
-
-@dataclass(frozen=True)
-class RationalMatrix:
-    """Square matrix of exact rationals."""
-
-    entries: tuple[tuple[Fraction, ...], ...]
-
-    @property
-    def n(self) -> int:
-        return len(self.entries)
-
-    def __getitem__(self, i: int) -> tuple[Fraction, ...]:
-        return self.entries[i]
-
-    def column(self, k: int) -> tuple[Fraction, ...]:
-        return tuple(row[k] for row in self.entries)
-
-    def mulvec(self, v) -> tuple[Fraction, ...]:
-        if len(v) != self.n:
-            raise ValueError("dimension mismatch")
-        return tuple(sum(row[j] * v[j] for j in range(self.n)) for row in self.entries)
 
 
 class ConeStatus(enum.Enum):
@@ -132,8 +108,8 @@ def neg_adjugate(M: IntersectionMatrix) -> tuple[tuple[tuple[int, ...], ...], in
     return tuple(tuple(row[n:]) for row in a), prev
 
 
-def neg_inverse(M: IntersectionMatrix) -> RationalMatrix:
-    """-M^-1 = adj(-M) / det(-M) as exact rationals.
+def neg_inverse(M: IntersectionMatrix) -> tuple[tuple[Fraction, ...], ...]:
+    """-M^-1 = adj(-M) / det(-M) as rows of exact rationals.
 
     Column k is the rational divisor pairing to -1 with E_k and 0 with the
     others; on a connected negative-definite graph every entry is positive
@@ -141,7 +117,7 @@ def neg_inverse(M: IntersectionMatrix) -> RationalMatrix:
     integer form from neg_adjugate instead.
     """
     A, d = neg_adjugate(M)
-    return RationalMatrix(tuple(tuple(Fraction(x, d) for x in row) for row in A))
+    return tuple(tuple(Fraction(x, d) for x in row) for row in A)
 
 
 def lipman_status(D: Divisor, M: IntersectionMatrix) -> ConeStatus:
@@ -179,13 +155,6 @@ def fundamental_cycle(g: ResolutionGraph) -> Divisor:
         z[bad] += k
         for l in range(g.n):
             s[l] += k * M[l][bad]
-
-
-def clear_denominators(v) -> tuple[int, ...]:
-    """Scale a rational vector by the lcm of its denominators."""
-    fracs = [Fraction(x) for x in v]
-    m = lcm(*(x.denominator for x in fracs))
-    return tuple(int(x * m) for x in fracs)
 
 
 def strict_interior_divisor(g: ResolutionGraph) -> Divisor:

@@ -4,16 +4,25 @@ A graph is given by self-intersection weights, arithmetic genera and
 pairwise intersection multiplicities of the exceptional curves. Everything
 downstream (cone membership, condition checks, classification) is a pure
 function of this data.
+
+Both file formats, the line-oriented text and its JSON mirror, are read
+into the same JSON-shaped dict and sent through one builder, which makes
+every count, list, edge and multiplicity check once; ResolutionGraph
+itself checks weight, genus and label ranges. A value error therefore
+reads the same in both formats, apart from the text format's ``line N:``
+prefix. A file may declare at most MAX_VERTICES vertices: the builder
+refuses a larger count before it allocates the n x n multiplicity table.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import GraphFormatError
 
 __all__ = [
+    "MAX_VERTICES",
     "ResolutionGraph",
     "IntersectionMatrix",
     "ValidationReport",
@@ -58,10 +67,10 @@ class ResolutionGraph:
             raise ValueError("mult must be a square matrix")
         if any(type(m) is not int for row in self.mult for m in row):
             raise ValueError("intersection multiplicities must be integers")
-        if any(w > -1 for w in self.weights):
-            raise ValueError("every self-intersection weight must be <= -1")
-        if any(g < 0 for g in self.genera):
-            raise ValueError("genera must be non-negative")
+        if max(self.weights) > -1:
+            raise ValueError(f"weight {max(self.weights)} must be <= -1")
+        if min(self.genera) < 0:
+            raise ValueError(f"genus {min(self.genera)} must be >= 0")
         for i, row in enumerate(self.mult):
             if row[i] != 0:
                 raise ValueError("mult diagonal must be zero")
@@ -146,23 +155,94 @@ class IntersectionMatrix:
 class ValidationReport:
     """Outcome of checking a graph against the contractibility constraints.
 
-    ``minimal=False`` is a warning only: the formulas below stay
-    well-defined, but the bijectivity statement is proved for minimal
-    resolutions, so reports flag the gap instead of refusing to run.
+    ``problems`` say why the graph cannot be analyzed (not negative
+    definite, disconnected). ``minimal=False`` gives a warning only: the
+    formulas below stay well-defined, but the bijectivity statement is
+    proved for minimal resolutions, so reports flag the gap instead of
+    refusing to run.
     """
 
     negative_definite: bool
     connected: bool
     minimal: bool
-    messages: tuple[str, ...] = field(default=())
+    problems: tuple[str, ...] = ()
+    warnings: tuple[str, ...] = ()
 
     @property
     def analyzable(self) -> bool:
         return self.negative_definite and self.connected
 
+    @property
+    def messages(self) -> tuple[str, ...]:
+        return self.problems + self.warnings
+
+    def require_analyzable(self) -> None:
+        """Refuse a graph the cone computations cannot run on: disconnected,
+        or with an intersection matrix that is not negative definite."""
+        if not self.analyzable:
+            raise ValueError("; ".join(self.problems))
+
 
 # ---------------------------------------------------------------------------
 # file format
+
+# Largest vertex count a graph file may declare. The builder refuses a larger
+# count before it allocates the n x n multiplicity table; analysis is
+# O(n^3) and the JSON report holds O(n^3) integers, so far smaller graphs
+# already take seconds.
+MAX_VERTICES = 128
+
+
+def _build_graph(data: dict, lines: dict[str, int]) -> ResolutionGraph:
+    """The one builder behind both file formats.
+
+    ``data`` has the JSON shape: ``vertices``, ``weights``, ``genera``,
+    ``edges`` as [i, j, m] lists with 1-based i < j, optional ``labels``.
+    ``lines`` maps a key to the line it came from (text format only), so a
+    value error reads the same in both formats apart from the line prefix.
+    Weight, genus and label ranges are left to ResolutionGraph.
+    """
+    n = data["vertices"]
+    if type(n) is not int or n < 1:
+        raise GraphFormatError("vertex count must be a positive integer", lines.get("vertices"))
+    if n > MAX_VERTICES:
+        raise GraphFormatError(
+            f"vertex count {n} exceeds the cap of {MAX_VERTICES}", lines.get("vertices")
+        )
+    for key in ("weights", "genera", "edges", "labels"):
+        value = data.get(key)
+        if key == "labels" and value is None:
+            continue
+        if not isinstance(value, list):
+            raise GraphFormatError(f"'{key}' must be a list")
+        if key != "edges" and len(value) != n:
+            raise GraphFormatError(
+                f"expected {n} {key}, got a list of length {len(value)}", lines.get(key)
+            )
+    line = lines.get("edges")
+    mult = [[0] * n for _ in range(n)]
+    for entry in data["edges"]:
+        if not (isinstance(entry, list) and len(entry) == 3
+                and all(type(x) is int for x in entry)):
+            raise GraphFormatError(f"edge entry {entry!r} must be [i, j, m] with integer entries")
+        i, j, m = entry
+        if not (1 <= i < j <= n):
+            raise GraphFormatError(f"edge {i}-{j} needs 1 <= i < j <= {n}", line)
+        if m < 1:
+            raise GraphFormatError(f"edge multiplicity {m} must be >= 1", line)
+        if mult[i - 1][j - 1] != 0:
+            raise GraphFormatError(f"duplicate edge {i}-{j}", line)
+        mult[i - 1][j - 1] = mult[j - 1][i - 1] = m
+    labels = data.get("labels")
+    try:
+        return ResolutionGraph(
+            weights=tuple(data["weights"]),
+            genera=tuple(data["genera"]),
+            mult=tuple(map(tuple, mult)),
+            labels=tuple(labels) if labels is not None else None,
+        )
+    except (TypeError, ValueError) as exc:
+        raise GraphFormatError(str(exc)) from exc
 
 
 def _parse_int(tok: str, line: int, what: str) -> int:
@@ -205,61 +285,27 @@ def parse_graph(text: str) -> ResolutionGraph:
         if key not in fields:
             raise GraphFormatError(f"missing '{key}' line")
 
+    lines = {key: lineno for key, (_, lineno) in fields.items()}
     value, lineno = fields["vertices"]
-    n = _parse_int(value, lineno, "vertex count")
-    if n < 1:
-        raise GraphFormatError("vertex count must be >= 1", lineno)
-
-    value, lineno = fields["weights"]
-    weights = tuple(_parse_int(t, lineno, "weight") for t in value.split())
-    if len(weights) != n:
-        raise GraphFormatError(f"expected {n} weights, got {len(weights)}", lineno)
-    for w in weights:
-        if w > -1:
-            raise GraphFormatError(f"weight {w} must be <= -1", lineno)
-
-    value, lineno = fields["genera"]
-    genera = tuple(_parse_int(t, lineno, "genus") for t in value.split())
-    if len(genera) != n:
-        raise GraphFormatError(f"expected {n} genera, got {len(genera)}", lineno)
-    for g in genera:
-        if g < 0:
-            raise GraphFormatError(f"genus {g} must be >= 0", lineno)
-
-    mult = [[0] * n for _ in range(n)]
+    data: dict = {"vertices": _parse_int(value, lineno, "vertex count")}
+    for key, what in (("weights", "weight"), ("genera", "genus")):
+        value, lineno = fields[key]
+        data[key] = [_parse_int(t, lineno, what) for t in value.split()]
     value, lineno = fields["edges"]
+    data["edges"] = []
     for tok in value.split():
         head, sep, mstr = tok.partition(":")
         istr, sep2, jstr = head.partition("-")
         if not sep or not sep2:
             raise GraphFormatError(f"malformed edge {tok!r} (want i-j:m)", lineno)
-        i = _parse_int(istr, lineno, "edge endpoint")
-        j = _parse_int(jstr, lineno, "edge endpoint")
-        m = _parse_int(mstr, lineno, "edge multiplicity")
-        if not (1 <= i < j <= n):
-            raise GraphFormatError(f"edge {tok!r} needs 1 <= i < j <= {n}", lineno)
-        if m < 1:
-            raise GraphFormatError(f"edge multiplicity {m} must be >= 1", lineno)
-        if mult[i - 1][j - 1] != 0:
-            raise GraphFormatError(f"duplicate edge {i}-{j}", lineno)
-        mult[i - 1][j - 1] = mult[j - 1][i - 1] = m
-
-    labels = None
+        data["edges"].append([
+            _parse_int(istr, lineno, "edge endpoint"),
+            _parse_int(jstr, lineno, "edge endpoint"),
+            _parse_int(mstr, lineno, "edge multiplicity"),
+        ])
     if "labels" in fields:
-        value, lineno = fields["labels"]
-        labels = tuple(value.split())
-        if len(labels) != n:
-            raise GraphFormatError(f"expected {n} labels, got {len(labels)}", lineno)
-
-    try:
-        return ResolutionGraph(
-            weights=weights,
-            genera=genera,
-            mult=tuple(tuple(row) for row in mult),
-            labels=labels,
-        )
-    except ValueError as exc:
-        raise GraphFormatError(str(exc)) from exc
+        data["labels"] = fields["labels"][0].split()
+    return _build_graph(data, lines)
 
 
 def serialize_graph(g: ResolutionGraph) -> str:
@@ -302,41 +348,7 @@ def parse_graph_json(text: str) -> ResolutionGraph:
     for key in ("vertices", "weights", "genera", "edges"):
         if key not in data:
             raise GraphFormatError(f"missing JSON key '{key}'")
-    n = data["vertices"]
-    if type(n) is not int or n < 1:
-        raise GraphFormatError("'vertices' must be a positive integer")
-    for key in ("weights", "genera", "edges"):
-        if not isinstance(data[key], list):
-            raise GraphFormatError(f"'{key}' must be a list")
-    labels = data.get("labels")
-    if labels is not None and not isinstance(labels, list):
-        raise GraphFormatError("'labels' must be a list")
-    weights = data["weights"]
-    genera = data["genera"]
-    if len(weights) != n or len(genera) != n:
-        raise GraphFormatError("weights/genera length must equal vertex count")
-    mult = [[0] * n for _ in range(n)]
-    for entry in data["edges"]:
-        if not (isinstance(entry, list) and len(entry) == 3
-                and all(type(x) is int for x in entry)):
-            raise GraphFormatError(f"edge entry {entry!r} must be [i, j, m] with integer entries")
-        i, j, m = entry
-        if not (1 <= i < j <= n):
-            raise GraphFormatError(f"edge {entry!r} needs 1 <= i < j <= {n}")
-        if m < 1:
-            raise GraphFormatError(f"edge multiplicity {m} must be >= 1")
-        if mult[i - 1][j - 1] != 0:
-            raise GraphFormatError(f"duplicate edge {i}-{j}")
-        mult[i - 1][j - 1] = mult[j - 1][i - 1] = m
-    try:
-        return ResolutionGraph(
-            weights=tuple(weights),
-            genera=tuple(genera),
-            mult=tuple(tuple(row) for row in mult),
-            labels=tuple(labels) if labels is not None else None,
-        )
-    except (TypeError, ValueError) as exc:
-        raise GraphFormatError(str(exc)) from exc
+    return _build_graph(data, {})
 
 
 def load_graph(text: str) -> ResolutionGraph:
@@ -409,21 +421,21 @@ def validate(g: ResolutionGraph) -> ValidationReport:
     nonminimal = [
         i for i in range(g.n) if g.genera[i] == 0 and g.weights[i] == -1
     ]
-    messages = []
+    problems = []
     if not negdef:
-        messages.append("intersection matrix is not negative definite")
+        problems.append("intersection matrix is not negative definite")
     if not connected:
-        messages.append("dual graph is disconnected")
-    for i in nonminimal:
-        messages.append(
-            f"warning: {g.label(i)} is a genus-0 (-1)-curve; "
-            "the graph is not a minimal resolution"
-        )
+        problems.append("dual graph is disconnected")
     return ValidationReport(
         negative_definite=negdef,
         connected=connected,
         minimal=not nonminimal,
-        messages=tuple(messages),
+        problems=tuple(problems),
+        warnings=tuple(
+            f"warning: {g.label(i)} is a genus-0 (-1)-curve; "
+            "the graph is not a minimal resolution"
+            for i in nonminimal
+        ),
     )
 
 

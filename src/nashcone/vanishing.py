@@ -13,6 +13,7 @@ failed check shows where and by how much.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 
 from .cone import ConeStatus, Divisor, lipman_status
 from .errors import NoMultiplierGuarantee
@@ -47,44 +48,30 @@ def _require_effective(D: Divisor, n: int) -> None:
         raise ValueError("divisor must be effective and nonzero")
 
 
-def realization_criterion(g: ResolutionGraph, D: Divisor) -> CriterionResult:
-    """value(i, l) = (M.D)[l] + M[i][l] + k[l] + 2*delta_il, all must be <= 0."""
+def _value_table(g: ResolutionGraph, D: Divisor, keys, value) -> CriterionResult:
+    """Evaluate ``value(M, MD, k, *key)`` for every key, where MD = M.D and
+    k is the canonical vector; the keys with a positive value violate."""
     _require_effective(D, g.n)
     M = g.intersection_matrix()
     MD = M.mulvec(D.coeffs)
     k = canonical_intersections(g)
-    values: dict[tuple[int, ...], int] = {}
-    violating = []
-    for i in range(g.n):
-        for l in range(g.n):
-            v = MD[l] + M[i][l] + k[l] + (2 if i == l else 0)
-            values[(i, l)] = v
-            if v > 0:
-                violating.append((i, l))
-    return CriterionResult(
-        satisfied=not violating,
-        violating_pairs=tuple(violating),
-        values=values,
+    values = {key: value(M, MD, k, *key) for key in keys}
+    violating = tuple(key for key, v in values.items() if v > 0)
+    return CriterionResult(satisfied=not violating, violating_pairs=violating, values=values)
+
+
+def realization_criterion(g: ResolutionGraph, D: Divisor) -> CriterionResult:
+    """value(i, l) = (M.D)[l] + M[i][l] + k[l] + 2*delta_il, all must be <= 0."""
+    return _value_table(
+        g, D, product(range(g.n), repeat=2),
+        lambda M, MD, k, i, l: MD[l] + M[i][l] + k[l] + (2 if i == l else 0),
     )
 
 
 def laufer_criterion(g: ResolutionGraph, D: Divisor) -> CriterionResult:
     """value(i) = (M.D)[i] + 2*k[i], all must be <= 0."""
-    _require_effective(D, g.n)
-    M = g.intersection_matrix()
-    MD = M.mulvec(D.coeffs)
-    k = canonical_intersections(g)
-    values: dict[tuple[int, ...], int] = {}
-    violating = []
-    for i in range(g.n):
-        v = MD[i] + 2 * k[i]
-        values[(i,)] = v
-        if v > 0:
-            violating.append((i,))
-    return CriterionResult(
-        satisfied=not violating,
-        violating_pairs=tuple(violating),
-        values=values,
+    return _value_table(
+        g, D, ((i,) for i in range(g.n)), lambda M, MD, k, i: MD[i] + 2 * k[i]
     )
 
 

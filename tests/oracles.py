@@ -4,7 +4,8 @@ Everything here is deliberately independent of the library's decision
 procedures: box search with interval propagation for witness existence,
 naive quadratic-form scans for definiteness, a reorderable variant of the
 one-step fundamental-cycle sequence, and the rational-arithmetic route to
--M^-1 and to the condition (*) witnesses that the integer kernel replaced.
+-M^-1 and to the condition (*) witnesses that the integer kernel replaced,
+with the denominator clearing it used.
 The one exception is the brute-force enumerator that orbit marking
 replaced, kept verbatim: it uses the library's graph type, connectivity
 test and leading-minor elimination.
@@ -144,6 +145,13 @@ def graphs_isomorphic(g1, g2) -> bool:
         ):
             return True
     return False
+
+
+def clear_denominators(v) -> tuple[int, ...]:
+    """Scale a rational vector by the lcm of its denominators."""
+    fracs = [Fraction(x) for x in v]
+    m = lcm(*(x.denominator for x in fracs))
+    return tuple(int(x * m) for x in fracs)
 
 
 def neg_inverse_fraction(M):

@@ -29,11 +29,12 @@ from nashcone import (
     lipman_status,
     make_family,
     nash_verdict,
-    neg_inverse,
     realization_criterion,
     structural_rationality,
     validate,
 )
+from nashcone.cone import neg_inverse
+
 from oracles import all_orders_fundamental_cycles, find_strict_witness, graphs_isomorphic
 
 
@@ -248,6 +249,6 @@ def test_criterion_8_kernel_identities():
             n = g.n
             for i in range(n):
                 for j in range(n):
-                    acc = sum(M.entries[i][k] * C.entries[k][j] for k in range(n))
+                    acc = sum(M.entries[i][k] * C[k][j] for k in range(n))
                     assert acc == (-1 if i == j else 0)
             assert len(all_orders_fundamental_cycles(M)) == 1

@@ -5,11 +5,21 @@ import os
 import tempfile
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from nashcone import InternalInvariantError, make_family, parse_graph_json, serialize_graph
-from nashcone.cli import main
+from nashcone import (
+    InternalInvariantError,
+    ResolutionGraph,
+    load_graph,
+    make_family,
+    nash_verdict,
+    parse_graph_json,
+    serialize_graph,
+    serialize_graph_json,
+    validate,
+)
+from nashcone.cli import emit_report, main
 
 A2_REPORT = """\
 graph: 2 vertices
@@ -393,3 +403,118 @@ def test_analyze_any_json_field_exits_cleanly(key, value):
         assert err.getvalue().startswith("error:") and err.getvalue().count("\n") == 1
     else:
         assert err.getvalue() == ""
+
+
+def _main_with_peak(args):
+    """Run main(args) and return its exit code and the tracemalloc peak."""
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        code = main(args)
+        return code, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+_CAPPED = 1024  # over the 128-vertex cap; an n x n table would hold 10**6 cells
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_analyze_over_vertex_cap_exits_1(tmp_path, capsys, fmt):
+    # E1 and E2 alone already rule out negative definiteness, so code that
+    # builds the graph despite the cap stops after one elimination step
+    n = _CAPPED
+    weights = [-1, -1] + [-2] * (n - 2)
+    if fmt == "json":
+        text = json.dumps(
+            {"vertices": n, "weights": weights, "genera": [0] * n, "edges": [[1, 2, 2]]}
+        )
+    else:
+        text = f"vertices: {n}\nweights: {' '.join(map(str, weights))}\ngenera: {' 0' * n}\nedges: 1-2:2\n"
+    path = tmp_path / "big.graph"
+    path.write_text(text)
+    code, peak = _main_with_peak(["analyze", str(path)])
+    assert code == 1
+    out, err = capsys.readouterr()
+    assert out == "" and _one_error_line(err) and "cap" in err
+    assert peak < 1 << 20
+
+
+def test_family_over_vertex_cap_exits_1(capsys):
+    code, peak = _main_with_peak(["family", "an", str(_CAPPED)])
+    assert code == 1
+    out, err = capsys.readouterr()
+    assert out == "" and _one_error_line(err) and "cap" in err
+    assert peak < 1 << 20
+
+
+_BASE_TEXT = serialize_graph(parse_graph_json(json.dumps({**_BASE_GRAPH, "labels": ["a", "T", "b"]})))
+_replacements = (
+    st.text(st.characters(blacklist_categories=("Cs",)), max_size=12)
+    | st.integers(-10**6, 10**6).map(str)
+    | st.builds("{}-{}:{}".format, st.integers(0, 4), st.integers(0, 4), st.integers(-1, 3))
+    | st.sampled_from(["{", "vertices: 2", "vertices: 1024", "#"])
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data(), _replacements)
+def test_analyze_any_text_edit_exits_cleanly(data, replacement):
+    # one line, or one token of a line, of a valid text graph replaced by arbitrary text
+    lines = _BASE_TEXT.splitlines()
+    k = data.draw(st.integers(0, len(lines) - 1), label="line")
+    if data.draw(st.booleans(), label="whole line"):
+        lines[k] = replacement
+    else:
+        tokens = lines[k].split()
+        tokens[data.draw(st.integers(0, len(tokens) - 1), label="token")] = replacement
+        lines[k] = " ".join(tokens)
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "g.graph")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write("\n".join(lines) + "\n")
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["analyze", path])
+    assert code in (0, 1), err.getvalue()
+    if code == 1:
+        assert out.getvalue() == ""
+        assert err.getvalue().startswith("error:") and err.getvalue().count("\n") == 1
+    else:
+        assert err.getvalue() == ""
+
+
+@st.composite
+def _small_graphs(draw):
+    """Connected graphs of at most 5 vertices: a random spanning tree plus
+    random extra edges, multiplicities up to 2, optional labels."""
+    n = draw(st.integers(1, 5))
+    mult = [[0] * n for _ in range(n)]
+    for j in range(1, n):
+        i = draw(st.integers(0, j - 1))
+        mult[i][j] = mult[j][i] = draw(st.integers(1, 2))
+    for i in range(n):
+        for j in range(i + 1, n):
+            if not mult[i][j]:
+                mult[i][j] = mult[j][i] = draw(st.sampled_from([0, 0, 0, 1]))
+    labels = draw(st.none() | st.lists(
+        st.text("abcT_1", min_size=1, max_size=3), min_size=n, max_size=n
+    ))
+    return ResolutionGraph(
+        weights=tuple(draw(st.lists(st.integers(-7, -1), min_size=n, max_size=n))),
+        genera=tuple(draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))),
+        mult=tuple(map(tuple, mult)),
+        labels=None if labels is None else tuple(labels),
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(_small_graphs())
+def test_report_survives_file_round_trip(g):
+    assume(validate(g).analyzable)
+    r = nash_verdict(g)
+    for serialize in (serialize_graph, serialize_graph_json):
+        r2 = nash_verdict(load_graph(serialize(g)))
+        for fmt in ("text", "json"):
+            assert emit_report(r2, fmt) == emit_report(r, fmt)

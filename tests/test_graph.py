@@ -1,3 +1,6 @@
+import json
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,6 +20,7 @@ from nashcone import (
     serialize_graph_json,
     validate,
 )
+from nashcone.graph import MAX_VERTICES
 
 from oracles import negdef_brute
 
@@ -301,3 +305,52 @@ def test_canonical_intersections_identity(g):
     k = canonical_intersections(g)
     for i in range(g.n):
         assert k[i] == 2 * g.genera[i] - 2 - g.weights[i]
+
+
+def _graph_text(d: dict) -> str:
+    return (
+        f"vertices: {d['vertices']}\n"
+        f"weights: {' '.join(map(str, d['weights']))}\n"
+        f"genera: {' '.join(map(str, d['genera']))}\n"
+        f"edges: {' '.join(f'{i}-{j}:{m}' for i, j, m in d['edges'])}\n"
+    )
+
+
+_A2_DATA = {"vertices": 2, "weights": [-2, -2], "genera": [0, 0], "edges": [[1, 2, 1]]}
+
+
+@pytest.mark.parametrize(
+    "change,fragment",
+    [
+        ({"edges": [[1, 3, 1]]}, "1 <= i < j"),
+        ({"edges": [[1, 2, 0]]}, "must be >= 1"),
+        ({"edges": [[1, 2, 1], [1, 2, 2]]}, "duplicate edge"),
+        ({"weights": [0, -2]}, "weight 0 must be <= -1"),
+        ({"genera": [0, -1]}, "genus -1 must be >= 0"),
+        ({"weights": [-2]}, "expected 2 weights"),
+    ],
+)
+def test_value_errors_read_the_same_in_both_formats(change, fragment):
+    data = dict(_A2_DATA, **change)
+    messages = []
+    for parse, text in ((parse_graph, _graph_text(data)), (parse_graph_json, json.dumps(data))):
+        with pytest.raises(GraphFormatError) as exc:
+            parse(text)
+        messages.append(re.sub(r"^line \d+: ", "", str(exc.value)))
+    assert messages[0] == messages[1]
+    assert fragment in messages[0]
+
+
+def test_vertex_cap_boundary():
+    assert MAX_VERTICES == 128
+    g = make_family("an", MAX_VERTICES)
+    assert load_graph(serialize_graph(g)) == g
+    assert load_graph(serialize_graph_json(g)) == g
+    n = MAX_VERTICES + 1
+    data = {"vertices": n, "weights": [-2] * n, "genera": [0] * n, "edges": []}
+    for parse, text in ((parse_graph, _graph_text(data)), (parse_graph_json, json.dumps(data))):
+        with pytest.raises(GraphFormatError, match="exceeds the cap of 128"):
+            parse(text)
+    for kind, params in (("an", (n,)), ("dn", (n,)), ("cycle", (n, -3))):
+        with pytest.raises(ValueError, match="exceeds the cap of 128"):
+            make_family(kind, *params)
