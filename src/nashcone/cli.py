@@ -32,6 +32,7 @@ from .graph import (
     ResolutionGraph,
     graph_to_json_dict,
     load_graph,
+    render_json,
     serialize_graph,
     serialize_graph_json,
     validate,
@@ -129,7 +130,7 @@ def _text_report(r: ClassificationReport) -> str:
 def emit_report(r: ClassificationReport, format: str = "text") -> str:
     """Render a report; both formats are byte-deterministic."""
     if format == "json":
-        return json.dumps(report_to_dict(r), indent=2) + "\n"
+        return render_json(report_to_dict(r)) + "\n"
     return _text_report(r)
 
 
@@ -253,7 +254,7 @@ def check(file: str, criterion: str, divisor: str, as_json: bool) -> None:
     fn = realization_criterion if criterion == "realization" else laufer_criterion
     res = fn(g, D)
     if as_json:
-        click.echo(json.dumps(_criterion_json(criterion, res), indent=2))
+        click.echo(render_json(_criterion_json(criterion, res)))
         return
     click.echo(f"criterion: {criterion}")
     click.echo(f"satisfied: {_yn(res.satisfied)}")

@@ -12,9 +12,12 @@ exactly when some column has A[i][k] < A[j][k]. The witness is read off in
 integers: with s = A.(1,...,1) (a strictly anti-nef ray) and the least
 t >= 0 such that 2^t (A[j][k] - A[i][k]) > s[i] - s[j], the vector
 w = 2^t A[:,k] + s is strictly anti-nef with w[i] < w[j], and the witness
-is w / gcd(2^t d, w_1, ..., w_n). Every witness is re-verified before it is
-returned; the generator fact itself is cross-checked against a brute-force
-box search in the test suite rather than assumed.
+is w / gcd(2^t d, w_1, ..., w_n). The witness depends on (k, t) alone, so
+all pairs of one class (k, t) share one divisor: it is built and its strict
+anti-nefness re-verified once per class, and the ordering w[i] < w[j] is
+re-checked for every pair before the witness is returned. The generator fact
+itself is cross-checked against a brute-force box search in the test suite
+rather than assumed.
 """
 
 from __future__ import annotations
@@ -68,12 +71,14 @@ def check_star_star(g: ResolutionGraph) -> StarStarReport:
 
 
 class _Adjugate:
-    """adj(-M), det(-M) and the row sums of adj(-M), for one matrix."""
+    """adj(-M), det(-M) and the row sums of adj(-M), for one matrix, with the
+    verified witness of each class (k, t) built so far."""
 
     def __init__(self, M: IntersectionMatrix):
         self.M = M
         self.A, self.d = neg_adjugate(M)
         self.s = [sum(row) for row in self.A]
+        self.witnesses: dict[tuple[int, int], Divisor] = {}
 
     def witness(self, i: int, j: int) -> Divisor | None:
         """Integer witness for the ordered pair (i, j), or None if none exists.
@@ -83,7 +88,9 @@ class _Adjugate:
         ray s, with t the least exponent that keeps coefficient i below
         coefficient j. Scaled by 2^t this is w = 2^t A[:,k] + s; divided by
         gcd(2^t d, w) it is C[:,k] + 2^-t C.(1,...,1) with its denominators
-        cleared.
+        cleared. Pairs of one class (k, t) share this divisor: it is built
+        and checked strictly anti-nef on the first pair of its class, and
+        w[i] < w[j] is checked for every pair.
         """
         A, s = self.A, self.s
         k = next((k for k, (x, y) in enumerate(zip(A[i], A[j])) if x < y), None)
@@ -93,10 +100,17 @@ class _Adjugate:
         # least t >= 0 with gap * 2^t > s[i] - s[j]: with q the floor of
         # (s[i] - s[j]) / gap, clamped at 0, that is the least t with 2^t > q
         t = (max(s[i] - s[j], 0) // gap).bit_length()
-        w = [(x << t) + y for x, y in zip(A[k], s)]
-        c = gcd(self.d << t, *w)
-        witness = Divisor(tuple(x // c for x in w))
-        if lipman_status(witness, self.M) is not ConeStatus.STRICT_LIPMAN or not witness[i] < witness[j]:
+        witness = self.witnesses.get((k, t))
+        if witness is None:
+            w = [(x << t) + y for x, y in zip(A[k], s)]
+            c = gcd(self.d << t, *w)
+            witness = Divisor(tuple(x // c for x in w))
+            if lipman_status(witness, self.M) is not ConeStatus.STRICT_LIPMAN:
+                raise InternalInvariantError(
+                    f"synthesized witness {witness.coeffs} failed re-verification for pair ({i}, {j})"
+                )
+            self.witnesses[(k, t)] = witness
+        if not witness[i] < witness[j]:
             raise InternalInvariantError(
                 f"synthesized witness {witness.coeffs} failed re-verification for pair ({i}, {j})"
             )

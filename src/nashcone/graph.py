@@ -12,12 +12,19 @@ itself checks weight, genus and label ranges. A value error therefore
 reads the same in both formats, apart from the text format's ``line N:``
 prefix. A file may declare at most MAX_VERTICES vertices: the builder
 refuses a larger count before it allocates the n x n multiplicity table.
+
+Every indented JSON document the package writes (graph files, reports,
+criterion tables) goes through ``render_json``, which gives the bytes of
+the stdlib's ``json.dumps`` with ``indent=2``, faster: the C encoder does
+not take ``indent`` (CPython 3.11), so ``json.dumps`` with it runs the
+pure-Python encoder.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 
 from .errors import GraphFormatError
 
@@ -45,7 +52,8 @@ class ResolutionGraph:
     ``weights[i]`` is the self-intersection of the i-th component (<= -1),
     ``genera[i]`` its arithmetic genus (>= 0), and ``mult[i][j]`` the
     intersection number of two distinct components (symmetric, >= 0, zero
-    diagonal). Vertices are 0-based internally; files use 1-based indices.
+    diagonal). ``labels``, if given, name the vertices, one distinct label
+    each. Vertices are 0-based internally; files use 1-based indices.
     """
 
     weights: tuple[int, ...]
@@ -85,6 +93,10 @@ class ResolutionGraph:
             for lab in self.labels:
                 if type(lab) is not str or not lab or any(c.isspace() for c in lab) or "#" in lab:
                     raise ValueError(f"invalid label {lab!r}")
+            if len(set(self.labels)) != n:
+                # a repeated label would make the text report ambiguous
+                lab = next(lab for k, lab in enumerate(self.labels) if lab in self.labels[:k])
+                raise ValueError(f"duplicate label {lab!r}")
 
     @property
     def n(self) -> int:
@@ -333,8 +345,37 @@ def graph_to_json_dict(g: ResolutionGraph) -> dict:
     return d
 
 
+def render_json(obj, newline: str = "\n") -> str:
+    """The text ``json.dumps`` gives with ``indent=2``, byte for byte, for the
+    values a report holds: dicts with str keys, lists, str, int, bool and None.
+
+    ``newline`` is the line break plus the indentation of the current level.
+    Any other value is rendered by ``json.dumps``.
+    """
+    inner = newline + "  "
+    if isinstance(obj, list):
+        if not obj:
+            return "[]"
+        if set(map(type, obj)) == {int}:
+            items = map(str, obj)
+        else:
+            items = [render_json(x, inner) for x in obj]
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        return "{" + inner + ("," + inner).join([
+            encode_basestring_ascii(k) + ": " + render_json(v, inner) for k, v in obj.items()
+        ]) + newline + "}"
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    if type(obj) is int:
+        return str(obj)
+    return json.dumps(obj)
+
+
 def serialize_graph_json(g: ResolutionGraph) -> str:
-    return json.dumps(graph_to_json_dict(g), indent=2) + "\n"
+    return render_json(graph_to_json_dict(g)) + "\n"
 
 
 def parse_graph_json(text: str) -> ResolutionGraph:

@@ -9,8 +9,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from nashcone import (
+    Divisor,
     InternalInvariantError,
     ResolutionGraph,
+    enumerate_graphs,
     load_graph,
     make_family,
     nash_verdict,
@@ -19,7 +21,9 @@ from nashcone import (
     serialize_graph_json,
     validate,
 )
-from nashcone.cli import emit_report, main
+from nashcone.cli import _criterion_json, emit_report, main, report_to_dict
+from nashcone.graph import render_json
+from nashcone.vanishing import laufer_criterion, realization_criterion
 
 A2_REPORT = """\
 graph: 2 vertices
@@ -499,7 +503,7 @@ def _small_graphs(draw):
             if not mult[i][j]:
                 mult[i][j] = mult[j][i] = draw(st.sampled_from([0, 0, 0, 1]))
     labels = draw(st.none() | st.lists(
-        st.text("abcT_1", min_size=1, max_size=3), min_size=n, max_size=n
+        st.text("abcT_1", min_size=1, max_size=3), min_size=n, max_size=n, unique=True
     ))
     return ResolutionGraph(
         weights=tuple(draw(st.lists(st.integers(-7, -1), min_size=n, max_size=n))),
@@ -518,3 +522,25 @@ def test_report_survives_file_round_trip(g):
         r2 = nash_verdict(load_graph(serialize(g)))
         for fmt in ("text", "json"):
             assert emit_report(r2, fmt) == emit_report(r, fmt)
+
+
+# the graphs of the families benchmark workload
+_BENCH_FAMILIES = (
+    ("an", 10), ("an", 20), ("an", 30),
+    ("dn", 10), ("dn", 20), ("dn", 30),
+    ("cycle", 10, -3), ("cycle", 20, -3), ("cycle", 30, -3),
+    ("star3", 5),
+)
+
+
+def test_render_json_matches_stdlib_on_reports():
+    graphs = list(enumerate_graphs(3, -3, 1, 2)) + [make_family(*f) for f in _BENCH_FAMILIES]
+    docs = [report_to_dict(nash_verdict(g)) for g in graphs]
+    g = make_family("dn", 6)
+    D = Divisor((1,) * g.n)
+    docs += [
+        _criterion_json("realization", realization_criterion(g, D)),
+        _criterion_json("laufer", laufer_criterion(g, D)),
+    ]
+    for doc in docs:
+        assert render_json(doc) == json.dumps(doc, indent=2)

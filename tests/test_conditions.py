@@ -1,4 +1,6 @@
+import re
 import time
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -7,6 +9,7 @@ from hypothesis import strategies as st
 from nashcone import (
     ConeStatus,
     Divisor,
+    InternalInvariantError,
     check_star,
     check_star_star,
     enumerate_graphs,
@@ -15,7 +18,10 @@ from nashcone import (
     make_family,
     star_witness,
 )
+from nashcone import conditions
+from nashcone.cli import main
 from nashcone.cone import neg_inverse
+from nashcone.graph import serialize_graph
 
 from oracles import (
     find_strict_witness,
@@ -217,3 +223,44 @@ def test_check_star_large_families():
             assert lipman_status(w, M) is ConeStatus.STRICT_LIPMAN
             assert w[i] < w[j]
     assert elapsed < 10.0
+
+
+@pytest.mark.parametrize(
+    "family,verifications",
+    [(("an", 30), 108), (("dn", 30), 41), (("cycle", 30, -3), 17)],
+)
+def test_strictness_verified_once_per_distinct_witness(family, verifications):
+    # pairs of one class (k, t) share one divisor, so the strictness check
+    # runs once per distinct divisor rather than once per pair (870, 464
+    # and 870 pairs hold on these graphs)
+    g = make_family(*family)
+    with mock.patch.object(conditions, "lipman_status", wraps=conditions.lipman_status) as spy:
+        cert = check_star(g)
+    distinct = {w.coeffs for w in cert.witnesses.values()}
+    assert spy.call_count == len(distinct) == verifications
+    assert all(call.args[1] is g.intersection_matrix() for call in spy.call_args_list)
+
+
+def test_failed_strictness_check_is_an_internal_error(tmp_path, capsys):
+    path = tmp_path / "a3.graph"
+    path.write_text(serialize_graph(make_family("an", 3)))
+    with mock.patch.object(conditions, "lipman_status", return_value=ConeStatus.NOT_IN_CONE):
+        with pytest.raises(InternalInvariantError, match="re-verification"):
+            check_star(make_family("an", 3))
+        assert main(["analyze", str(path)]) == 2
+    assert "internal error" in capsys.readouterr().err
+
+
+def test_ordering_checked_for_every_pair_of_a_class():
+    g = make_family("cycle", 30, -3)
+    pairs_of = {}
+    for p, w in sorted(check_star(g).witnesses.items()):
+        pairs_of.setdefault(w.coeffs, []).append(p)
+    first, later = next(pairs for pairs in pairs_of.values() if len(pairs) > 1)[:2]
+    adj = conditions._Adjugate(g.intersection_matrix())
+    assert adj.witness(*first) is not None
+    (key,) = adj.witnesses
+    # equal coefficients put no vertex strictly below another
+    adj.witnesses[key] = Divisor((1,) * g.n)
+    with pytest.raises(InternalInvariantError, match=re.escape(f"pair {later}")):
+        adj.witness(*later)

@@ -20,7 +20,7 @@ from nashcone import (
     serialize_graph_json,
     validate,
 )
-from nashcone.graph import MAX_VERTICES
+from nashcone.graph import MAX_VERTICES, render_json
 
 from oracles import negdef_brute
 
@@ -313,6 +313,7 @@ def _graph_text(d: dict) -> str:
         f"weights: {' '.join(map(str, d['weights']))}\n"
         f"genera: {' '.join(map(str, d['genera']))}\n"
         f"edges: {' '.join(f'{i}-{j}:{m}' for i, j, m in d['edges'])}\n"
+        + (f"labels: {' '.join(d['labels'])}\n" if "labels" in d else "")
     )
 
 
@@ -328,6 +329,7 @@ _A2_DATA = {"vertices": 2, "weights": [-2, -2], "genera": [0, 0], "edges": [[1, 
         ({"weights": [0, -2]}, "weight 0 must be <= -1"),
         ({"genera": [0, -1]}, "genus -1 must be >= 0"),
         ({"weights": [-2]}, "expected 2 weights"),
+        ({"labels": ["a", "a"]}, "duplicate label 'a'"),
     ],
 )
 def test_value_errors_read_the_same_in_both_formats(change, fragment):
@@ -354,3 +356,25 @@ def test_vertex_cap_boundary():
     for kind, params in (("an", (n,)), ("dn", (n,)), ("cycle", (n, -3))):
         with pytest.raises(ValueError, match="exceeds the cap of 128"):
             make_family(kind, *params)
+
+
+_json_scalars = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.text(st.characters(exclude_categories=()))
+    | st.sampled_from(['"', "\\", "\x00\x1f\n\t\x7f", "é☃\U0001f600", ""])
+)
+_json_values = st.recursive(
+    _json_scalars,
+    lambda children: st.lists(children)
+    | st.lists(st.integers())
+    | st.dictionaries(st.text(st.characters(exclude_categories=())), children),
+    max_leaves=40,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_json_values)
+def test_render_json_matches_stdlib_indent(obj):
+    assert render_json(obj) == json.dumps(obj, indent=2)
