@@ -6,8 +6,12 @@ the strict interior of the anti-nef cone. Both depend only on the
 intersection matrix.
 
 Decision procedure for (*): the closed anti-nef cone is the non-negative
-span of the columns of C = -M^-1 = A/d, with A = adj(-M) and d = det(-M) > 0
-from one fraction-free elimination. The pair (i, j) admits a witness
+span of the columns of C = -M^-1 = A/d, with A = adj(-M) and d = det(-M) > 0.
+Both come from the one fraction-free factor of -M that the matrix keeps
+(validation built it): the all-pairs sweep takes the whole of A by one
+back-substitution, and a single pair solves only the columns it reads,
+A.e_i and A.e_j, then A.(1,...,1) and A.e_k if the pair holds. The
+adjugate is symmetric, so column k is row k. The pair (i, j) admits a witness
 exactly when some column has A[i][k] < A[j][k]. The witness is read off in
 integers: with s = A.(1,...,1) (a strictly anti-nef ray) and the least
 t >= 0 such that 2^t (A[j][k] - A[i][k]) > s[i] - s[j], the vector
@@ -25,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from .cone import ConeStatus, Divisor, lipman_status, neg_adjugate
+from .cone import ConeStatus, Divisor, adjugate_solve, lipman_status, neg_adjugate, neg_factor
 from .errors import InternalInvariantError
 from .graph import IntersectionMatrix, ResolutionGraph
 
@@ -71,38 +75,62 @@ def check_star_star(g: ResolutionGraph) -> StarStarReport:
 
 
 class _Adjugate:
-    """adj(-M), det(-M) and the row sums of adj(-M), for one matrix, with the
-    verified witness of each class (k, t) built so far."""
+    """Columns of adj(-M), det(-M) and the row sums of adj(-M), for one
+    matrix, with the verified witness of each class (k, t) built so far.
 
-    def __init__(self, M: IntersectionMatrix):
+    Columns and row sums are solved from the matrix's factor on first use,
+    unless ``whole`` asks for the whole adjugate at once.
+    """
+
+    def __init__(self, M: IntersectionMatrix, whole: bool = False):
         self.M = M
-        self.A, self.d = neg_adjugate(M)
-        self.s = [sum(row) for row in self.A]
+        self.factor = neg_factor(M)
+        self.d = self.factor.det
+        if whole:
+            A, _ = neg_adjugate(M)
+            self.columns: list[tuple[int, ...] | None] = list(A)
+            self.s = tuple(map(sum, A))
+        else:
+            self.columns = [None] * M.n
+            self.s = None
         self.witnesses: dict[tuple[int, int], Divisor] = {}
+
+    def column(self, k: int) -> tuple[int, ...]:
+        col = self.columns[k]
+        if col is None:
+            e = [int(r == k) for r in range(self.M.n)]
+            col = self.columns[k] = adjugate_solve(self.factor, e)
+        return col
+
+    def row_sums(self) -> tuple[int, ...]:
+        if self.s is None:
+            self.s = adjugate_solve(self.factor, [1] * self.M.n)
+        return self.s
 
     def witness(self, i: int, j: int) -> Divisor | None:
         """Integer witness for the ordered pair (i, j), or None if none exists.
 
         Takes the first generator column k with A[i][k] < A[j][k] (A is
-        symmetric, so column k is row k) and adds 2^-t times the interior
-        ray s, with t the least exponent that keeps coefficient i below
-        coefficient j. Scaled by 2^t this is w = 2^t A[:,k] + s; divided by
+        symmetric, so rows i and j are the columns A.e_i and A.e_j) and
+        adds 2^-t times the interior ray s, with t the least exponent that
+        keeps coefficient i below coefficient j. Scaled by 2^t this is w = 2^t A[:,k] + s; divided by
         gcd(2^t d, w) it is C[:,k] + 2^-t C.(1,...,1) with its denominators
         cleared. Pairs of one class (k, t) share this divisor: it is built
         and checked strictly anti-nef on the first pair of its class, and
         w[i] < w[j] is checked for every pair.
         """
-        A, s = self.A, self.s
-        k = next((k for k, (x, y) in enumerate(zip(A[i], A[j])) if x < y), None)
+        Ai, Aj = self.column(i), self.column(j)
+        k = next((k for k, (x, y) in enumerate(zip(Ai, Aj)) if x < y), None)
         if k is None:
             return None
-        gap = A[j][k] - A[i][k]
+        s = self.row_sums()
+        gap = Aj[k] - Ai[k]
         # least t >= 0 with gap * 2^t > s[i] - s[j]: with q the floor of
         # (s[i] - s[j]) / gap, clamped at 0, that is the least t with 2^t > q
         t = (max(s[i] - s[j], 0) // gap).bit_length()
         witness = self.witnesses.get((k, t))
         if witness is None:
-            w = [(x << t) + y for x, y in zip(A[k], s)]
+            w = [(x << t) + y for x, y in zip(self.column(k), s)]
             c = gcd(self.d << t, *w)
             witness = Divisor(tuple(x // c for x in w))
             if lipman_status(witness, self.M) is not ConeStatus.STRICT_LIPMAN:
@@ -122,7 +150,7 @@ def check_star(g: ResolutionGraph) -> StarCertificate:
 
     A single vertex has no ordered pairs, so the condition holds vacuously.
     """
-    adj = _Adjugate(g.intersection_matrix())
+    adj = _Adjugate(g.intersection_matrix(), whole=True)
     witnesses: dict[tuple[int, int], Divisor] = {}
     failing: list[tuple[int, int]] = []
     for i in range(g.n):

@@ -3,8 +3,11 @@
 All decisions here are sign decisions on exact integers; boundary cases
 (a pairing that is exactly zero) are meaningful, so no floating point is
 allowed anywhere in this module. The inverse of the intersection matrix
-enters only through its integer form: adj(-M) and det(-M) from one
-fraction-free elimination, so that -M^-1 = adj(-M) / det(-M).
+enters only through its integer form, -M^-1 = adj(-M) / det(-M), and that
+is solved on demand from the one fraction-free factor of -M that the
+matrix keeps (graph.NegFactor, the same factor validation reads
+definiteness from): adj(-M).b for one right-hand side b, or the whole
+adjugate by one back-substitution, each continuing from the factor.
 """
 
 from __future__ import annotations
@@ -14,12 +17,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .graph import IntersectionMatrix, ResolutionGraph
+from .graph import IntersectionMatrix, NegFactor, ResolutionGraph
 
 __all__ = [
     "Divisor",
     "ConeStatus",
     "pair",
+    "neg_factor",
+    "adjugate_solve",
     "neg_adjugate",
     "neg_inverse",
     "lipman_status",
@@ -82,30 +87,86 @@ def pair(d1: Divisor, d2: Divisor, M: IntersectionMatrix) -> int:
     return sum(d1[i] * Md2[i] for i in range(M.n))
 
 
-def neg_adjugate(M: IntersectionMatrix) -> tuple[tuple[tuple[int, ...], ...], int]:
-    """(adj(-M), det(-M)) by one fraction-free Gauss-Jordan pass.
+def neg_factor(M: IntersectionMatrix) -> NegFactor:
+    """M's fraction-free factor, refusing a matrix that is not negative
+    definite with ValueError."""
+    F = M.neg_factor()
+    if F is None:
+        raise ValueError("intersection matrix is not negative definite")
+    return F
 
-    Bareiss elimination (Math. Comp. 22, 1968) on [-M | I]: after step k the
-    pivot is the (k+1)-st leading principal minor of -M and every division is
-    exact, so all entries stay integers, and the pass ends at
-    [det(-M) I | adj(-M)]. On a negative-definite M every pivot is positive
-    and no row exchange is needed; a pivot <= 0 means M is not negative
-    definite, and the matrix is refused.
+
+def adjugate_solve(F: NegFactor, b) -> tuple[int, ...]:
+    """adj(-M).b = det(-M) x for the solution x of -M x = b, exactly.
+
+    The forward sweep applies the factor's elimination steps to b: step k
+    maps y_i to (p_k y_i - U[k][i] y_k) / p_(k-1), the multiplier of row i
+    being U[k][i] because -M is symmetric, and a zero multiplier only
+    rescales, so that is deferred as in the factor itself. The sweep
+    leaves U x = y; back-substitution from the last row gives
+    x~_i = (d y_i - sum_(j>i) U[i][j] x~_j) / U[i][i] for x~ = d x with
+    d = det(-M). Every division is exact: the quotients are minors and
+    adjugate entries. Costs O(n + nonzeros of U).
     """
-    n = M.n
-    a = [[-x for x in row] + [int(i == j) for j in range(n)] for i, row in enumerate(M.entries)]
-    prev = 1
-    for k in range(n):
-        pivot_row = a[k]
-        p = pivot_row[k]
-        if p <= 0:
-            raise ValueError("intersection matrix is not negative definite")
-        for i in range(n):
-            if i != k:
-                f = a[i][k]
-                a[i] = [(p * x - f * y) // prev for x, y in zip(a[i], pivot_row)]
-        prev = p
-    return tuple(tuple(row[n:]) for row in a), prev
+    minors, upper = F.minors, F.upper
+    n = len(upper)
+    if len(b) != n:
+        raise ValueError("dimension mismatch")
+    y = list(b)
+    step = [0] * n
+    for k, nonzero in enumerate(upper):
+        q = minors[k]
+        yk = y[k]
+        if step[k] != k:
+            yk = y[k] = yk * q // minors[step[k]]
+        p = minors[k + 1]
+        for i, f in nonzero:
+            yi = y[i]
+            if step[i] != k:
+                yi = yi * q // minors[step[i]]
+            y[i] = (p * yi - f * yk) // q
+            step[i] = k + 1
+    d = minors[-1]
+    x = [0] * n
+    for i in reversed(range(n)):
+        acc = d * y[i]
+        for j, u in upper[i]:
+            acc -= u * x[j]
+        x[i] = acc // minors[i + 1]
+    return tuple(x)
+
+
+def neg_adjugate(M: IntersectionMatrix) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """(adj(-M), det(-M)) by one back-substitution from M's factor.
+
+    From -M = U^T D^-1 U, X = adj(-M) solves U X = d D U^-T, whose upper
+    triangle is diagonal with entries d p_(i-1). Row i of X, from the
+    diagonal on, is therefore
+    X[i][j] = (d p_(i-1) [i = j] - sum_(l>i) U[i][l] X[l][j]) / p_i,
+    which needs rows l > i only at columns >= i + 1, known by symmetry
+    once each row is done. The sum runs over the nonzero U[i][l] only, so
+    a chain costs O(n^2) and a dense matrix O(n^3). A matrix that is not
+    negative definite is refused with ValueError.
+    """
+    F = neg_factor(M)
+    minors, upper = F.minors, F.upper
+    n = len(upper)
+    d = minors[-1]
+    X = [[0] * n for _ in range(n)]
+    for i in reversed(range(n)):
+        p = minors[i + 1]
+        row = X[i]
+        diag = d * minors[i]
+        if upper[i]:
+            for j in range(i + 1, n):
+                acc = 0
+                for l, u in upper[i]:
+                    acc += u * X[l][j]
+                row[j] = X[j][i] = -acc // p
+            for l, u in upper[i]:
+                diag -= u * row[l]
+        row[i] = diag // p
+    return tuple(map(tuple, X)), d
 
 
 def neg_inverse(M: IntersectionMatrix) -> tuple[tuple[Fraction, ...], ...]:
@@ -165,7 +226,7 @@ def strict_interior_divisor(g: ResolutionGraph) -> Divisor:
     denominators of (-M^-1).(1,...,1) = s/d and gives D with
     M.D = -(d/c).(1,...,1), so every pairing is strictly negative.
     """
-    A, d = neg_adjugate(g.intersection_matrix())
-    s = [sum(row) for row in A]
-    c = gcd(d, *s)
+    F = neg_factor(g.intersection_matrix())
+    s = adjugate_solve(F, [1] * g.n)
+    c = gcd(F.det, *s)
     return Divisor(tuple(x // c for x in s))

@@ -13,6 +13,13 @@ reads the same in both formats, apart from the text format's ``line N:``
 prefix. A file may declare at most MAX_VERTICES vertices: the builder
 refuses a larger count before it allocates the n x n multiplicity table.
 
+Negative definiteness is read from one fraction-free factor of -M, the
+forward Bareiss pass of ``NegFactor``: its pivots are the leading
+principal minors of -M. The intersection matrix keeps the factor once
+built, and the graph keeps its matrix, so each graph is eliminated once;
+the cone computations solve the adjugate columns they need from the same
+factor.
+
 Every indented JSON document the package writes (graph files, reports,
 criterion tables) goes through ``render_json``, which gives the bytes of
 the stdlib's ``json.dumps`` with ``indent=2``, faster: the C encoder does
@@ -32,6 +39,7 @@ __all__ = [
     "MAX_VERTICES",
     "ResolutionGraph",
     "IntersectionMatrix",
+    "NegFactor",
     "ValidationReport",
     "parse_graph",
     "parse_graph_json",
@@ -43,6 +51,15 @@ __all__ = [
     "is_connected",
     "canonical_intersections",
 ]
+
+
+class _FieldError(ValueError):
+    """A value out of range in one field of a graph, named by its file key,
+    so that a parser can point at the line the field came from."""
+
+    def __init__(self, key: str, message: str):
+        super().__init__(message)
+        self.key = key
 
 
 @dataclass(frozen=True)
@@ -76,9 +93,9 @@ class ResolutionGraph:
         if any(type(m) is not int for row in self.mult for m in row):
             raise ValueError("intersection multiplicities must be integers")
         if max(self.weights) > -1:
-            raise ValueError(f"weight {max(self.weights)} must be <= -1")
+            raise _FieldError("weights", f"weight {max(self.weights)} must be <= -1")
         if min(self.genera) < 0:
-            raise ValueError(f"genus {min(self.genera)} must be >= 0")
+            raise _FieldError("genera", f"genus {min(self.genera)} must be >= 0")
         for i, row in enumerate(self.mult):
             if row[i] != 0:
                 raise ValueError("mult diagonal must be zero")
@@ -89,14 +106,14 @@ class ResolutionGraph:
                     raise ValueError("mult must be symmetric")
         if self.labels is not None:
             if len(self.labels) != n:
-                raise ValueError("labels must name every vertex")
+                raise _FieldError("labels", "labels must name every vertex")
             for lab in self.labels:
                 if type(lab) is not str or not lab or any(c.isspace() for c in lab) or "#" in lab:
-                    raise ValueError(f"invalid label {lab!r}")
+                    raise _FieldError("labels", f"invalid label {lab!r}")
             if len(set(self.labels)) != n:
                 # a repeated label would make the text report ambiguous
                 lab = next(lab for k, lab in enumerate(self.labels) if lab in self.labels[:k])
-                raise ValueError(f"duplicate label {lab!r}")
+                raise _FieldError("labels", f"duplicate label {lab!r}")
 
     @property
     def n(self) -> int:
@@ -162,6 +179,81 @@ class IntersectionMatrix:
             raise ValueError("dimension mismatch")
         return tuple([sum([x * v[j] for j, x in row]) for row in self._sparse])
 
+    def neg_factor(self) -> NegFactor | None:
+        """The fraction-free factor of -M, or None if M is not negative
+        definite; built on the first call and kept, as the matrix is
+        immutable."""
+        if "_factor" not in self.__dict__:
+            object.__setattr__(self, "_factor", _neg_factor(self.entries))
+        return self.__dict__["_factor"]
+
+
+@dataclass(frozen=True)
+class NegFactor:
+    """Fraction-free LU factor of -M for a negative-definite M.
+
+    Forward Bareiss elimination on -M (Bareiss, Math. Comp. 22, 1968) that
+    keeps row k as it stands at step k, when it becomes the pivot row: this
+    is U in -M = U^T D^-1 U with D = diag(p_(k-1) p_k), the fraction-free LU
+    factorization of Nakos, Turner & Williams (ACM SIGSAM Bull. 31(3), 1997)
+    and Zhou & Jeffrey (Front. Comput. Sci. China 2(1), 2008); -M is
+    symmetric, so the lower factor is U^T. ``minors[k]`` is the k-th leading
+    principal minor p_(k-1) of -M (``minors[0]`` = 1), so U[k][k] =
+    ``minors[k + 1]`` and det(-M) = ``minors[-1]``. ``upper[k]`` lists the
+    nonzero U[k][j], j > k, as (j, U[k][j]); dual graphs are sparse, and a
+    chain or a suitably ordered tree has no fill-in at all.
+    """
+
+    minors: tuple[int, ...]
+    upper: tuple[tuple[tuple[int, int], ...], ...]
+
+    @property
+    def det(self) -> int:
+        return self.minors[-1]
+
+
+def _neg_factor(entries) -> NegFactor | None:
+    """The forward pass behind NegFactor; None at the first pivot <= 0.
+
+    By Sylvester's criterion M is negative definite exactly when every
+    pivot, a leading principal minor of -M, is positive; no row exchange
+    is then needed. A step with pivot p and previous pivot q only rescales
+    a row whose entry in the pivot column is zero, by p / q. Such rescales
+    telescope, so a row records the step its entries belong to and is
+    brought up to date, with one exact division, when a pivot row next
+    touches it: a step costs the nonzeros of its pivot row, not the whole
+    trailing block.
+    """
+    n = len(entries)
+    a = [[-x for x in row] for row in entries]
+    step = [0] * n  # row i holds the entries of elimination step step[i]
+    minors = [1]
+    upper = []
+    for k in range(n):
+        q = minors[k]
+        row = a[k]
+        if step[k] != k:
+            r = minors[step[k]]
+            for j in range(k, n):
+                row[j] = row[j] * q // r
+        p = row[k]
+        if p <= 0:
+            return None
+        nonzero = tuple([(j, row[j]) for j in range(k + 1, n) if row[j]])
+        for i, f in nonzero:  # f is also the pivot-column entry of row i, by symmetry
+            ai = a[i]
+            if step[i] != k:
+                r = minors[step[i]]
+                for j in range(k + 1, n):
+                    ai[j] = (p * (ai[j] * q // r) - f * row[j]) // q
+            else:
+                for j in range(k + 1, n):
+                    ai[j] = (p * ai[j] - f * row[j]) // q
+            step[i] = k + 1
+        minors.append(p)
+        upper.append(nonzero)
+    return NegFactor(tuple(minors), tuple(upper))
+
 
 @dataclass(frozen=True)
 class ValidationReport:
@@ -212,7 +304,8 @@ def _build_graph(data: dict, lines: dict[str, int]) -> ResolutionGraph:
     ``edges`` as [i, j, m] lists with 1-based i < j, optional ``labels``.
     ``lines`` maps a key to the line it came from (text format only), so a
     value error reads the same in both formats apart from the line prefix.
-    Weight, genus and label ranges are left to ResolutionGraph.
+    Weight, genus and label ranges are left to ResolutionGraph, whose
+    errors name their field, so they get the same line prefix.
     """
     n = data["vertices"]
     if type(n) is not int or n < 1:
@@ -254,7 +347,7 @@ def _build_graph(data: dict, lines: dict[str, int]) -> ResolutionGraph:
             labels=tuple(labels) if labels is not None else None,
         )
     except (TypeError, ValueError) as exc:
-        raise GraphFormatError(str(exc)) from exc
+        raise GraphFormatError(str(exc), lines.get(getattr(exc, "key", None))) from exc
 
 
 def _parse_int(tok: str, line: int, what: str) -> int:
@@ -413,32 +506,10 @@ def load_graph(text: str) -> ResolutionGraph:
 # validation
 
 
-def _leading_minors_negdef(rows: list[list[int]]) -> bool:
-    """Sylvester test via fraction-free (Bareiss) elimination.
-
-    The pivot after step k is the (k+1)-st leading principal minor, so the
-    signs can be checked as elimination proceeds; a zero pivot is itself a
-    failed minor, which lets us stop without pivoting.
-    """
-    n = len(rows)
-    a = [row[:] for row in rows]
-    prev = 1
-    sign = 1
-    for k in range(n):
-        pivot = a[k][k]
-        if sign * pivot >= 0:  # need (-1)^(k+1) * minor > 0
-            return False
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (pivot * a[i][j] - a[i][k] * a[k][j]) // prev
-        prev = pivot
-        sign = -sign
-    return True
-
-
 def is_negative_definite(M: IntersectionMatrix) -> bool:
-    """Exact test: (-1)^k * (k-th leading principal minor) > 0 for all k."""
-    return _leading_minors_negdef([list(row) for row in M.entries])
+    """Exact test: (-1)^k * (k-th leading principal minor) > 0 for all k,
+    read from the pivots of M's fraction-free factor."""
+    return M.neg_factor() is not None
 
 
 def is_connected(mult) -> bool:

@@ -6,14 +6,20 @@ naive quadratic-form scans for definiteness, a reorderable variant of the
 one-step fundamental-cycle sequence, and the rational-arithmetic route to
 -M^-1 and to the condition (*) witnesses that the integer kernel replaced,
 with the denominator clearing it used.
-The one exception is the brute-force enumerator that orbit marking
-replaced, kept verbatim: it uses the library's graph type, connectivity
-test and leading-minor elimination.
+The old two-pass integer kernel that the fraction-free factor replaced
+is kept verbatim as a differential oracle: the leading-minor elimination
+that validation ran, the Bareiss Gauss-Jordan pass that gave adj(-M) and
+det(-M), and the (*) witness synthesis that read the whole adjugate.
+The exceptions to the independence are kept verbatim too: that witness
+synthesis uses the library's divisor type and cone test, and the
+brute-force enumerator that orbit marking replaced uses the library's
+graph type and connectivity test, with the leading-minor elimination
+kept here.
 """
 
 from fractions import Fraction
 from itertools import permutations, product
-from math import lcm
+from math import gcd, lcm
 
 
 def ceil_div(a: int, b: int) -> int:
@@ -206,6 +212,128 @@ def star_witnesses_fraction(C):
     return out
 
 
+def _leading_minors_negdef(rows: list[list[int]]) -> bool:
+    """Sylvester test via fraction-free (Bareiss) elimination.
+
+    The pivot after step k is the (k+1)-st leading principal minor, so the
+    signs can be checked as elimination proceeds; a zero pivot is itself a
+    failed minor, which lets us stop without pivoting.
+    """
+    n = len(rows)
+    a = [row[:] for row in rows]
+    prev = 1
+    sign = 1
+    for k in range(n):
+        pivot = a[k][k]
+        if sign * pivot >= 0:  # need (-1)^(k+1) * minor > 0
+            return False
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (pivot * a[i][j] - a[i][k] * a[k][j]) // prev
+        prev = pivot
+        sign = -sign
+    return True
+
+
+def neg_adjugate_gauss_jordan(M) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """(adj(-M), det(-M)) by one fraction-free Gauss-Jordan pass.
+
+    Bareiss elimination (Math. Comp. 22, 1968) on [-M | I]: after step k the
+    pivot is the (k+1)-st leading principal minor of -M and every division is
+    exact, so all entries stay integers, and the pass ends at
+    [det(-M) I | adj(-M)]. On a negative-definite M every pivot is positive
+    and no row exchange is needed; a pivot <= 0 means M is not negative
+    definite, and the matrix is refused.
+    """
+    n = M.n
+    a = [[-x for x in row] + [int(i == j) for j in range(n)] for i, row in enumerate(M.entries)]
+    prev = 1
+    for k in range(n):
+        pivot_row = a[k]
+        p = pivot_row[k]
+        if p <= 0:
+            raise ValueError("intersection matrix is not negative definite")
+        for i in range(n):
+            if i != k:
+                f = a[i][k]
+                a[i] = [(p * x - f * y) // prev for x, y in zip(a[i], pivot_row)]
+        prev = p
+    return tuple(tuple(row[n:]) for row in a), prev
+
+
+def leading_minors_fraction(M) -> list[Fraction]:
+    """The leading principal minors of -M, as the running products of the
+    pivots of Fraction elimination without row exchanges. That needs every
+    leading minor to be nonzero, as it is for a negative-definite M; a zero
+    pivot raises ValueError."""
+    n = M.n
+    a = [[Fraction(-x) for x in row] for row in M.entries]
+    minors = []
+    det = Fraction(1)
+    for col in range(n):
+        p = a[col][col]
+        if p == 0:
+            raise ValueError("zero leading minor")
+        det *= p
+        minors.append(det)
+        for r in range(col + 1, n):
+            f = a[r][col] / p
+            if f:
+                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
+    return minors
+
+
+class AdjugateWitnessOracle:
+    """adj(-M), det(-M) and the row sums of adj(-M), for one matrix, with the
+    verified witness of each class (k, t) built so far: the (*) witness
+    synthesis over the whole Gauss-Jordan adjugate."""
+
+    def __init__(self, M):
+        self.M = M
+        self.A, self.d = neg_adjugate_gauss_jordan(M)
+        self.s = [sum(row) for row in self.A]
+        self.witnesses = {}
+
+    def witness(self, i: int, j: int):
+        """Integer witness for the ordered pair (i, j), or None if none exists.
+
+        Takes the first generator column k with A[i][k] < A[j][k] (A is
+        symmetric, so column k is row k) and adds 2^-t times the interior
+        ray s, with t the least exponent that keeps coefficient i below
+        coefficient j. Scaled by 2^t this is w = 2^t A[:,k] + s; divided by
+        gcd(2^t d, w) it is C[:,k] + 2^-t C.(1,...,1) with its denominators
+        cleared. Pairs of one class (k, t) share this divisor: it is built
+        and checked strictly anti-nef on the first pair of its class, and
+        w[i] < w[j] is checked for every pair.
+        """
+        from nashcone.cone import ConeStatus, Divisor, lipman_status
+        from nashcone.errors import InternalInvariantError
+
+        A, s = self.A, self.s
+        k = next((k for k, (x, y) in enumerate(zip(A[i], A[j])) if x < y), None)
+        if k is None:
+            return None
+        gap = A[j][k] - A[i][k]
+        # least t >= 0 with gap * 2^t > s[i] - s[j]: with q the floor of
+        # (s[i] - s[j]) / gap, clamped at 0, that is the least t with 2^t > q
+        t = (max(s[i] - s[j], 0) // gap).bit_length()
+        witness = self.witnesses.get((k, t))
+        if witness is None:
+            w = [(x << t) + y for x, y in zip(A[k], s)]
+            c = gcd(self.d << t, *w)
+            witness = Divisor(tuple(x // c for x in w))
+            if lipman_status(witness, self.M) is not ConeStatus.STRICT_LIPMAN:
+                raise InternalInvariantError(
+                    f"synthesized witness {witness.coeffs} failed re-verification for pair ({i}, {j})"
+                )
+            self.witnesses[(k, t)] = witness
+        if not witness[i] < witness[j]:
+            raise InternalInvariantError(
+                f"synthesized witness {witness.coeffs} failed re-verification for pair ({i}, {j})"
+            )
+        return witness
+
+
 def _apply_perm_mult(mult, sigma, n: int) -> tuple[int, ...]:
     return tuple(mult[sigma[i]][sigma[j]] for i in range(n) for j in range(i + 1, n))
 
@@ -214,7 +342,7 @@ def enumerate_graphs_brute(max_vertices: int, min_weight: int, max_genus: int, m
     """The enumerator that orbit marking replaced: every edge encoding is
     tested for connectivity and then against all n! relabelings, and every
     weight tuple by a full leading-minor elimination."""
-    from nashcone.graph import ResolutionGraph, _leading_minors_negdef, is_connected
+    from nashcone.graph import ResolutionGraph, is_connected
 
     if max_vertices < 1:
         raise ValueError("max_vertices must be >= 1")

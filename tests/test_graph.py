@@ -334,13 +334,19 @@ _A2_DATA = {"vertices": 2, "weights": [-2, -2], "genera": [0, 0], "edges": [[1, 
 )
 def test_value_errors_read_the_same_in_both_formats(change, fragment):
     data = dict(_A2_DATA, **change)
-    messages = []
+    raw, messages = [], []
     for parse, text in ((parse_graph, _graph_text(data)), (parse_graph_json, json.dumps(data))):
         with pytest.raises(GraphFormatError) as exc:
             parse(text)
+        raw.append(str(exc.value))
         messages.append(re.sub(r"^line \d+: ", "", str(exc.value)))
     assert messages[0] == messages[1]
     assert fragment in messages[0]
+    # the text format names the line of the changed field; JSON has no lines
+    (key,) = change
+    line = ("vertices", "weights", "genera", "edges", "labels").index(key) + 1
+    assert raw[0] == f"line {line}: {messages[0]}"
+    assert raw[1] == messages[1]
 
 
 def test_vertex_cap_boundary():
