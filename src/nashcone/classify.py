@@ -362,7 +362,7 @@ def enumerate_graphs(max_vertices: int, min_weight: int, max_genus: int, max_mul
     Structures are found by orbit marking (the orderly idea of Read 1978):
     edge encodings are walked in increasing order over a byte table, and
     the first unmarked one is the least of its orbit, since every smaller
-    encoding has been visited and its whole orbit marked. So the n!
+    encoding has been visited and its entire orbit marked. So the n!
     relabelings run once per structure class, not once per encoding, and
     the ones that fix the encoding are its automorphisms. Weights come
     from a depth-first search that cuts a prefix as soon as a leading

@@ -8,10 +8,9 @@ intersection matrix.
 Decision procedure for (*): the closed anti-nef cone is the non-negative
 span of the columns of C = -M^-1 = A/d, with A = adj(-M) and d = det(-M) > 0.
 Both come from the one fraction-free factor of -M that the matrix keeps
-(validation built it): the all-pairs sweep takes the whole of A by one
-back-substitution, and a single pair solves only the columns it reads,
-A.e_i and A.e_j, then A.(1,...,1) and A.e_k if the pair holds. The
-adjugate is symmetric, so column k is row k. The pair (i, j) admits a witness
+(validation built it), continued by one back-substitution to all of A,
+for the all-pairs sweep and a single pair alike. The adjugate is
+symmetric, so column k is row k. The pair (i, j) admits a witness
 exactly when some column has A[i][k] < A[j][k]. The witness is read off in
 integers: with s = A.(1,...,1) (a strictly anti-nef ray) and the least
 t >= 0 such that 2^t (A[j][k] - A[i][k]) > s[i] - s[j], the vector
@@ -29,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from .cone import ConeStatus, Divisor, adjugate_solve, lipman_status, neg_adjugate, neg_factor
+from .cone import ConeStatus, Divisor, lipman_status, neg_adjugate
 from .errors import InternalInvariantError
 from .graph import IntersectionMatrix, ResolutionGraph
 
@@ -58,7 +57,7 @@ class StarCertificate:
     ``witnesses[(i, j)]`` is a strictly anti-nef integer divisor with
     strictly smaller coefficient at i than at j; it exists for every
     ordered pair exactly when the condition holds. ``failing_pairs`` lists
-    the pairs whose half-space misses the whole cone. 0-based indices.
+    the pairs whose half-space misses the entire cone. 0-based indices.
     """
 
     holds: bool
@@ -75,37 +74,14 @@ def check_star_star(g: ResolutionGraph) -> StarStarReport:
 
 
 class _Adjugate:
-    """Columns of adj(-M), det(-M) and the row sums of adj(-M), for one
-    matrix, with the verified witness of each class (k, t) built so far.
+    """adj(-M), det(-M) and the row sums of adj(-M) for one matrix, with the
+    verified witness of each class (k, t) built so far."""
 
-    Columns and row sums are solved from the matrix's factor on first use,
-    unless ``whole`` asks for the whole adjugate at once.
-    """
-
-    def __init__(self, M: IntersectionMatrix, whole: bool = False):
+    def __init__(self, M: IntersectionMatrix):
         self.M = M
-        self.factor = neg_factor(M)
-        self.d = self.factor.det
-        if whole:
-            A, _ = neg_adjugate(M)
-            self.columns: list[tuple[int, ...] | None] = list(A)
-            self.s = tuple(map(sum, A))
-        else:
-            self.columns = [None] * M.n
-            self.s = None
+        self.A, self.d = neg_adjugate(M)
+        self.s = tuple(map(sum, self.A))
         self.witnesses: dict[tuple[int, int], Divisor] = {}
-
-    def column(self, k: int) -> tuple[int, ...]:
-        col = self.columns[k]
-        if col is None:
-            e = [int(r == k) for r in range(self.M.n)]
-            col = self.columns[k] = adjugate_solve(self.factor, e)
-        return col
-
-    def row_sums(self) -> tuple[int, ...]:
-        if self.s is None:
-            self.s = adjugate_solve(self.factor, [1] * self.M.n)
-        return self.s
 
     def witness(self, i: int, j: int) -> Divisor | None:
         """Integer witness for the ordered pair (i, j), or None if none exists.
@@ -119,18 +95,18 @@ class _Adjugate:
         and checked strictly anti-nef on the first pair of its class, and
         w[i] < w[j] is checked for every pair.
         """
-        Ai, Aj = self.column(i), self.column(j)
+        A, s = self.A, self.s
+        Ai, Aj = A[i], A[j]
         k = next((k for k, (x, y) in enumerate(zip(Ai, Aj)) if x < y), None)
         if k is None:
             return None
-        s = self.row_sums()
         gap = Aj[k] - Ai[k]
         # least t >= 0 with gap * 2^t > s[i] - s[j]: with q the floor of
         # (s[i] - s[j]) / gap, clamped at 0, that is the least t with 2^t > q
         t = (max(s[i] - s[j], 0) // gap).bit_length()
         witness = self.witnesses.get((k, t))
         if witness is None:
-            w = [(x << t) + y for x, y in zip(self.column(k), s)]
+            w = [(x << t) + y for x, y in zip(A[k], s)]
             c = gcd(self.d << t, *w)
             witness = Divisor(tuple(x // c for x in w))
             if lipman_status(witness, self.M) is not ConeStatus.STRICT_LIPMAN:
@@ -150,7 +126,7 @@ def check_star(g: ResolutionGraph) -> StarCertificate:
 
     A single vertex has no ordered pairs, so the condition holds vacuously.
     """
-    adj = _Adjugate(g.intersection_matrix(), whole=True)
+    adj = _Adjugate(g.intersection_matrix())
     witnesses: dict[tuple[int, int], Divisor] = {}
     failing: list[tuple[int, int]] = []
     for i in range(g.n):

@@ -4,11 +4,9 @@ All decisions here are sign decisions on exact integers; boundary cases
 (a pairing that is exactly zero) are meaningful, so no floating point is
 allowed anywhere in this module. The inverse of the intersection matrix
 enters only through its integer form, -M^-1 = adj(-M) / det(-M), and that
-is solved on demand from the one fraction-free factor of -M that the
-matrix keeps (graph.NegFactor, the same factor validation reads
-definiteness from): adj(-M).b for one right-hand side b, or the whole
-adjugate by one back-substitution, each continuing from the factor.
-"""
+comes from the one fraction-free factor of -M that the matrix keeps
+(graph.NegFactor, the same factor validation reads definiteness from):
+neg_adjugate continues it by one back-substitution to all of adj(-M)."""
 
 from __future__ import annotations
 
@@ -17,14 +15,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .graph import IntersectionMatrix, NegFactor, ResolutionGraph
+from .graph import IntersectionMatrix, ResolutionGraph
 
 __all__ = [
     "Divisor",
     "ConeStatus",
     "pair",
-    "neg_factor",
-    "adjugate_solve",
     "neg_adjugate",
     "neg_inverse",
     "lipman_status",
@@ -87,55 +83,6 @@ def pair(d1: Divisor, d2: Divisor, M: IntersectionMatrix) -> int:
     return sum(d1[i] * Md2[i] for i in range(M.n))
 
 
-def neg_factor(M: IntersectionMatrix) -> NegFactor:
-    """M's fraction-free factor, refusing a matrix that is not negative
-    definite with ValueError."""
-    F = M.neg_factor()
-    if F is None:
-        raise ValueError("intersection matrix is not negative definite")
-    return F
-
-
-def adjugate_solve(F: NegFactor, b) -> tuple[int, ...]:
-    """adj(-M).b = det(-M) x for the solution x of -M x = b, exactly.
-
-    The forward sweep applies the factor's elimination steps to b: step k
-    maps y_i to (p_k y_i - U[k][i] y_k) / p_(k-1), the multiplier of row i
-    being U[k][i] because -M is symmetric, and a zero multiplier only
-    rescales, so that is deferred as in the factor itself. The sweep
-    leaves U x = y; back-substitution from the last row gives
-    x~_i = (d y_i - sum_(j>i) U[i][j] x~_j) / U[i][i] for x~ = d x with
-    d = det(-M). Every division is exact: the quotients are minors and
-    adjugate entries. Costs O(n + nonzeros of U).
-    """
-    minors, upper = F.minors, F.upper
-    n = len(upper)
-    if len(b) != n:
-        raise ValueError("dimension mismatch")
-    y = list(b)
-    step = [0] * n
-    for k, nonzero in enumerate(upper):
-        q = minors[k]
-        yk = y[k]
-        if step[k] != k:
-            yk = y[k] = yk * q // minors[step[k]]
-        p = minors[k + 1]
-        for i, f in nonzero:
-            yi = y[i]
-            if step[i] != k:
-                yi = yi * q // minors[step[i]]
-            y[i] = (p * yi - f * yk) // q
-            step[i] = k + 1
-    d = minors[-1]
-    x = [0] * n
-    for i in reversed(range(n)):
-        acc = d * y[i]
-        for j, u in upper[i]:
-            acc -= u * x[j]
-        x[i] = acc // minors[i + 1]
-    return tuple(x)
-
-
 def neg_adjugate(M: IntersectionMatrix) -> tuple[tuple[tuple[int, ...], ...], int]:
     """(adj(-M), det(-M)) by one back-substitution from M's factor.
 
@@ -148,7 +95,9 @@ def neg_adjugate(M: IntersectionMatrix) -> tuple[tuple[tuple[int, ...], ...], in
     a chain costs O(n^2) and a dense matrix O(n^3). A matrix that is not
     negative definite is refused with ValueError.
     """
-    F = neg_factor(M)
+    F = M.neg_factor()
+    if F is None:
+        raise ValueError("intersection matrix is not negative definite")
     minors, upper = F.minors, F.upper
     n = len(upper)
     d = minors[-1]
@@ -202,10 +151,14 @@ def fundamental_cycle(g: ResolutionGraph) -> Divisor:
     added k = ceil(Z.E_i / -M_ii) times in a row, each addition a legal
     step; the k steps are taken at once, so a coefficient that needs a
     long run of additions to one component costs one pass, not one per
-    unit. Terminates because the form is negative definite; the result is
-    independent of the tie-break (property-tested).
+    unit. Terminates because the form is negative definite; on any other
+    form it need not stop, so a matrix that is not negative definite is
+    refused with ValueError. The result is independent of the tie-break
+    (property-tested).
     """
     M = g.intersection_matrix()
+    if M.neg_factor() is None:
+        raise ValueError("intersection matrix is not negative definite")
     z = [1] * g.n
     s = list(M.mulvec(z))
     while True:
@@ -226,7 +179,7 @@ def strict_interior_divisor(g: ResolutionGraph) -> Divisor:
     denominators of (-M^-1).(1,...,1) = s/d and gives D with
     M.D = -(d/c).(1,...,1), so every pairing is strictly negative.
     """
-    F = neg_factor(g.intersection_matrix())
-    s = adjugate_solve(F, [1] * g.n)
-    c = gcd(F.det, *s)
+    A, d = neg_adjugate(g.intersection_matrix())
+    s = [sum(row) for row in A]
+    c = gcd(d, *s)
     return Divisor(tuple(x // c for x in s))

@@ -17,8 +17,8 @@ Negative definiteness is read from one fraction-free factor of -M, the
 forward Bareiss pass of ``NegFactor``: its pivots are the leading
 principal minors of -M. The intersection matrix keeps the factor once
 built, and the graph keeps its matrix, so each graph is eliminated once;
-the cone computations solve the adjugate columns they need from the same
-factor.
+cone.neg_adjugate continues the same factor, by one back-substitution,
+to the integer adjugate that every cone computation reads.
 
 Every indented JSON document the package writes (graph files, reports,
 criterion tables) goes through ``render_json``, which gives the bytes of
@@ -139,11 +139,10 @@ class ResolutionGraph:
         graph, which is immutable."""
         M = self.__dict__.get("_matrix")
         if M is None:
-            rows = tuple(
-                tuple(self.weights[i] if i == j else self.mult[i][j] for j in range(self.n))
-                for i in range(self.n)
-            )
-            M = IntersectionMatrix(rows)
+            M = IntersectionMatrix(tuple([
+                (*row[:i], w, *row[i + 1:])
+                for i, (w, row) in enumerate(zip(self.weights, self.mult))
+            ]))
             object.__setattr__(self, "_matrix", M)
         return M
 
@@ -156,12 +155,11 @@ class IntersectionMatrix:
 
     def __post_init__(self):
         n = len(self.entries)
-        for i, row in enumerate(self.entries):
-            if len(row) != n:
-                raise ValueError("intersection matrix must be square")
-            for j in range(n):
-                if row[j] != self.entries[j][i]:
-                    raise ValueError("intersection matrix must be symmetric")
+        if any(len(row) != n for row in self.entries):
+            raise ValueError("intersection matrix must be square")
+        # compare each row with the matching column, a row at a time
+        if any(tuple(row) != col for row, col in zip(self.entries, zip(*self.entries))):
+            raise ValueError("intersection matrix must be symmetric")
         # dual graphs are sparse: products cost O(n + edges) over the nonzeros
         sparse = tuple(tuple((j, x) for j, x in enumerate(row) if x) for row in self.entries)
         object.__setattr__(self, "_sparse", sparse)
@@ -221,7 +219,7 @@ def _neg_factor(entries) -> NegFactor | None:
     a row whose entry in the pivot column is zero, by p / q. Such rescales
     telescope, so a row records the step its entries belong to and is
     brought up to date, with one exact division, when a pivot row next
-    touches it: a step costs the nonzeros of its pivot row, not the whole
+    touches it: a step costs the nonzeros of its pivot row, not the entire
     trailing block.
     """
     n = len(entries)

@@ -1,3 +1,4 @@
+import signal
 import time
 from fractions import Fraction
 from itertools import permutations, product
@@ -13,6 +14,7 @@ from nashcone import (
     ResolutionGraph,
     enumerate_graphs,
     fundamental_cycle,
+    is_rational_artin,
     lipman_status,
     make_family,
     pair,
@@ -176,6 +178,27 @@ def test_fundamental_cycle_large_coefficients():
     Z = fundamental_cycle(g)
     assert time.monotonic() - t0 < 1.0
     assert Z.coeffs == (m, 1)
+
+
+def _over_budget(signum, frame):
+    raise TimeoutError("over the 1 s budget")
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_fundamental_cycle_refuses_a_matrix_that_is_not_negative_definite(m):
+    # m = 2: det(-M) = -3, and the computation sequence grows without end;
+    # m = 1: det(-M) = 0, and it stops at (1, 1), a cycle of a singular form
+    g = ResolutionGraph(weights=(-1, -1), genera=(0, 0), mult=((0, m), (m, 0)))
+    handler = signal.signal(signal.SIGALRM, _over_budget)
+    signal.setitimer(signal.ITIMER_REAL, 1.0)
+    try:
+        with pytest.raises(ValueError, match="not negative definite"):
+            fundamental_cycle(g)
+        with pytest.raises(ValueError, match="not negative definite"):
+            is_rational_artin(g)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, handler)
 
 
 def test_strict_interior_known_values(a2, a3):

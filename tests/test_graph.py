@@ -211,6 +211,37 @@ def test_intersection_matrix_requires_symmetry():
         IntersectionMatrix(((-2, 1), (0, -2)))
 
 
+def _zero_diagonal(rows):
+    return tuple(tuple(0 if j == i else x for j, x in enumerate(row)) for i, row in enumerate(rows))
+
+
+@pytest.mark.parametrize("rows,matrix_error,mult_error", [
+    (((-2, 1), (1,)), "intersection matrix must be square", "mult must be a square matrix"),
+    (((-2,), (1, -2)), "intersection matrix must be square", "mult must be a square matrix"),
+    (((-2, 1), ()), "intersection matrix must be square", "mult must be a square matrix"),
+    (((-2, 1, 0), (1, -2), (0, 1, -2)), "intersection matrix must be square",
+     "mult must be a square matrix"),
+    (((-2, 1), (0, -2)), "intersection matrix must be symmetric", "mult must be symmetric"),
+    (((-2, 1, 0), (1, -2, 1), (0, 2, -2)), "intersection matrix must be symmetric",
+     "mult must be symmetric"),
+    (((-2, 0, 1), (0, -2, 0), (0, 0, -2)), "intersection matrix must be symmetric",
+     "mult must be symmetric"),
+])
+def test_ragged_or_asymmetric_matrix_is_refused(rows, matrix_error, mult_error):
+    for entries in (rows, tuple(map(list, rows))):
+        with pytest.raises(ValueError, match=f"^{matrix_error}$"):
+            IntersectionMatrix(entries)
+    with pytest.raises(ValueError, match=f"^{mult_error}$"):
+        ResolutionGraph(weights=(-2,) * len(rows), genera=(0,) * len(rows), mult=_zero_diagonal(rows))
+
+
+def test_intersection_matrix_accepts_list_rows():
+    M = IntersectionMatrix([[-2, 1], [1, -2]])
+    assert M.mulvec((1, 1)) == (-1, -1)
+    assert ResolutionGraph(weights=(-2, -2), genera=(0, 0), mult=[[0, 1], [1, 0]]
+                           ).intersection_matrix().entries == ((-2, 1), (1, -2))
+
+
 def test_negative_definite_known_cases():
     assert is_negative_definite(IntersectionMatrix(((-2, 1, 0), (1, -2, 1), (0, 1, -2))))
     assert not is_negative_definite(IntersectionMatrix(((-1, 1), (1, -1))))
