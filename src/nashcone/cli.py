@@ -44,13 +44,21 @@ __all__ = ["main", "entry", "emit_report", "report_to_dict"]
 
 
 def report_to_dict(r: ClassificationReport) -> dict:
-    """JSON form of a classification report, 1-based indices throughout."""
+    """JSON form of a classification report, 1-based indices throughout.
+
+    Pairs that share a witness ``Divisor`` object share one ``divisor``
+    list, so that ``render_json`` writes its text once: a caller that
+    mutates the list of one pair changes it for all of them.
+    """
     g = r.graph
     graph_dict = {**graph_to_json_dict(g), "labels": [g.label(i) for i in range(g.n)]}
-    witnesses = [
-        {"pair": [i + 1, j + 1], "divisor": list(r.star.witnesses[(i, j)].coeffs)}
-        for (i, j) in sorted(r.star.witnesses)
-    ]
+    divisors: dict[int, list[int]] = {}  # id of a witness Divisor -> its one list
+    witnesses = []
+    for (i, j), w in sorted(r.star.witnesses.items()):
+        coeffs = divisors.get(id(w))
+        if coeffs is None:
+            coeffs = divisors[id(w)] = list(w.coeffs)
+        witnesses.append({"pair": [i + 1, j + 1], "divisor": coeffs})
     return {
         "graph": graph_dict,
         "validation": {
@@ -109,9 +117,12 @@ def _text_report(r: ClassificationReport) -> str:
     else:
         pairs = " ".join(f"({lab(i)},{lab(j)})" for i, j in sorted(r.star.failing_pairs))
         lines.append(f"star: fails (failing pairs: {pairs})")
-    for (i, j) in sorted(r.star.witnesses):
-        w = r.star.witnesses[(i, j)]
-        lines.append(f"  witness {lab(i)}<{lab(j)}: " + " ".join(str(c) for c in w.coeffs))
+    texts: dict[int, str] = {}  # id of a witness Divisor -> its coefficients, joined once
+    for (i, j), w in sorted(r.star.witnesses.items()):
+        text = texts.get(id(w))
+        if text is None:
+            text = texts[id(w)] = " ".join(map(str, w.coeffs))
+        lines.append(f"  witness {lab(i)}<{lab(j)}: {text}")
     lines.append("fundamental_cycle: " + " ".join(str(c) for c in r.fundamental_cycle.coeffs))
     lines.append(f"pa_fundamental: {r.pa_fundamental}")
     lines.append(f"artin_rational: {_yn(r.artin_rational)}")
@@ -139,7 +150,25 @@ def _read_graph_file(path: str) -> ResolutionGraph:
         return load_graph(fh.read())
 
 
-@click.group(name="nashcone")
+class _Group(click.Group):
+    """The command group. A closed stdout, from its help or from a command,
+    ends the run with exit code 0: click's Command.main would turn the EPIPE
+    into sys.exit(1), whatever its standalone_mode."""
+
+    def make_context(self, *args, **kwargs):
+        try:
+            return super().make_context(*args, **kwargs)
+        except BrokenPipeError:
+            raise click.exceptions.Exit(0) from None
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except BrokenPipeError:
+            raise click.exceptions.Exit(0) from None
+
+
+@click.group(name="nashcone", cls=_Group)
 def cli() -> None:
     """Decide the anti-nef-cone conditions behind Nash-map bijectivity."""
 
@@ -282,8 +311,6 @@ def main(argv: list[str] | None = None) -> int:
     except (NashconeError, ValueError) as exc:
         click.echo(f"error: {exc}", err=True)
         return 1
-    except BrokenPipeError:
-        return 0
     except OSError as exc:
         click.echo(f"error: {exc}", err=True)
         return 1

@@ -26,7 +26,9 @@ rather than assumed.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress, count
 from math import gcd
+from operator import lt
 
 from .cone import ConeStatus, Divisor, lipman_status, neg_adjugate
 from .errors import InternalInvariantError
@@ -97,7 +99,7 @@ class _Adjugate:
         """
         A, s = self.A, self.s
         Ai, Aj = A[i], A[j]
-        k = next((k for k, (x, y) in enumerate(zip(Ai, Aj)) if x < y), None)
+        k = next(compress(count(), map(lt, Ai, Aj)), None)  # first k with Ai[k] < Aj[k]
         if k is None:
             return None
         gap = Aj[k] - Ai[k]

@@ -24,7 +24,13 @@ Every indented JSON document the package writes (graph files, reports,
 criterion tables) goes through ``render_json``, which gives the bytes of
 the stdlib's ``json.dumps`` with ``indent=2``, faster: the C encoder does
 not take ``indent`` (CPython 3.11), so ``json.dumps`` with it runs the
-pure-Python encoder.
+pure-Python encoder. It gathers the text in pieces and joins them once, so
+no byte is copied again for each level of nesting. Within one call it
+renders each list object of more than two integers once per indentation
+depth and appends that same text wherever the object recurs: a report
+hands one ``divisor`` list to every pair that shares a witness. The depth
+is part of the memo key because the text of a list holds the indentation
+of its level.
 """
 
 from __future__ import annotations
@@ -441,28 +447,60 @@ def render_json(obj, newline: str = "\n") -> str:
     values a report holds: dicts with str keys, lists, str, int, bool and None.
 
     ``newline`` is the line break plus the indentation of the current level.
-    Any other value is rendered by ``json.dumps``.
+    Any other value is rendered by ``json.dumps``. The text is gathered in
+    pieces and joined once. A list object of more than two integers that
+    occurs more than once is rendered once per level it occurs at: the memo
+    of one call is keyed on the list's identity and its ``newline``, as the
+    same list is indented differently at another depth.
     """
+    out: list[str] = []
+    _render(obj, newline, out, {})
+    return "".join(out)
+
+
+def _render(obj, newline: str, out: list[str], memo: dict) -> None:
+    """Append the pieces of the text of ``obj`` to ``out``; see render_json."""
     inner = newline + "  "
     if isinstance(obj, list):
         if not obj:
-            return "[]"
+            out.append("[]")
+            return
+        # a pair or a single index renders as fast as a lookup: not kept
+        memoized = len(obj) > 2 and type(obj[0]) is int
+        if memoized:
+            key = (id(obj), newline)  # obj lives as long as the call, so its id is its own
+            text = memo.get(key)
+            if text is not None:
+                out.append(text)
+                return
         if set(map(type, obj)) == {int}:
-            items = map(str, obj)
-        else:
-            items = [render_json(x, inner) for x in obj]
-        return "[" + inner + ("," + inner).join(items) + newline + "]"
-    if isinstance(obj, dict):
+            text = "[" + inner + ("," + inner).join(map(str, obj)) + newline + "]"
+            if memoized:
+                memo[key] = text
+            out.append(text)
+            return
+        sep, comma = "[" + inner, "," + inner
+        for x in obj:
+            out.append(sep)
+            _render(x, inner, out, memo)
+            sep = comma
+        out.append(newline + "]")
+    elif isinstance(obj, dict):
         if not obj:
-            return "{}"
-        return "{" + inner + ("," + inner).join([
-            encode_basestring_ascii(k) + ": " + render_json(v, inner) for k, v in obj.items()
-        ]) + newline + "}"
-    if isinstance(obj, str):
-        return encode_basestring_ascii(obj)
-    if type(obj) is int:
-        return str(obj)
-    return json.dumps(obj)
+            out.append("{}")
+            return
+        sep, comma = "{" + inner, "," + inner
+        for k, v in obj.items():
+            out.append(sep + encode_basestring_ascii(k) + ": ")
+            _render(v, inner, out, memo)
+            sep = comma
+        out.append(newline + "}")
+    elif isinstance(obj, str):
+        out.append(encode_basestring_ascii(obj))
+    elif type(obj) is int:
+        out.append(str(obj))
+    else:
+        out.append(json.dumps(obj))
 
 
 def serialize_graph_json(g: ResolutionGraph) -> str:

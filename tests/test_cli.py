@@ -1,7 +1,10 @@
 import contextlib
+import errno
 import io
 import json
 import os
+import subprocess
+import sys
 import tempfile
 
 import pytest
@@ -265,6 +268,52 @@ def test_enumerate_parallel_matches_serial(capsys):
 def test_enumerate_bad_bounds(capsys):
     assert main(["enumerate", "--max-vertices=0", "--min-weight=-2", "--max-genus=0"]) == 1
     assert capsys.readouterr().err != ""
+
+
+_ONE_VERTEX_GENERA = ["enumerate", "--max-vertices", "1", "--min-weight", "-1",
+                      "--max-genus", "20000"]
+
+
+@pytest.mark.parametrize("argv", [
+    _ONE_VERTEX_GENERA,
+    _ONE_VERTEX_GENERA + ["--parallel", "2"],
+    ["analyze", "--json", "AN120"],
+], ids=["enumerate", "enumerate-parallel", "analyze-json"])
+def test_closed_stdout_exits_zero_without_stderr(argv, tmp_path):
+    """A reader that stops after one line (``| head -n 1``) is a normal end:
+    the process exits 0 and writes nothing to stderr, whatever the size of
+    the output it did not get to write."""
+    import nashcone
+
+    if "AN120" in argv:
+        path = tmp_path / "an120.graph"
+        path.write_text(serialize_graph(make_family("an", 120)))
+        argv = [str(path) if a == "AN120" else a for a in argv]
+    src = os.path.dirname(os.path.dirname(os.path.abspath(nashcone.__file__)))
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.Popen(
+        [sys.executable, "-c", "from nashcone.cli import entry; entry()", *argv],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 0
+    assert first.startswith(b"{")
+    assert err == b""
+
+
+class _ClosedStdout(io.StringIO):
+    def write(self, s):
+        raise BrokenPipeError(errno.EPIPE, "Broken pipe")
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["analyze", "--help"], ["family", "an", "3"]])
+def test_closed_stdout_returns_zero_in_process(argv, monkeypatch, capsys):
+    monkeypatch.setattr(sys, "stdout", _ClosedStdout())
+    assert main(argv) == 0
+    assert capsys.readouterr().err == ""
 
 
 def _one_error_line(err: str) -> bool:
@@ -531,6 +580,17 @@ _BENCH_FAMILIES = (
     ("cycle", 10, -3), ("cycle", 20, -3), ("cycle", 30, -3),
     ("star3", 5),
 )
+
+
+def test_report_shares_one_divisor_list_per_witness():
+    r = nash_verdict(make_family("an", 30))
+    witnesses = report_to_dict(r)["star"]["witnesses"]
+    assert len(witnesses) == len(r.star.witnesses) == 870
+    assert len({id(w["divisor"]) for w in witnesses}) == len(
+        {id(w) for w in r.star.witnesses.values()}) == 108
+    by_pair = {tuple(w["pair"]): w["divisor"] for w in witnesses}
+    for (i, j), w in r.star.witnesses.items():
+        assert by_pair[(i + 1, j + 1)] == list(w.coeffs)
 
 
 def test_render_json_matches_stdlib_on_reports():

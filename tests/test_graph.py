@@ -402,11 +402,25 @@ _json_scalars = (
     | st.text(st.characters(exclude_categories=()))
     | st.sampled_from(['"', "\\", "\x00\x1f\n\t\x7f", "é☃\U0001f600", ""])
 )
+
+
+def _aliasing(children):
+    """Containers that hold one child object more than once, at one depth or
+    at two, in a list and in a dict: a report shares each witness's divisor
+    list between the pairs it serves."""
+    return (
+        st.lists(children, min_size=1).map(lambda xs: xs + xs)
+        | children.map(lambda x: [x, [x]])
+        | st.tuples(st.text(), children).map(lambda kx: {kx[0]: kx[1], "in a list": [kx[1]]})
+    )
+
+
 _json_values = st.recursive(
     _json_scalars,
     lambda children: st.lists(children)
     | st.lists(st.integers())
-    | st.dictionaries(st.text(st.characters(exclude_categories=())), children),
+    | st.dictionaries(st.text(st.characters(exclude_categories=())), children)
+    | _aliasing(children),
     max_leaves=40,
 )
 
@@ -415,3 +429,16 @@ _json_values = st.recursive(
 @given(_json_values)
 def test_render_json_matches_stdlib_indent(obj):
     assert render_json(obj) == json.dumps(obj, indent=2)
+
+
+def test_render_json_renders_a_shared_list_at_each_depth():
+    ints = [1, -2, 3]  # more than two integers: the kind of list the memo keeps
+    mixed = [ints, {"k": True}, []]
+    docs = [
+        [ints, ints, ints],
+        [ints, [ints, [ints]]],
+        {"a": ints, "b": [ints], "c": {"d": ints}},
+        [mixed, {"m": mixed}, [[mixed]], mixed],
+    ]
+    for doc in docs:
+        assert render_json(doc) == json.dumps(doc, indent=2)
