@@ -150,6 +150,15 @@ def _read_graph_file(path: str) -> ResolutionGraph:
         return load_graph(fh.read())
 
 
+def _stdout_closed() -> click.exceptions.Exit:
+    """Exit 0 for a reader that closed stdout. The unwritten rest stays in
+    stdout's buffer, and the interpreter flushes it again at shutdown; the
+    wrapper keeps that second EPIPE from turning into exit 120 and a
+    traceback on stderr (click's Command.main wraps stdout the same way)."""
+    sys.stdout = click.utils.PacifyFlushWrapper(sys.stdout)
+    return click.exceptions.Exit(0)
+
+
 class _Group(click.Group):
     """The command group. A closed stdout, from its help or from a command,
     ends the run with exit code 0: click's Command.main would turn the EPIPE
@@ -159,13 +168,13 @@ class _Group(click.Group):
         try:
             return super().make_context(*args, **kwargs)
         except BrokenPipeError:
-            raise click.exceptions.Exit(0) from None
+            raise _stdout_closed() from None
 
     def invoke(self, ctx):
         try:
             return super().invoke(ctx)
         except BrokenPipeError:
-            raise click.exceptions.Exit(0) from None
+            raise _stdout_closed() from None
 
 
 @click.group(name="nashcone", cls=_Group)

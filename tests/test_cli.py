@@ -279,10 +279,13 @@ _ONE_VERTEX_GENERA = ["enumerate", "--max-vertices", "1", "--min-weight", "-1",
     _ONE_VERTEX_GENERA + ["--parallel", "2"],
     ["analyze", "--json", "AN120"],
 ], ids=["enumerate", "enumerate-parallel", "analyze-json"])
-def test_closed_stdout_exits_zero_without_stderr(argv, tmp_path):
+@pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+def test_closed_stdout_exits_zero_without_stderr(argv, buffered, tmp_path):
     """A reader that stops after one line (``| head -n 1``) is a normal end:
     the process exits 0 and writes nothing to stderr, whatever the size of
-    the output it did not get to write."""
+    the output it did not get to write. With a buffered stdout (the default
+    for a pipe) the unwritten rest is flushed again at shutdown; with
+    PYTHONUNBUFFERED set it is not, so both are run."""
     import nashcone
 
     if "AN120" in argv:
@@ -290,7 +293,10 @@ def test_closed_stdout_exits_zero_without_stderr(argv, tmp_path):
         path.write_text(serialize_graph(make_family("an", 120)))
         argv = [str(path) if a == "AN120" else a for a in argv]
     src = os.path.dirname(os.path.dirname(os.path.abspath(nashcone.__file__)))
-    env = {**os.environ, "PYTHONPATH": src}
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = src
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
     proc = subprocess.Popen(
         [sys.executable, "-c", "from nashcone.cli import entry; entry()", *argv],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
