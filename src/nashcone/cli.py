@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 import os
 import sys
+from contextlib import contextmanager
 from itertools import chain
 from multiprocessing import Pool
 
@@ -39,9 +40,6 @@ from .graph import (
 )
 from .vanishing import CriterionResult, laufer_criterion, realization_criterion
 from .conditions import star_witness
-
-__all__ = ["main", "entry", "emit_report", "report_to_dict"]
-
 
 def report_to_dict(r: ClassificationReport) -> dict:
     """JSON form of a classification report, 1-based indices throughout.
@@ -138,11 +136,29 @@ def _text_report(r: ClassificationReport) -> str:
     return "\n".join(lines) + "\n"
 
 
+@contextmanager
+def _uncapped_int_str():
+    """Lift CPython's cap on the digits of an int turned into a str while
+    output is rendered, and restore it afterwards. A witness can be far
+    longer than any number in its input: three weights of 3,000 digits give
+    witnesses of 6,001. Parsing keeps the cap (graph files, --divisor and
+    click's integer options), so an input literal over it is still refused."""
+    cap = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+    if cap:
+        sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        if cap:
+            sys.set_int_max_str_digits(cap)
+
+
 def emit_report(r: ClassificationReport, format: str = "text") -> str:
     """Render a report; both formats are byte-deterministic."""
-    if format == "json":
-        return render_json(report_to_dict(r)) + "\n"
-    return _text_report(r)
+    with _uncapped_int_str():
+        if format == "json":
+            return render_json(report_to_dict(r)) + "\n"
+        return _text_report(r)
 
 
 def _read_graph_file(path: str) -> ResolutionGraph:
@@ -206,7 +222,8 @@ def witness(file: str, pair: tuple[int, int]) -> None:
     if not (1 <= i <= g.n and 1 <= j <= g.n):
         raise ValueError(f"pair indices must be in 1..{g.n}")
     w = star_witness(g, i - 1, j - 1)
-    click.echo("none" if w is None else " ".join(str(c) for c in w.coeffs))
+    with _uncapped_int_str():
+        click.echo("none" if w is None else " ".join(str(c) for c in w.coeffs))
 
 
 @cli.command(context_settings={"ignore_unknown_options": True})
@@ -231,7 +248,9 @@ def family(kind: str, params: tuple[str, ...], as_json: bool, output: str | None
 
 
 def _enum_line(g: ResolutionGraph) -> str:
-    return json.dumps(report_to_dict(nash_verdict(g)), separators=(",", ":"))
+    r = nash_verdict(g)
+    with _uncapped_int_str():
+        return json.dumps(report_to_dict(r), separators=(",", ":"))
 
 
 @cli.command()
@@ -291,23 +310,24 @@ def check(file: str, criterion: str, divisor: str, as_json: bool) -> None:
     D = Divisor(coeffs)
     fn = realization_criterion if criterion == "realization" else laufer_criterion
     res = fn(g, D)
-    if as_json:
-        click.echo(render_json(_criterion_json(criterion, res)))
-        return
-    click.echo(f"criterion: {criterion}")
-    click.echo(f"satisfied: {_yn(res.satisfied)}")
-    for key in sorted(res.values):
-        spot = ",".join(g.label(i) for i in key)
-        flag = "  VIOLATED" if res.values[key] > 0 else ""
-        click.echo(f"value({spot}) = {res.values[key]}{flag}")
+    with _uncapped_int_str():
+        if as_json:
+            click.echo(render_json(_criterion_json(criterion, res)))
+            return
+        click.echo(f"criterion: {criterion}")
+        click.echo(f"satisfied: {_yn(res.satisfied)}")
+        for key in sorted(res.values):
+            spot = ",".join(g.label(i) for i in key)
+            flag = "  VIOLATED" if res.values[key] > 0 else ""
+            click.echo(f"value({spot}) = {res.values[key]}{flag}")
 
 
 def main(argv: list[str] | None = None) -> int:
     """Run the CLI; returns the exit code instead of raising SystemExit."""
     try:
-        cli.main(args=argv, prog_name="nashcone", standalone_mode=False)
-    except click.exceptions.Exit as exc:
-        return exc.exit_code
+        # without standalone mode, click returns the code of an Exit it
+        # catches, and otherwise what the command returns: None, for every verb
+        code = cli.main(args=argv, prog_name="nashcone", standalone_mode=False)
     except click.ClickException as exc:
         exc.show()
         return 1
@@ -323,7 +343,7 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         click.echo(f"error: {exc}", err=True)
         return 1
-    return 0
+    return code or 0
 
 
 def entry() -> None:

@@ -40,7 +40,6 @@ __all__ = [
     "check_star_star",
     "check_star",
     "star_witness",
-    "halfspace_coverage",
 ]
 
 
@@ -154,20 +153,3 @@ def star_witness(g: ResolutionGraph, i: int, j: int) -> Divisor | None:
     if not (0 <= i < g.n and 0 <= j < g.n):
         raise ValueError("vertex index out of range")
     return _Adjugate(g.intersection_matrix()).witness(i, j)
-
-
-def halfspace_coverage(divisors) -> set[tuple[int, int]]:
-    """Ordered pairs (i, j) with some listed divisor satisfying D[i] < D[j]."""
-    divisors = list(divisors)
-    if not divisors:
-        return set()
-    n = divisors[0].n
-    if any(d.n != n for d in divisors):
-        raise ValueError("dimension mismatch")
-    return {
-        (i, j)
-        for d in divisors
-        for i in range(n)
-        for j in range(n)
-        if i != j and d[i] < d[j]
-    }

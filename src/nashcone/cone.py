@@ -21,8 +21,6 @@ __all__ = [
     "Divisor",
     "ConeStatus",
     "pair",
-    "neg_adjugate",
-    "neg_inverse",
     "lipman_status",
     "fundamental_cycle",
     "strict_interior_divisor",

@@ -1,5 +1,12 @@
 """Exception types shared across the package."""
 
+__all__ = [
+    "NashconeError",
+    "GraphFormatError",
+    "NoMultiplierGuarantee",
+    "InternalInvariantError",
+]
+
 
 class NashconeError(Exception):
     """Base class for all package-specific errors."""

@@ -42,10 +42,8 @@ from json.encoder import encode_basestring_ascii
 from .errors import GraphFormatError
 
 __all__ = [
-    "MAX_VERTICES",
     "ResolutionGraph",
     "IntersectionMatrix",
-    "NegFactor",
     "ValidationReport",
     "parse_graph",
     "parse_graph_json",
@@ -54,8 +52,8 @@ __all__ = [
     "load_graph",
     "validate",
     "is_negative_definite",
-    "is_connected",
     "canonical_intersections",
+    "graph_to_json_dict",
 ]
 
 
@@ -442,24 +440,24 @@ def graph_to_json_dict(g: ResolutionGraph) -> dict:
     return d
 
 
-def render_json(obj, newline: str = "\n") -> str:
+def render_json(obj) -> str:
     """The text ``json.dumps`` gives with ``indent=2``, byte for byte, for the
     values a report holds: dicts with str keys, lists, str, int, bool and None.
 
-    ``newline`` is the line break plus the indentation of the current level.
     Any other value is rendered by ``json.dumps``. The text is gathered in
     pieces and joined once. A list object of more than two integers that
     occurs more than once is rendered once per level it occurs at: the memo
-    of one call is keyed on the list's identity and its ``newline``, as the
+    of one call is keyed on the list's identity and its indentation, as the
     same list is indented differently at another depth.
     """
     out: list[str] = []
-    _render(obj, newline, out, {})
+    _render(obj, "\n", out, {})
     return "".join(out)
 
 
 def _render(obj, newline: str, out: list[str], memo: dict) -> None:
-    """Append the pieces of the text of ``obj`` to ``out``; see render_json."""
+    """Append the pieces of the text of ``obj`` to ``out``; see render_json.
+    ``newline`` is the line break plus the indentation of the current level."""
     inner = newline + "  "
     if isinstance(obj, list):
         if not obj:

@@ -2,6 +2,7 @@
 
 Everything here is deliberately independent of the library's decision
 procedures: box search with interval propagation for witness existence,
+the set of half-spaces a list of divisors covers,
 naive quadratic-form scans for definiteness, a reorderable variant of the
 one-step fundamental-cycle sequence, and the rational-arithmetic route to
 -M^-1 and to the condition (*) witnesses that the integer kernel replaced,
@@ -99,6 +100,23 @@ def naive_find_witness(M, i, j, bound):
         if D[i] < D[j] and all(x <= -1 for x in M.mulvec(D)):
             return D
     return None
+
+
+def halfspace_coverage(divisors) -> set[tuple[int, int]]:
+    """Ordered pairs (i, j) with some listed divisor satisfying D[i] < D[j]."""
+    divisors = list(divisors)
+    if not divisors:
+        return set()
+    n = divisors[0].n
+    if any(d.n != n for d in divisors):
+        raise ValueError("dimension mismatch")
+    return {
+        (i, j)
+        for d in divisors
+        for i in range(n)
+        for j in range(n)
+        if i != j and d[i] < d[j]
+    }
 
 
 def negdef_brute(M, box=5):

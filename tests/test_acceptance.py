@@ -23,7 +23,6 @@ from nashcone import (
     check_star_star,
     enumerate_graphs,
     fundamental_cycle,
-    halfspace_coverage,
     is_rational_artin,
     laufer_criterion,
     lipman_status,
@@ -35,7 +34,12 @@ from nashcone import (
 )
 from nashcone.cone import neg_inverse
 
-from oracles import all_orders_fundamental_cycles, find_strict_witness, graphs_isomorphic
+from oracles import (
+    all_orders_fundamental_cycles,
+    find_strict_witness,
+    graphs_isomorphic,
+    halfspace_coverage,
+)
 
 
 @contextmanager

@@ -12,7 +12,6 @@ from nashcone import (
     check_star_star,
     enumerate_graphs,
     fundamental_cycle,
-    halfspace_coverage,
     is_rational_artin,
     lipman_status,
     make_family,
@@ -22,7 +21,7 @@ from nashcone import (
 )
 from nashcone.graph import ResolutionGraph
 
-from oracles import enumerate_graphs_brute, graphs_isomorphic
+from oracles import enumerate_graphs_brute, graphs_isomorphic, halfspace_coverage
 
 
 def test_arithmetic_genus_known_values(a2, g2w1, star3_5, cycle3):
@@ -32,6 +31,11 @@ def test_arithmetic_genus_known_values(a2, g2w1, star3_5, cycle3):
     assert arithmetic_genus(cycle3, Divisor((1, 1, 1))) == 1
     with pytest.raises(ValueError):
         arithmetic_genus(a2, Divisor((0, 0)))
+
+
+def test_arithmetic_genus_refuses_a_divisor_of_another_size(a2):
+    with pytest.raises(ValueError, match="^divisor has 3 coefficients, graph has 2 vertices$"):
+        arithmetic_genus(a2, Divisor((1, 1, 1)))
 
 
 def test_is_rational_artin_known_values(a2, g2w1, star3_5, cycle3):

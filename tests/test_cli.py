@@ -7,15 +7,18 @@ import subprocess
 import sys
 import tempfile
 
+import click
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from nashcone import (
+    ConeStatus,
     Divisor,
     InternalInvariantError,
     ResolutionGraph,
     enumerate_graphs,
+    lipman_status,
     load_graph,
     make_family,
     nash_verdict,
@@ -24,7 +27,8 @@ from nashcone import (
     serialize_graph_json,
     validate,
 )
-from nashcone.cli import _criterion_json, emit_report, main, report_to_dict
+from nashcone import cli as cli_module
+from nashcone.cli import _criterion_json, cli, emit_report, main, report_to_dict
 from nashcone.graph import render_json
 from nashcone.vanishing import laufer_criterion, realization_criterion
 
@@ -411,6 +415,106 @@ def test_help_exits_zero(capsys):
 def test_unknown_verb(capsys):
     assert main(["frobnicate"]) == 1
     assert capsys.readouterr().err != ""
+
+
+def test_main_returns_the_exit_code_of_a_command(monkeypatch, capsys):
+    @click.command()
+    @click.pass_context
+    def exit3(ctx):
+        ctx.exit(3)
+
+    monkeypatch.setitem(cli.commands, "exit3", exit3)
+    assert main(["exit3"]) == 3
+    assert capsys.readouterr() == ("", "")
+
+
+def test_keyboard_interrupt_in_a_command_exits_1(monkeypatch, capsys):
+    def interrupted(*_):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli_module, "make_family", interrupted)
+    assert main(["family", "an", "3"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.strip() == "aborted"
+
+
+def test_family_output_to_a_missing_directory_exits_1(tmp_path, capsys):
+    assert main(["family", "an", "3", "-o", str(tmp_path / "missing" / "x.graph")]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert _one_error_line(err) and f"[Errno {errno.ENOENT}]" in err and "x.graph" in err
+
+
+def _big_graph_text(digits: int) -> str:
+    w = "-" + "9" * digits
+    return f"vertices: 3\nweights: {w} {w} {w}\ngenera: 0 0 0\nedges: 1-2:1 2-3:1\n"
+
+
+@contextlib.contextmanager
+def _no_int_str_cap():
+    cap = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(cap)
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no int -> str digit cap")
+def test_output_integers_may_exceed_the_int_str_digit_cap(tmp_path, capsys):
+    # three weights of 3,000 digits give witnesses of up to 6,001 digits,
+    # past CPython's default cap of 4,300 digits on int -> str
+    cap = sys.get_int_max_str_digits()
+    path = tmp_path / "big.graph"
+    path.write_text(_big_graph_text(3000))
+    g = load_graph(path.read_text())
+    assert main(["analyze", str(path)]) == 0
+    text = capsys.readouterr()
+    assert main(["analyze", str(path), "--json"]) == 0
+    report = capsys.readouterr()
+    pairs = [(i, j) for i in range(1, 4) for j in range(1, 4) if i != j]
+    printed = {}
+    for i, j in pairs:
+        assert main(["witness", str(path), "--pair", str(i), str(j)]) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        printed[(i, j)] = out
+    # criterion values of a 4,001-digit divisor on 3,000-digit weights
+    d = "1" + "0" * 4000
+    for extra in ([], ["--json"]):
+        assert main(["check", str(path), "--criterion", "realization", "--divisor", f"{d},{d},{d}", *extra]) == 0
+        assert capsys.readouterr().err == ""
+    line = cli_module._enum_line(g)
+    assert sys.get_int_max_str_digits() == cap
+    assert text.err == report.err == ""
+    with _no_int_str_cap():
+        doc = json.loads(report.out)
+        assert json.loads(line) == doc
+        witnesses = {tuple(w["pair"]): Divisor(tuple(w["divisor"])) for w in doc["star"]["witnesses"]}
+        assert sorted(witnesses) == pairs
+        assert max(len(str(c)) for w in witnesses.values() for c in w) == 6001
+        M = g.intersection_matrix()
+        for (i, j), w in witnesses.items():
+            assert lipman_status(w, M) is ConeStatus.STRICT_LIPMAN
+            assert w[i - 1] < w[j - 1]
+            assert printed[(i, j)] == " ".join(map(str, w)) + "\n"
+            assert f"witness E{i}<E{j}: {' '.join(map(str, w))}\n" in text.out
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no int -> str digit cap")
+def test_input_integers_over_the_int_str_digit_cap_are_refused(tmp_path, capsys):
+    cap = sys.get_int_max_str_digits()
+    path = tmp_path / "huge.graph"
+    path.write_text(_big_graph_text(5000))
+    assert main(["analyze", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and _one_error_line(err) and err.startswith("error: line 2:")
+    path.write_text(serialize_graph(make_family("an", 2)))
+    assert main(["check", str(path), "--criterion", "laufer", "--divisor", "1," + "9" * 5000]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and _one_error_line(err)
+    assert sys.get_int_max_str_digits() == cap
 
 
 @pytest.mark.parametrize("weights", ["[-2.5, -2]", "[-2.0, -2]", "[true, -2]", "[-2, null]"])

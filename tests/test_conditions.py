@@ -13,7 +13,6 @@ from nashcone import (
     check_star,
     check_star_star,
     enumerate_graphs,
-    halfspace_coverage,
     lipman_status,
     make_family,
     star_witness,
@@ -25,6 +24,7 @@ from nashcone.graph import serialize_graph
 
 from oracles import (
     find_strict_witness,
+    halfspace_coverage,
     naive_find_witness,
     neg_inverse_fraction,
     star_witnesses_fraction,

@@ -110,6 +110,11 @@ def test_lipman_status_known_values(a2, a3):
     assert lipman_status(Divisor((1, 1, 1)), M3) is ConeStatus.LIPMAN_BOUNDARY
 
 
+def test_lipman_status_dimension_mismatch(a2):
+    with pytest.raises(ValueError, match="^dimension mismatch$"):
+        lipman_status(Divisor((1, 1, 1)), a2.intersection_matrix())
+
+
 def test_cone_members_have_positive_coefficients():
     # on connected graphs anti-nef implies strictly positive everywhere;
     # spot-check the two divisors the library itself constructs

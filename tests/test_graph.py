@@ -198,6 +198,24 @@ def test_graph_rejects_non_integers(weights, genera, mult):
         ResolutionGraph(weights=weights, genera=genera, mult=mult)
 
 
+@pytest.mark.parametrize(
+    "fields,message",
+    [
+        (dict(weights=(-2, -2), genera=(0,), mult=((0, 1), (1, 0))),
+         "weights, genera and mult must have matching size"),
+        (dict(weights=(-2,), genera=(0,), mult=((0, 1), (1, 0))),
+         "weights, genera and mult must have matching size"),
+        (dict(weights=(-2, -2), genera=(0, 0), mult=((0, -1), (-1, 0))),
+         "intersection multiplicities must be >= 0"),
+        (dict(weights=(-2, -2), genera=(0, 0), mult=((0, 1), (1, 0)), labels=("a",)),
+         "labels must name every vertex"),
+    ],
+)
+def test_graph_refuses_inconsistent_fields(fields, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        ResolutionGraph(**fields)
+
+
 def test_intersection_matrix_is_built_once(a2):
     M = a2.intersection_matrix()
     assert a2.intersection_matrix() is M
@@ -240,6 +258,11 @@ def test_intersection_matrix_accepts_list_rows():
     assert M.mulvec((1, 1)) == (-1, -1)
     assert ResolutionGraph(weights=(-2, -2), genera=(0, 0), mult=[[0, 1], [1, 0]]
                            ).intersection_matrix().entries == ((-2, 1), (1, -2))
+
+
+def test_mulvec_dimension_mismatch():
+    with pytest.raises(ValueError, match="^dimension mismatch$"):
+        IntersectionMatrix(((-2, 1), (1, -2))).mulvec((1, 1, 1))
 
 
 def test_negative_definite_known_cases():
