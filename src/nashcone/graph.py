@@ -18,7 +18,10 @@ forward Bareiss pass of ``NegFactor``: its pivots are the leading
 principal minors of -M. The intersection matrix keeps the factor once
 built, and the graph keeps its matrix, so each graph is eliminated once;
 cone.neg_adjugate continues the same factor, by one back-substitution,
-to the integer adjugate that every cone computation reads.
+to the integer adjugate that every cone computation reads. Graphs that
+differ only in genera or labels may share one matrix object, given by
+``_share_matrix`` (the enumerator does so), and with it everything kept
+on the matrix.
 
 Every indented JSON document the package writes (graph files, reports,
 criterion tables) goes through ``render_json``, which gives the bytes of
@@ -36,6 +39,8 @@ of its level.
 from __future__ import annotations
 
 import json
+import re
+import sys
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
 
@@ -151,6 +156,15 @@ class ResolutionGraph:
         return M
 
 
+def _share_matrix(g: ResolutionGraph, source: ResolutionGraph) -> None:
+    """Give ``g`` the intersection matrix object of ``source``, so that what
+    is kept on the matrix is computed once for both; the two graphs must
+    differ at most in their genera and labels."""
+    if g.weights != source.weights or g.mult != source.mult:
+        raise ValueError("only graphs with equal weights and mult can share a matrix")
+    object.__setattr__(g, "_matrix", source.intersection_matrix())
+
+
 @dataclass(frozen=True)
 class IntersectionMatrix:
     """Symmetric integer matrix of pairwise intersection numbers."""
@@ -183,11 +197,16 @@ class IntersectionMatrix:
 
     def neg_factor(self) -> NegFactor | None:
         """The fraction-free factor of -M, or None if M is not negative
-        definite; built on the first call and kept, as the matrix is
-        immutable."""
-        if "_factor" not in self.__dict__:
-            object.__setattr__(self, "_factor", _neg_factor(self.entries))
-        return self.__dict__["_factor"]
+        definite; built on the first call and kept."""
+        return self._kept("_factor", lambda: _neg_factor(self.entries))
+
+    def _kept(self, key: str, build):
+        """The value kept under ``key``, from ``build()`` on first use. The
+        matrix is immutable, so a value that depends on it alone stays valid
+        as long as the matrix lives, and no longer."""
+        if key not in self.__dict__:
+            object.__setattr__(self, key, build())
+        return self.__dict__[key]
 
 
 @dataclass(frozen=True)
@@ -352,11 +371,54 @@ def _build_graph(data: dict, lines: dict[str, int]) -> ResolutionGraph:
         raise GraphFormatError(str(exc), lines.get(getattr(exc, "key", None))) from exc
 
 
+# An input error quotes at most this many characters of the token it refuses.
+_QUOTE_CHARS = 40
+
+
+def _int_error(tok: str, expected: str) -> str:
+    """The one-line message for an input token that ``int`` refused.
+
+    An integer literal refused only for having more digits than CPython's
+    int/str conversion limit allows is reported as such; the limit stays in
+    force for input. Any other token reads "{expected}, got '...'", with a
+    long token cut to a prefix and its length stated, so that one bad token
+    cannot flood stderr.
+    """
+    cap = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+    digits = sum(map(str.isdecimal, tok))
+    if cap and digits > cap and re.fullmatch(r"\s*[+-]?\d+(?:_\d+)*\s*", tok):
+        return f"integer literal has {digits} digits; the limit is {cap}"
+    if len(tok) <= _QUOTE_CHARS:
+        return f"{expected}, got {tok!r}"
+    return f"{expected}, got {tok[:_QUOTE_CHARS]!r}... ({len(tok)} characters)"
+
+
 def _parse_int(tok: str, line: int, what: str) -> int:
     try:
         return int(tok)
     except ValueError:
-        raise GraphFormatError(f"expected integer {what}, got {tok!r}", line) from None
+        raise GraphFormatError(_int_error(tok, f"expected integer {what}"), line) from None
+
+
+def _input_int(tok: str, expected: str) -> int:
+    """``int(tok)``, or a ValueError with the message of ``_int_error``."""
+    try:
+        return int(tok)
+    except ValueError:
+        raise ValueError(_int_error(tok, expected)) from None
+
+
+def _json_loads(text: str):
+    """``json.loads``, with an integer literal over the digit cap reported by
+    ``_int_error`` instead of CPython's hint. Apart from a JSONDecodeError,
+    only ``int`` raises a ValueError there, so the decode through a Python
+    ``parse_int`` hook, which costs about three plain ones, runs only then."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError:
+        raise
+    except ValueError:
+        return json.loads(text, parse_int=lambda tok: _input_int(tok, "expected an integer"))
 
 
 def parse_graph(text: str) -> ResolutionGraph:
@@ -508,7 +570,7 @@ def serialize_graph_json(g: ResolutionGraph) -> str:
 def parse_graph_json(text: str) -> ResolutionGraph:
     """Parse the JSON mirror of the graph format."""
     try:
-        data = json.loads(text)
+        data = _json_loads(text)
     except (ValueError, RecursionError) as exc:  # JSONDecodeError is a ValueError
         raise GraphFormatError(f"invalid JSON: {exc}") from exc
     if not isinstance(data, dict):

@@ -1,4 +1,5 @@
 from itertools import islice
+from unittest import mock
 
 import pytest
 
@@ -19,7 +20,8 @@ from nashcone import (
     structural_rationality,
     validate,
 )
-from nashcone.graph import ResolutionGraph
+from nashcone.cli import report_to_dict
+from nashcone.graph import ResolutionGraph, render_json
 
 from oracles import enumerate_graphs_brute, graphs_isomorphic, halfspace_coverage
 
@@ -104,6 +106,42 @@ def test_nash_verdict_validates_once(star3_5, monkeypatch):
     monkeypatch.setattr(classify_mod, "validate", counting)
     nash_verdict(star3_5)
     assert calls == [star3_5]
+
+
+@pytest.mark.parametrize("bounds,graphs,matrices", [
+    ((4, -4, 1, 1), 4467, 357),
+    ((3, -3, 1, 2), 207, 35),
+])
+def test_check_star_runs_once_per_enumerated_matrix(bounds, graphs, matrices):
+    # genus variants of one weight tuple share an intersection matrix, and
+    # the matrix keeps its (**), (*) and fundamental-cycle results
+    import nashcone.classify as classify_mod
+
+    with mock.patch.object(classify_mod, "check_star", wraps=check_star) as counting:
+        reports = [nash_verdict(g) for g in enumerate_graphs(*bounds)]
+    assert len(reports) == graphs
+    assert counting.call_count == matrices
+    assert len({id(r.graph.intersection_matrix()) for r in reports}) == matrices
+    assert len({id(r.star) for r in reports}) == matrices
+
+
+def test_check_star_runs_once_per_family_graph(star3_5):
+    import nashcone.classify as classify_mod
+
+    with mock.patch.object(classify_mod, "check_star", wraps=check_star) as counting:
+        nash_verdict(star3_5)
+        assert counting.call_count == 1
+        nash_verdict(star3_5)  # the graph keeps its matrix, and the matrix its results
+    assert counting.call_count == 1
+
+
+@pytest.mark.parametrize("bounds", [(3, -3, 1, 2), (4, -4, 1, 1)])
+def test_shared_matrix_reports_match_fresh_graphs(bounds):
+    for g in enumerate_graphs(*bounds):
+        fresh = ResolutionGraph(g.weights, g.genera, g.mult, g.labels)
+        assert "_matrix" not in fresh.__dict__
+        assert (render_json(report_to_dict(nash_verdict(g)))
+                == render_json(report_to_dict(nash_verdict(fresh))))
 
 
 def test_nash_verdict_rejects_unanalyzable():

@@ -269,6 +269,19 @@ def test_enumerate_parallel_matches_serial(capsys):
     assert serial.count("\n") >= 5
 
 
+def test_enumerate_parallel_matches_serial_across_genus_variants(capsys):
+    # genus variants of one weight tuple share one matrix, and their runs
+    # cross the chunks of 16 graphs that the workers receive
+    args = ["enumerate", "--max-vertices=3", "--min-weight=-3", "--max-genus=1",
+            "--max-mult=2"]
+    assert main(args) == 0
+    serial = capsys.readouterr().out
+    assert main(args + ["--parallel", "2"]) == 0
+    parallel = capsys.readouterr().out
+    assert parallel == serial
+    assert serial.count("\n") == 207
+
+
 def test_enumerate_bad_bounds(capsys):
     assert main(["enumerate", "--max-vertices=0", "--min-weight=-2", "--max-genus=0"]) == 1
     assert capsys.readouterr().err != ""
@@ -515,6 +528,38 @@ def test_input_integers_over_the_int_str_digit_cap_are_refused(tmp_path, capsys)
     out, err = capsys.readouterr()
     assert out == "" and _one_error_line(err)
     assert sys.get_int_max_str_digits() == cap
+
+
+def _huge_token_cases(tmp_path):
+    nines = "9" * 5000
+    text = tmp_path / "huge.graph"
+    text.write_text(_big_graph_text(5000))
+    doc = tmp_path / "huge.json"
+    doc.write_text('{"vertices": 2, "weights": [-%s, -2], "genera": [0, 0], '
+                   '"edges": [[1, 2, 1]]}' % nines)
+    small = tmp_path / "an2.graph"
+    small.write_text(serialize_graph(make_family("an", 2)))
+    return {
+        "text-weight": ["analyze", str(text)],
+        "json-weight": ["analyze", str(doc)],
+        "family-parameter": ["family", "an", nines],
+        "bad-divisor": ["check", str(small), "--criterion", "laufer", "--divisor", "x" * 3000],
+    }
+
+
+@pytest.mark.parametrize("case", ["text-weight", "json-weight", "family-parameter",
+                                  "bad-divisor"])
+def test_huge_input_tokens_give_one_short_error_line(case, tmp_path, capsys):
+    assert main(_huge_token_cases(tmp_path)[case]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and _one_error_line(err)
+    assert len(err.encode()) < 200
+    assert "set_int_max_str_digits" not in err
+    if hasattr(sys, "get_int_max_str_digits") and case != "bad-divisor":
+        cap = sys.get_int_max_str_digits()
+        assert f"integer literal has 5000 digits; the limit is {cap}" in err
+    if case == "bad-divisor":
+        assert "(3000 characters)" in err
 
 
 @pytest.mark.parametrize("weights", ["[-2.5, -2]", "[-2.0, -2]", "[true, -2]", "[-2, null]"])
