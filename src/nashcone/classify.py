@@ -32,6 +32,7 @@ from .errors import InternalInvariantError
 from .graph import (
     MAX_VERTICES,
     _build_graph,
+    _kept,
     _share_matrix,
     IntersectionMatrix,
     ResolutionGraph,
@@ -170,8 +171,9 @@ def nash_verdict(g: ResolutionGraph) -> ClassificationReport:
     report = validate(g)
     report.require_analyzable()
 
-    star_star, star, Z = g.intersection_matrix()._kept(
-        "_analysis", lambda: (check_star_star(g), check_star(g), fundamental_cycle(g))
+    star_star, star, Z = _kept(
+        g.intersection_matrix(), "_analysis",
+        lambda: (check_star_star(g), check_star(g), fundamental_cycle(g)),
     )
     pa = arithmetic_genus(g, Z)
     structural = structural_rationality(g)

@@ -28,6 +28,7 @@ from .classify import (
     make_family,
     nash_verdict,
 )
+from .cone import Divisor
 from .errors import InternalInvariantError, NashconeError
 from .graph import (
     _input_int,
@@ -41,6 +42,23 @@ from .graph import (
 )
 from .vanishing import CriterionResult, laufer_criterion, realization_criterion
 from .conditions import star_witness
+
+
+class _Int(click.ParamType):
+    """click's integer option type, read by the same rules as graph files:
+    a literal over CPython's digit cap, or a long bad token, gets a short
+    message. It keeps the name, so help text still reads INTEGER."""
+
+    name = "integer"
+
+    def convert(self, value, param, ctx):
+        if type(value) is int:  # a default
+            return value
+        try:
+            return _input_int(value, "expected an integer")
+        except ValueError as exc:
+            self.fail(str(exc), param, ctx)
+
 
 def report_to_dict(r: ClassificationReport) -> dict:
     """JSON form of a classification report, 1-based indices throughout.
@@ -211,7 +229,7 @@ def analyze(file: str, as_json: bool) -> None:
 
 @cli.command()
 @click.argument("file", type=click.Path(exists=True, dir_okay=False))
-@click.option("--pair", nargs=2, type=int, required=True, metavar="I J",
+@click.option("--pair", nargs=2, type=_Int(), required=True, metavar="I J",
               help="1-based vertex pair; the witness satisfies coeff(I) < coeff(J)")
 def witness(file: str, pair: tuple[int, int]) -> None:
     """Print one strictly anti-nef witness divisor for a pair, or "none"."""
@@ -252,11 +270,11 @@ def _enum_line(g: ResolutionGraph) -> str:
 
 
 @cli.command()
-@click.option("--max-vertices", type=int, required=True)
-@click.option("--min-weight", type=int, required=True, help="most negative weight, e.g. -5")
-@click.option("--max-genus", type=int, required=True)
-@click.option("--max-mult", type=int, default=1, show_default=True)
-@click.option("--parallel", type=int, default=1, show_default=True,
+@click.option("--max-vertices", type=_Int(), required=True)
+@click.option("--min-weight", type=_Int(), required=True, help="most negative weight, e.g. -5")
+@click.option("--max-genus", type=_Int(), required=True)
+@click.option("--max-mult", type=_Int(), default=1, show_default=True)
+@click.option("--parallel", type=_Int(), default=1, show_default=True,
               help="worker processes, at most the CPU count; output order stays deterministic")
 def enumerate(max_vertices: int, min_weight: int, max_genus: int, max_mult: int,
               parallel: int) -> None:
@@ -297,8 +315,6 @@ def _criterion_json(name: str, res: CriterionResult) -> dict:
 @click.option("--json", "as_json", is_flag=True)
 def check(file: str, criterion: str, divisor: str, as_json: bool) -> None:
     """Run one vanishing criterion on an effective divisor."""
-    from .cone import Divisor
-
     g = _read_graph_file(file)
     validate(g).require_analyzable()
     D = Divisor(tuple(
@@ -333,10 +349,7 @@ def main(argv: list[str] | None = None) -> int:
     except InternalInvariantError as exc:
         click.echo(f"internal error: {exc}", err=True)
         return 2
-    except (NashconeError, ValueError) as exc:
-        click.echo(f"error: {exc}", err=True)
-        return 1
-    except OSError as exc:
+    except (NashconeError, ValueError, OSError) as exc:
         click.echo(f"error: {exc}", err=True)
         return 1
     return code or 0

@@ -22,18 +22,6 @@ to the integer adjugate that every cone computation reads. Graphs that
 differ only in genera or labels may share one matrix object, given by
 ``_share_matrix`` (the enumerator does so), and with it everything kept
 on the matrix.
-
-Every indented JSON document the package writes (graph files, reports,
-criterion tables) goes through ``render_json``, which gives the bytes of
-the stdlib's ``json.dumps`` with ``indent=2``, faster: the C encoder does
-not take ``indent`` (CPython 3.11), so ``json.dumps`` with it runs the
-pure-Python encoder. It gathers the text in pieces and joins them once, so
-no byte is copied again for each level of nesting. Within one call it
-renders each list object of more than two integers once per indentation
-depth and appends that same text wherever the object recurs: a report
-hands one ``divisor`` list to every pair that shares a witness. The depth
-is part of the memo key because the text of a list holds the indentation
-of its level.
 """
 
 from __future__ import annotations
@@ -144,16 +132,21 @@ class ResolutionGraph:
         ]
 
     def intersection_matrix(self) -> IntersectionMatrix:
-        """The matrix of E_i . E_j, built on the first call and kept on the
-        graph, which is immutable."""
-        M = self.__dict__.get("_matrix")
-        if M is None:
-            M = IntersectionMatrix(tuple([
-                (*row[:i], w, *row[i + 1:])
-                for i, (w, row) in enumerate(zip(self.weights, self.mult))
-            ]))
-            object.__setattr__(self, "_matrix", M)
-        return M
+        """The matrix of E_i . E_j, built on the first call and kept."""
+        return _kept(self, "_matrix", lambda: IntersectionMatrix(tuple([
+            (*row[:i], w, *row[i + 1:]) for i, (w, row) in enumerate(zip(self.weights, self.mult))
+        ])))
+
+
+def _kept(obj, key: str, build):
+    """The value kept on the frozen ``obj`` under ``key``, from ``build()`` on
+    first use. ``obj`` is immutable, so a value that depends on it alone stays
+    valid as long as it lives, and no longer."""
+    try:
+        return obj.__dict__[key]
+    except KeyError:
+        object.__setattr__(obj, key, build())
+        return obj.__dict__[key]
 
 
 def _share_matrix(g: ResolutionGraph, source: ResolutionGraph) -> None:
@@ -198,15 +191,7 @@ class IntersectionMatrix:
     def neg_factor(self) -> NegFactor | None:
         """The fraction-free factor of -M, or None if M is not negative
         definite; built on the first call and kept."""
-        return self._kept("_factor", lambda: _neg_factor(self.entries))
-
-    def _kept(self, key: str, build):
-        """The value kept under ``key``, from ``build()`` on first use. The
-        matrix is immutable, so a value that depends on it alone stays valid
-        as long as the matrix lives, and no longer."""
-        if key not in self.__dict__:
-            object.__setattr__(self, key, build())
-        return self.__dict__[key]
+        return _kept(self, "_factor", lambda: _neg_factor(self.entries))
 
 
 @dataclass(frozen=True)
@@ -317,6 +302,9 @@ class ValidationReport:
 # already take seconds.
 MAX_VERTICES = 128
 
+# The fields of a graph file, in file order; all but the last are required.
+_FIELDS = ("vertices", "weights", "genera", "edges", "labels")
+
 
 def _build_graph(data: dict, lines: dict[str, int]) -> ResolutionGraph:
     """The one builder behind both file formats.
@@ -335,7 +323,7 @@ def _build_graph(data: dict, lines: dict[str, int]) -> ResolutionGraph:
         raise GraphFormatError(
             f"vertex count {n} exceeds the cap of {MAX_VERTICES}", lines.get("vertices")
         )
-    for key in ("weights", "genera", "edges", "labels"):
+    for key in _FIELDS[1:]:
         value = data.get(key)
         if key == "labels" and value is None:
             continue
@@ -375,42 +363,34 @@ def _build_graph(data: dict, lines: dict[str, int]) -> ResolutionGraph:
 _QUOTE_CHARS = 40
 
 
-def _int_error(tok: str, expected: str) -> str:
-    """The one-line message for an input token that ``int`` refused.
+def _input_int(tok: str, expected: str, line: int | None = None) -> int:
+    """``int(tok)``: the one reader of an integer token of input.
 
+    A token ``int`` refuses raises GraphFormatError, with ``line`` if given.
     An integer literal refused only for having more digits than CPython's
     int/str conversion limit allows is reported as such; the limit stays in
     force for input. Any other token reads "{expected}, got '...'", with a
     long token cut to a prefix and its length stated, so that one bad token
     cannot flood stderr.
     """
+    try:
+        return int(tok)
+    except ValueError:
+        pass
     cap = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
     digits = sum(map(str.isdecimal, tok))
     if cap and digits > cap and re.fullmatch(r"\s*[+-]?\d+(?:_\d+)*\s*", tok):
-        return f"integer literal has {digits} digits; the limit is {cap}"
-    if len(tok) <= _QUOTE_CHARS:
-        return f"{expected}, got {tok!r}"
-    return f"{expected}, got {tok[:_QUOTE_CHARS]!r}... ({len(tok)} characters)"
-
-
-def _parse_int(tok: str, line: int, what: str) -> int:
-    try:
-        return int(tok)
-    except ValueError:
-        raise GraphFormatError(_int_error(tok, f"expected integer {what}"), line) from None
-
-
-def _input_int(tok: str, expected: str) -> int:
-    """``int(tok)``, or a ValueError with the message of ``_int_error``."""
-    try:
-        return int(tok)
-    except ValueError:
-        raise ValueError(_int_error(tok, expected)) from None
+        message = f"integer literal has {digits} digits; the limit is {cap}"
+    elif len(tok) <= _QUOTE_CHARS:
+        message = f"{expected}, got {tok!r}"
+    else:
+        message = f"{expected}, got {tok[:_QUOTE_CHARS]!r}... ({len(tok)} characters)"
+    raise GraphFormatError(message, line)
 
 
 def _json_loads(text: str):
     """``json.loads``, with an integer literal over the digit cap reported by
-    ``_int_error`` instead of CPython's hint. Apart from a JSONDecodeError,
+    ``_input_int`` instead of CPython's hint. Apart from a JSONDecodeError,
     only ``int`` raises a ValueError there, so the decode through a Python
     ``parse_int`` hook, which costs about three plain ones, runs only then."""
     try:
@@ -444,22 +424,22 @@ def parse_graph(text: str) -> ResolutionGraph:
             continue
         key, sep, value = line.partition(":")
         key = key.strip().lower()
-        if not sep or key not in ("vertices", "weights", "genera", "edges", "labels"):
+        if not sep or key not in _FIELDS:
             raise GraphFormatError(f"unrecognized line {raw.strip()!r}", lineno)
         if key in fields:
             raise GraphFormatError(f"duplicate '{key}' line", lineno)
         fields[key] = (value.strip(), lineno)
 
-    for key in ("vertices", "weights", "genera", "edges"):
+    for key in _FIELDS[:-1]:
         if key not in fields:
             raise GraphFormatError(f"missing '{key}' line")
 
     lines = {key: lineno for key, (_, lineno) in fields.items()}
     value, lineno = fields["vertices"]
-    data: dict = {"vertices": _parse_int(value, lineno, "vertex count")}
+    data: dict = {"vertices": _input_int(value, "expected integer vertex count", lineno)}
     for key, what in (("weights", "weight"), ("genera", "genus")):
         value, lineno = fields[key]
-        data[key] = [_parse_int(t, lineno, what) for t in value.split()]
+        data[key] = [_input_int(t, f"expected integer {what}", lineno) for t in value.split()]
     value, lineno = fields["edges"]
     data["edges"] = []
     for tok in value.split():
@@ -468,9 +448,9 @@ def parse_graph(text: str) -> ResolutionGraph:
         if not sep or not sep2:
             raise GraphFormatError(f"malformed edge {tok!r} (want i-j:m)", lineno)
         data["edges"].append([
-            _parse_int(istr, lineno, "edge endpoint"),
-            _parse_int(jstr, lineno, "edge endpoint"),
-            _parse_int(mstr, lineno, "edge multiplicity"),
+            _input_int(istr, "expected integer edge endpoint", lineno),
+            _input_int(jstr, "expected integer edge endpoint", lineno),
+            _input_int(mstr, "expected integer edge multiplicity", lineno),
         ])
     if "labels" in fields:
         data["labels"] = fields["labels"][0].split()
@@ -478,16 +458,13 @@ def parse_graph(text: str) -> ResolutionGraph:
 
 
 def serialize_graph(g: ResolutionGraph) -> str:
-    """Inverse of parse_graph: parse(serialize(g)) == g, byte-stable."""
-    lines = [
-        f"vertices: {g.n}",
-        "weights: " + " ".join(str(w) for w in g.weights),
-        "genera: " + " ".join(str(x) for x in g.genera),
-        "edges: " + " ".join(f"{i + 1}-{j + 1}:{m}" for i, j, m in g.edges()),
-    ]
-    if g.labels is not None:
-        lines.append("labels: " + " ".join(g.labels))
-    return "\n".join(lines) + "\n"
+    """Inverse of parse_graph: parse(serialize(g)) == g, byte-stable. One
+    ``key: values`` line per key of the JSON mirror, in its order."""
+    d = graph_to_json_dict(g)
+    d["edges"] = [f"{i}-{j}:{m}" for i, j, m in d["edges"]]
+    return "".join(
+        f"{key}: {' '.join(map(str, v)) if isinstance(v, list) else v}\n" for key, v in d.items()
+    )
 
 
 def graph_to_json_dict(g: ResolutionGraph) -> dict:
@@ -505,6 +482,8 @@ def graph_to_json_dict(g: ResolutionGraph) -> dict:
 def render_json(obj) -> str:
     """The text ``json.dumps`` gives with ``indent=2``, byte for byte, for the
     values a report holds: dicts with str keys, lists, str, int, bool and None.
+    Every indented JSON document the package writes goes through it: the C
+    encoder does not take ``indent``, so ``json.dumps`` with it is slower.
 
     Any other value is rendered by ``json.dumps``. The text is gathered in
     pieces and joined once. A list object of more than two integers that
@@ -575,7 +554,7 @@ def parse_graph_json(text: str) -> ResolutionGraph:
         raise GraphFormatError(f"invalid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise GraphFormatError("JSON graph must be an object")
-    for key in ("vertices", "weights", "genera", "edges"):
+    for key in _FIELDS[:-1]:
         if key not in data:
             raise GraphFormatError(f"missing JSON key '{key}'")
     return _build_graph(data, {})

@@ -562,6 +562,29 @@ def test_huge_input_tokens_give_one_short_error_line(case, tmp_path, capsys):
         assert "(3000 characters)" in err
 
 
+@pytest.mark.parametrize("kind", ["literal", "junk"])
+@pytest.mark.parametrize("option", ["--max-vertices", "--parallel", "--pair"])
+def test_huge_integer_options_give_a_short_error(option, kind, graph_file, capsys):
+    # click's integer options go through the same reader as graph files
+    token = "9" * 5000 if kind == "literal" else "x" * 3000
+    if option == "--pair":
+        argv = ["witness", graph_file(make_family("an", 2)), "--pair", "1", token]
+    else:
+        argv = ["enumerate", "--max-vertices", "2", "--min-weight", "-2", "--max-genus", "0",
+                option, token]
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert len(err.encode()) < 300
+    assert "set_int_max_str_digits" not in err
+    assert f"Invalid value for '{option}': " in err
+    if kind == "junk":
+        assert f"expected an integer, got {token[:40]!r}... (3000 characters)" in err
+    elif hasattr(sys, "get_int_max_str_digits"):
+        cap = sys.get_int_max_str_digits()
+        assert f"integer literal has 5000 digits; the limit is {cap}" in err
+
+
 @pytest.mark.parametrize("weights", ["[-2.5, -2]", "[-2.0, -2]", "[true, -2]", "[-2, null]"])
 def test_analyze_rejects_non_integer_weights(tmp_path, capsys, weights):
     path = tmp_path / "g.json"
