@@ -11,13 +11,16 @@ vertex by vertex, cutting a prefix whose leading minor already rules out
 negative definiteness. Its table is capped at ENCODING_TABLE_CAP bytes,
 which limits the bounds it accepts.
 
-Conditions (**) and (*), with the verified (*) witnesses, and the
-fundamental cycle depend on the intersection matrix alone; genera enter
-only the canonical pairing, p_a, minimality and the notes. The enumerator
-gives every genus variant of one weight tuple the same matrix object, and
-nash_verdict keeps those matrix-only results on the matrix, so an
-``enumerate`` run computes them once per distinct intersection matrix:
-357 times for the 4,467 graphs of enumerate_graphs(4, -4, 1, 1).
+Conditions (**) and (*), with the verified (*) witnesses, the
+fundamental cycle Z and Z.Z depend on the intersection matrix alone;
+genera enter only the canonical pairing K.Z, p_a, minimality and the
+notes. The enumerator gives every genus variant of one weight tuple the
+same matrix object, and nash_verdict keeps those matrix-only results on
+the matrix, so an ``enumerate`` run computes them once per distinct
+intersection matrix: 357 times for the 4,467 graphs of
+enumerate_graphs(4, -4, 1, 1). Per graph there remain one validation,
+whose connectivity the structural check reuses, one dot product with K
+for p_a, and the verdict and notes.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from itertools import permutations, product
+from operator import mul
 
 from .cone import ConeStatus, Divisor, fundamental_cycle, lipman_status, pair
 from .conditions import StarCertificate, StarStarReport, check_star, check_star_star
@@ -34,7 +38,6 @@ from .graph import (
     _build_graph,
     _kept,
     _share_matrix,
-    IntersectionMatrix,
     ResolutionGraph,
     ValidationReport,
     canonical_intersections,
@@ -93,7 +96,9 @@ class ClassificationReport:
     share one matrix object (the genus variants enumerate_graphs yields for
     one weight tuple, or one graph analyzed twice) share the same
     StarCertificate, its ``witnesses`` dict and the fundamental-cycle
-    Divisor: mutating the dict of one report changes the others.
+    Divisor: mutating the dict of one report changes the others. The
+    ``enumerate`` command keeps its JSON text of these three fields on the
+    matrix too, so it renders them once per matrix.
     """
 
     graph: ResolutionGraph
@@ -109,18 +114,19 @@ class ClassificationReport:
 
 
 def arithmetic_genus(g: ResolutionGraph, D: Divisor) -> int:
-    """p_a(D) = 1 + (D.D + K.D)/2, exact.
-
-    Adjunction makes D.D + K.D even for every integral cycle; a failed
-    parity check means corrupted inputs, not a domain condition.
-    """
+    """p_a(D) = 1 + (D.D + K.D)/2, exact."""
     if D.n != g.n:
         raise ValueError(f"divisor has {D.n} coefficients, graph has {g.n} vertices")
     if D.is_zero():
         raise ValueError("arithmetic genus of the zero divisor is undefined here")
-    M = g.intersection_matrix()
-    k = canonical_intersections(g)
-    total = pair(D, D, M) + sum(D[i] * k[i] for i in range(g.n))
+    return _genus(g, D, pair(D, D, g.intersection_matrix()))
+
+
+def _genus(g: ResolutionGraph, D: Divisor, dd: int) -> int:
+    """p_a(D) from dd = D.D, which depends on the matrix alone; K.D brings in
+    the genera. Adjunction makes D.D + K.D even for every integral cycle; a
+    failed parity check means corrupted inputs, not a domain condition."""
+    total = dd + sum(map(mul, D.coeffs, canonical_intersections(g)))
     if total % 2 != 0:
         raise InternalInvariantError(f"D.D + K.D = {total} is odd; adjunction parity broken")
     return 1 + total // 2
@@ -131,14 +137,20 @@ def is_rational_artin(g: ResolutionGraph) -> bool:
     return arithmetic_genus(g, fundamental_cycle(g)) == 0
 
 
-def structural_rationality(g: ResolutionGraph) -> StructuralReport:
-    """Check tree shape, vanishing genera, and |E_i^2| > gamma(E_i)."""
-    n = g.n
-    edges = g.edges()
-    simple = all(m == 1 for _, _, m in edges)
-    tree = is_connected(g.mult) and simple and len(edges) == n - 1
+def structural_rationality(g: ResolutionGraph, connected: bool | None = None) -> StructuralReport:
+    """Check tree shape, vanishing genera, and |E_i^2| > gamma(E_i).
+
+    A connected graph on n vertices has at least n - 1 edges, each of
+    multiplicity >= 1, so it is a tree with simple edges exactly when its
+    multiplicities over pairs add up to n - 1. ``connected`` is
+    is_connected(g.mult) when the caller knows it already.
+    """
+    if connected is None:
+        connected = is_connected(g.mult)
+    gamma = [sum(row) for row in g.mult]
+    tree = connected and sum(gamma) == 2 * (g.n - 1)
     all_genus_zero = all(gi == 0 for gi in g.genera)
-    iii = all(-g.weights[i] > sum(g.mult[i]) for i in range(n))
+    iii = all(-w > s for w, s in zip(g.weights, gamma))
     return StructuralReport(
         tree=tree,
         all_genus_zero=all_genus_zero,
@@ -160,23 +172,22 @@ def nash_verdict(g: ResolutionGraph) -> ClassificationReport:
     matrix is not negative definite; a non-minimal graph only produces a
     warning note and the analysis proceeds.
 
-    (**), (*) with its witnesses, and the fundamental cycle are computed on
-    the first call for an intersection matrix object and kept on it, as its
-    factor is; validation, p_a, the structural check, the verdict and the
-    notes are computed for each graph. Reports of graphs sharing a matrix
-    object therefore share their StarCertificate, its ``witnesses`` dict
-    and the fundamental-cycle Divisor (see ClassificationReport). The cache
-    lives and dies with the matrix: a graph built afresh is analyzed afresh.
+    (**), (*) with its witnesses, the fundamental cycle Z and Z.Z are
+    computed on the first call for an intersection matrix object and kept
+    on it, as its factor is; validation, p_a (Z.Z plus one dot product with
+    K), the structural check (given validation's connectivity), the verdict
+    and the notes are computed for each graph. Reports of graphs sharing a
+    matrix object therefore share their StarCertificate, its ``witnesses``
+    dict and the fundamental-cycle Divisor (see ClassificationReport). The
+    cache lives and dies with the matrix: a graph built afresh is analyzed
+    afresh.
     """
     report = validate(g)
     report.require_analyzable()
 
-    star_star, star, Z = _kept(
-        g.intersection_matrix(), "_analysis",
-        lambda: (check_star_star(g), check_star(g), fundamental_cycle(g)),
-    )
-    pa = arithmetic_genus(g, Z)
-    structural = structural_rationality(g)
+    star_star, star, Z, zz = _kept(g.intersection_matrix(), "_analysis", lambda: _analysis(g))
+    pa = _genus(g, Z, zz)
+    structural = structural_rationality(g, report.connected)
 
     if star_star.holds:
         verdict = NashVerdict.BIJECTIVE_BY_STAR_STAR
@@ -203,6 +214,13 @@ def nash_verdict(g: ResolutionGraph) -> ClassificationReport:
         nash_verdict=verdict,
         notes=tuple(notes),
     )
+
+
+def _analysis(g: ResolutionGraph) -> tuple[StarStarReport, StarCertificate, Divisor, int]:
+    """(**), (*), the fundamental cycle Z and Z.Z: what nash_verdict keeps
+    on the intersection matrix."""
+    star_star, star, Z = check_star_star(g), check_star(g), fundamental_cycle(g)
+    return star_star, star, Z, pair(Z, Z, g.intersection_matrix())
 
 
 def an_witness_divisors(n: int) -> tuple[Divisor, Divisor]:

@@ -32,6 +32,7 @@ from .cone import Divisor
 from .errors import InternalInvariantError, NashconeError
 from .graph import (
     _input_int,
+    _kept,
     ResolutionGraph,
     graph_to_json_dict,
     load_graph,
@@ -60,15 +61,42 @@ class _Int(click.ParamType):
             self.fail(str(exc), param, ctx)
 
 
-def report_to_dict(r: ClassificationReport) -> dict:
-    """JSON form of a classification report, 1-based indices throughout.
+def report_to_dict(r: ClassificationReport, matrix_part: bool = True) -> dict:
+    """JSON form of a classification report, 1-based indices throughout;
+    with ``matrix_part`` False, without the keys of _matrix_dict."""
+    g = r.graph
+    d = {
+        "graph": {**graph_to_json_dict(g), "labels": [g.label(i) for i in range(g.n)]},
+        "validation": {
+            "negative_definite": r.validation.negative_definite,
+            "connected": r.validation.connected,
+            "minimal": r.validation.minimal,
+            "messages": list(r.validation.messages),
+        },
+    }
+    if matrix_part:
+        d.update(_matrix_dict(r))
+    d["pa_fundamental"] = r.pa_fundamental
+    d["artin_rational"] = r.artin_rational
+    d["structural"] = {
+        "tree": r.structural.tree,
+        "all_genus_zero": r.structural.all_genus_zero,
+        "iii_holds": r.structural.iii_holds,
+        "verdict": r.structural.verdict,
+    }
+    d["nash_verdict"] = r.nash_verdict.value
+    d["notes"] = list(r.notes)
+    return d
+
+
+def _matrix_dict(r: ClassificationReport) -> dict:
+    """The report keys ``star_star``, ``star`` and ``fundamental_cycle``,
+    which depend on the intersection matrix alone.
 
     Pairs that share a witness ``Divisor`` object share one ``divisor``
     list, so that ``render_json`` writes its text once: a caller that
     mutates the list of one pair changes it for all of them.
     """
-    g = r.graph
-    graph_dict = {**graph_to_json_dict(g), "labels": [g.label(i) for i in range(g.n)]}
     divisors: dict[int, list[int]] = {}  # id of a witness Divisor -> its one list
     witnesses = []
     for (i, j), w in sorted(r.star.witnesses.items()):
@@ -77,13 +105,6 @@ def report_to_dict(r: ClassificationReport) -> dict:
             coeffs = divisors[id(w)] = list(w.coeffs)
         witnesses.append({"pair": [i + 1, j + 1], "divisor": coeffs})
     return {
-        "graph": graph_dict,
-        "validation": {
-            "negative_definite": r.validation.negative_definite,
-            "connected": r.validation.connected,
-            "minimal": r.validation.minimal,
-            "messages": list(r.validation.messages),
-        },
         "star_star": {
             "holds": r.star_star.holds,
             "violations": [i + 1 for i in r.star_star.violations],
@@ -94,16 +115,6 @@ def report_to_dict(r: ClassificationReport) -> dict:
             "failing_pairs": [[i + 1, j + 1] for i, j in sorted(r.star.failing_pairs)],
         },
         "fundamental_cycle": list(r.fundamental_cycle.coeffs),
-        "pa_fundamental": r.pa_fundamental,
-        "artin_rational": r.artin_rational,
-        "structural": {
-            "tree": r.structural.tree,
-            "all_genus_zero": r.structural.all_genus_zero,
-            "iii_holds": r.structural.iii_holds,
-            "verdict": r.structural.verdict,
-        },
-        "nash_verdict": r.nash_verdict.value,
-        "notes": list(r.notes),
     }
 
 
@@ -263,10 +274,22 @@ def family(kind: str, params: tuple[str, ...], as_json: bool, output: str | None
             fh.write(text)
 
 
+_COMPACT = (",", ":")
+
+
 def _enum_line(g: ResolutionGraph) -> str:
+    """``json.dumps(report_to_dict(r), separators=(",", ":"))``, byte for
+    byte, with the matrix part (see _matrix_dict) rendered once per matrix
+    object, kept on it, and spliced in before ``pa_fundamental``. Compact
+    JSON escapes every quote inside a string, so ``,"pa_fundamental":``
+    can only be the top-level key."""
     r = nash_verdict(g)
     with _uncapped_int_str():
-        return json.dumps(report_to_dict(r), separators=(",", ":"))
+        shared = _kept(g.intersection_matrix(), "_enum_text",
+                       lambda: json.dumps(_matrix_dict(r), separators=_COMPACT)[1:-1])
+        own = json.dumps(report_to_dict(r, matrix_part=False), separators=_COMPACT)
+    cut = own.index(',"pa_fundamental":')
+    return f"{own[:cut]},{shared}{own[cut:]}"
 
 
 @cli.command()

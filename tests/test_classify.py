@@ -21,7 +21,7 @@ from nashcone import (
     validate,
 )
 from nashcone.cli import report_to_dict
-from nashcone.graph import ResolutionGraph, render_json
+from nashcone.graph import ResolutionGraph, is_connected, render_json
 
 from oracles import enumerate_graphs_brute, graphs_isomorphic, halfspace_coverage
 
@@ -142,6 +142,32 @@ def test_shared_matrix_reports_match_fresh_graphs(bounds):
         assert "_matrix" not in fresh.__dict__
         assert (render_json(report_to_dict(nash_verdict(g)))
                 == render_json(report_to_dict(nash_verdict(fresh))))
+
+
+def test_tree_flag_matches_the_edge_list_definition(two_vertex):
+    graphs = [g for bounds in [(4, -4, 1, 1), (3, -3, 1, 2)] for g in enumerate_graphs(*bounds)]
+    graphs += [make_family(*f) for f in [
+        ("an", 1), ("an", 7), ("dn", 6), ("star3", 5), ("vertex", 2, -1), ("cycle", 5, -3),
+    ]]
+    # a triangle and a lone vertex: n - 1 simple edges, yet no tree
+    triangle = ((0, 1, 1, 0), (1, 0, 1, 0), (1, 1, 0, 0), (0, 0, 0, 0))
+    graphs += [two_vertex, ResolutionGraph((-3,) * 4, (0,) * 4, triangle)]
+    trees = 0
+    for g in graphs:
+        edges = g.edges()
+        connected = is_connected(g.mult)
+        tree = connected and all(m == 1 for _, _, m in edges) and len(edges) == g.n - 1
+        assert structural_rationality(g).tree == tree
+        assert structural_rationality(g, connected) == structural_rationality(g)
+        trees += tree
+    assert 0 < trees < len(graphs)
+
+
+@pytest.mark.parametrize("bounds", [(3, -3, 1, 2), (4, -4, 1, 1), (3, -2, 1, 1)])
+def test_pa_from_the_kept_self_intersection_matches_arithmetic_genus(bounds):
+    # nash_verdict keeps Z.Z on the shared matrix; K.Z differs per genus variant
+    for g in enumerate_graphs(*bounds):
+        assert nash_verdict(g).pa_fundamental == arithmetic_genus(g, fundamental_cycle(g))
 
 
 def test_nash_verdict_rejects_unanalyzable():

@@ -1,11 +1,13 @@
 import contextlib
 import errno
+import hashlib
 import io
 import json
 import os
 import subprocess
 import sys
 import tempfile
+from unittest import mock
 
 import click
 import pytest
@@ -29,7 +31,7 @@ from nashcone import (
 )
 from nashcone import cli as cli_module
 from nashcone.cli import _criterion_json, cli, emit_report, main, report_to_dict
-from nashcone.graph import render_json
+from nashcone.graph import _share_matrix, render_json
 from nashcone.vanishing import laufer_criterion, realization_criterion
 
 A2_REPORT = """\
@@ -282,6 +284,63 @@ def test_enumerate_parallel_matches_serial_across_genus_variants(capsys):
     assert serial.count("\n") == 207
 
 
+@pytest.mark.parametrize("extra", [[], ["--parallel", "2"]], ids=["serial", "parallel"])
+def test_enumerate_stdout_digest_is_pinned(extra, capsys):
+    assert main(["enumerate", "--max-vertices", "3", "--min-weight", "-3", "--max-genus", "1",
+                 "--max-mult", "2", *extra]) == 0
+    out = capsys.readouterr().out
+    assert out.count("\n") == 207
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "765c854bb27d950c19c6aa65580b7b492a5b078052da69f3da95c598ca542c6b")
+
+
+def _compact_report(g: ResolutionGraph) -> str:
+    """The enumerate line of g, from a copy of g that shares no matrix."""
+    fresh = ResolutionGraph(g.weights, g.genera, g.mult, g.labels)
+    return json.dumps(report_to_dict(nash_verdict(fresh)), separators=(",", ":"))
+
+
+@pytest.mark.parametrize("bounds", [(3, -3, 1, 2), (4, -4, 1, 1), (3, -2, 1, 1)])
+def test_spliced_enum_line_matches_an_unshared_report(bounds):
+    # weights run up to -1, so some heads carry non-minimal warnings
+    warned = 0
+    for g in enumerate_graphs(*bounds):
+        line = cli_module._enum_line(g)
+        assert line == _compact_report(g)
+        warned += "warning:" in line
+    assert warned > 0
+
+
+def test_spliced_enum_line_of_labelled_graphs():
+    # labels that look like the splice point, and a second graph that reads
+    # the matrix part its sibling rendered
+    mult = ((0, 1, 0), (1, 0, 2), (0, 2, 0))
+    first = ResolutionGraph((-2, -3, -5), (0, 1, 0), mult, (',"pa_fundamental":', 'a"b', "c\\"))
+    second = ResolutionGraph((-2, -3, -5), (1, 0, 0), mult, ("x", "y", "z"))
+    _share_matrix(second, first)
+    for g in (first, second):
+        assert cli_module._enum_line(g) == _compact_report(g)
+    assert "_enum_text" in first.intersection_matrix().__dict__
+
+
+def test_enumerate_renders_the_matrix_part_once_per_matrix(capsys):
+    with mock.patch.object(cli_module, "_matrix_dict", wraps=cli_module._matrix_dict) as counting:
+        assert main(["enumerate", "--max-vertices=4", "--min-weight=-4", "--max-genus=1"]) == 0
+    assert capsys.readouterr().out.count("\n") == 4467
+    assert counting.call_count == 357
+
+
+def test_analyze_after_enumerate_gives_the_same_bytes(graph_file, capsys):
+    # what enumerate keeps lives on its own matrices, not in the process
+    path = graph_file(make_family("dn", 4))
+    assert main(["analyze", "--json", path]) == 0
+    before = capsys.readouterr().out
+    assert main(["enumerate", "--max-vertices=4", "--min-weight=-2", "--max-genus=0"]) == 0
+    assert capsys.readouterr().out.count("\n") > 0
+    assert main(["analyze", "--json", path]) == 0
+    assert capsys.readouterr().out == before
+
+
 def test_enumerate_bad_bounds(capsys):
     assert main(["enumerate", "--max-vertices=0", "--min-weight=-2", "--max-genus=0"]) == 1
     assert capsys.readouterr().err != ""
@@ -311,7 +370,7 @@ def test_closed_stdout_exits_zero_without_stderr(argv, buffered, tmp_path):
         argv = [str(path) if a == "AN120" else a for a in argv]
     src = os.path.dirname(os.path.dirname(os.path.abspath(nashcone.__file__)))
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
-    env["PYTHONPATH"] = src
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     if not buffered:
         env["PYTHONUNBUFFERED"] = "1"
     proc = subprocess.Popen(
