@@ -260,34 +260,9 @@ def test_enumerate_json_lines(capsys):
     assert reports[0]["graph"]["vertices"] == 1
 
 
-def test_enumerate_parallel_matches_serial(capsys):
-    args = ["enumerate", "--max-vertices=3", "--min-weight=-2", "--max-genus=0",
-            "--max-mult=1"]
-    assert main(args) == 0
-    serial = capsys.readouterr().out
-    assert main(args + ["--parallel", "2"]) == 0
-    parallel = capsys.readouterr().out
-    assert parallel == serial
-    assert serial.count("\n") >= 5
-
-
-def test_enumerate_parallel_matches_serial_across_genus_variants(capsys):
-    # genus variants of one weight tuple share one matrix, and their runs
-    # cross the chunks of 16 graphs that the workers receive
-    args = ["enumerate", "--max-vertices=3", "--min-weight=-3", "--max-genus=1",
-            "--max-mult=2"]
-    assert main(args) == 0
-    serial = capsys.readouterr().out
-    assert main(args + ["--parallel", "2"]) == 0
-    parallel = capsys.readouterr().out
-    assert parallel == serial
-    assert serial.count("\n") == 207
-
-
-@pytest.mark.parametrize("extra", [[], ["--parallel", "2"]], ids=["serial", "parallel"])
-def test_enumerate_stdout_digest_is_pinned(extra, capsys):
+def test_enumerate_stdout_digest_is_pinned(capsys):
     assert main(["enumerate", "--max-vertices", "3", "--min-weight", "-3", "--max-genus", "1",
-                 "--max-mult", "2", *extra]) == 0
+                 "--max-mult", "2"]) == 0
     out = capsys.readouterr().out
     assert out.count("\n") == 207
     assert hashlib.sha256(out.encode()).hexdigest() == (
@@ -352,9 +327,8 @@ _ONE_VERTEX_GENERA = ["enumerate", "--max-vertices", "1", "--min-weight", "-1",
 
 @pytest.mark.parametrize("argv", [
     _ONE_VERTEX_GENERA,
-    _ONE_VERTEX_GENERA + ["--parallel", "2"],
     ["analyze", "--json", "AN120"],
-], ids=["enumerate", "enumerate-parallel", "analyze-json"])
+], ids=["enumerate", "analyze-json"])
 @pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
 def test_closed_stdout_exits_zero_without_stderr(argv, buffered, tmp_path):
     """A reader that stops after one line (``| head -n 1``) is a normal end:
@@ -402,58 +376,11 @@ def _one_error_line(err: str) -> bool:
     return err.startswith("error:") and err.count("\n") == 1
 
 
-@pytest.fixture
-def pool_sizes(monkeypatch):
-    """Replace multiprocessing.Pool in the CLI by a recorder that maps in
-    process, so no worker is ever started, on a machine with 3 CPUs."""
-    import nashcone.cli as cli_mod
-
-    sizes = []
-
-    class Recorder:
-        def __init__(self, processes):
-            sizes.append(processes)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def imap(self, fn, iterable, chunksize=1):
-            return map(fn, iterable)
-
-    monkeypatch.setattr(cli_mod, "Pool", Recorder)
-    monkeypatch.setattr(os, "cpu_count", lambda: 3)
-    return sizes
-
-
-def test_enumerate_parallel_clamped_to_cpu_count(capsys, pool_sizes):
-    args = ["enumerate", "--max-vertices=3", "--min-weight=-2", "--max-genus=0"]
-    assert main(args) == 0
-    serial = capsys.readouterr().out
-    assert main(args + ["--parallel", "1000000"]) == 0
-    assert capsys.readouterr().out == serial
-    assert main(args + ["--parallel", "2"]) == 0
-    assert capsys.readouterr().out == serial
-    assert pool_sizes == [3, 2]
-
-
-@pytest.mark.parametrize("value", ["0", "-1", "-1000000"])
-def test_enumerate_parallel_below_one_rejected(value, capsys, pool_sizes):
-    args = ["enumerate", "--max-vertices=2", "--min-weight=-2", "--max-genus=0"]
-    assert main(args + ["--parallel", value]) == 1
-    out, err = capsys.readouterr()
-    assert out == "" and _one_error_line(err) and "--parallel" in err
-    assert pool_sizes == []
-
-
-@pytest.mark.parametrize("parallel", ["1", "2"])
-def test_enumerate_over_table_cap_exits_1(parallel, capsys, pool_sizes):
+def test_enumerate_over_table_cap_exits_1(capsys):
     import tracemalloc
 
     args = ["enumerate", "--max-vertices", "7", "--min-weight=-2", "--max-genus=0",
-            "--max-mult", "2", "--parallel", parallel]
+            "--max-mult", "2"]
     tracemalloc.start()
     try:
         code = main(args)
@@ -464,7 +391,13 @@ def test_enumerate_over_table_cap_exits_1(parallel, capsys, pool_sizes):
     out, err = capsys.readouterr()
     assert out == "" and _one_error_line(err) and "cap" in err
     assert peak < 1 << 20  # the refused table would take 3**21 bytes, 10 GB
-    assert pool_sizes == []
+
+
+def test_enumerate_parallel_is_no_longer_an_option(capsys):
+    args = ["enumerate", "--max-vertices=2", "--min-weight=-2", "--max-genus=0"]
+    assert main(args + ["--parallel", "2"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and "--parallel" in err and "Traceback" not in err
 
 
 def test_internal_error_maps_to_exit_2(graph_file, capsys, monkeypatch):
@@ -622,7 +555,7 @@ def test_huge_input_tokens_give_one_short_error_line(case, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("kind", ["literal", "junk"])
-@pytest.mark.parametrize("option", ["--max-vertices", "--parallel", "--pair"])
+@pytest.mark.parametrize("option", ["--max-vertices", "--max-mult", "--pair"])
 def test_huge_integer_options_give_a_short_error(option, kind, graph_file, capsys):
     # click's integer options go through the same reader as graph files
     token = "9" * 5000 if kind == "literal" else "x" * 3000
