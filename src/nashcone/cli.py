@@ -331,12 +331,12 @@ def check(file: str, criterion: str, divisor: str, as_json: bool) -> None:
         if as_json:
             click.echo(render_json(_criterion_json(criterion, res)))
             return
-        click.echo(f"criterion: {criterion}")
-        click.echo(f"satisfied: {_yn(res.satisfied)}")
+        lines = [f"criterion: {criterion}", f"satisfied: {_yn(res.satisfied)}"]
         for key in sorted(res.values):
-            spot = ",".join(g.label(i) for i in key)
+            spot = ",".join(map(g.label, key))
             flag = "  VIOLATED" if res.values[key] > 0 else ""
-            click.echo(f"value({spot}) = {res.values[key]}{flag}")
+            lines.append(f"value({spot}) = {res.values[key]}{flag}")
+        click.echo("\n".join(lines))
 
 
 def main(argv: list[str] | None = None) -> int:

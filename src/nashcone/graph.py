@@ -30,6 +30,7 @@ import json
 import re
 import sys
 from dataclasses import dataclass
+from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii
 
 from .errors import GraphFormatError
@@ -486,10 +487,13 @@ def render_json(obj) -> str:
     encoder does not take ``indent``, so ``json.dumps`` with it is slower.
 
     Any other value is rendered by ``json.dumps``. The text is gathered in
-    pieces and joined once. A list object of more than two integers that
-    occurs more than once is rendered once per level it occurs at: the memo
-    of one call is keyed on the list's identity and its indentation, as the
-    same list is indented differently at another depth.
+    pieces and joined once. A list of integers is rendered once per level it
+    occurs at: the memo of one call is keyed on the list's identity and its
+    indentation, as the same list is indented differently at another depth.
+    A list that is a table (see _render_table), such as the witnesses of a
+    report or the values of a criterion, is rendered by one row template
+    filled once per row, and a list of integers in it, such as a shared
+    witness divisor, by the same memo.
     """
     out: list[str] = []
     _render(obj, "\n", out, {})
@@ -504,19 +508,11 @@ def _render(obj, newline: str, out: list[str], memo: dict) -> None:
         if not obj:
             out.append("[]")
             return
-        # a pair or a single index renders as fast as a lookup: not kept
-        memoized = len(obj) > 2 and type(obj[0]) is int
-        if memoized:
-            key = (id(obj), newline)  # obj lives as long as the call, so its id is its own
-            text = memo.get(key)
-            if text is not None:
-                out.append(text)
-                return
-        if set(map(type, obj)) == {int}:
-            text = "[" + inner + ("," + inner).join(map(str, obj)) + newline + "]"
-            if memoized:
-                memo[key] = text
+        text = _int_list_text(obj, newline, memo)
+        if text is not None:
             out.append(text)
+            return
+        if _render_table(obj, newline, out, memo):
             return
         sep, comma = "[" + inner, "," + inner
         for x in obj:
@@ -540,6 +536,85 @@ def _render(obj, newline: str, out: list[str], memo: dict) -> None:
         out.append(str(obj))
     else:
         out.append(json.dumps(obj))
+
+
+def _int_list_text(xs: list, newline: str, memo: dict) -> str | None:
+    """The text of the non-empty list ``xs`` at ``newline`` if it holds only
+    ints, else None. The text is kept in ``memo`` under the list's identity
+    and ``newline``: ``xs`` lives as long as the render_json call, so its id
+    is its own."""
+    key = (id(xs), newline)
+    text = memo.get(key)
+    if text is None and set(map(type, xs)) == {int}:
+        inner = newline + "  "
+        text = memo[key] = "[" + inner + ("," + inner).join(map(str, xs)) + newline + "]"
+    return text
+
+
+def _render_table(rows: list, newline: str, out: list[str], memo: dict) -> bool:
+    """Append the text of ``rows`` and return True if it is a table: dicts
+    that all have the same str keys in the same order, or two or more lists
+    of one non-zero length, whose every column holds only ints (not bools)
+    or only non-empty lists of ints. Otherwise append nothing, return False.
+
+    An int column, or a column of int lists of one length of at most two
+    (pairs and indices), fills ``%d`` slots of one row template. Any other
+    column holds text from _int_list_text, once per list object, and the
+    template is cut around it. The row separator ends the last cut, so the
+    rows are emitted without a Python loop per row.
+    """
+    kinds = set(map(type, rows))
+    if kinds == {dict}:
+        keys = tuple(rows[0])
+        if not keys or set(map(type, keys)) != {str} or not all(map(keys.__eq__, map(tuple, rows))):
+            return False
+        cols = zip(*map(dict.values, rows))
+        heads = [encode_basestring_ascii(k).replace("%", "%%") + ": " for k in keys]
+        bracket = "{}"
+    elif kinds == {list} and len(rows) > 1 and len(set(map(len, rows))) == 1 and rows[0]:
+        cols = zip(*rows)
+        heads = [""] * len(rows[0])
+        bracket = "[]"
+    else:
+        return False
+    inner = newline + "  "
+    cell = inner + "  "  # the newline of a value in a row
+    template, slots, cuts = bracket[0], [], []
+    for head, col in zip(heads, cols):
+        template += cell + head
+        types = set(map(type, col))
+        sizes = set(map(len, col)) if types == {list} else ()
+        if types == {int}:
+            template += "%d"
+            slots.append(col)
+        elif len(sizes) == 1 and 0 < min(sizes) <= 2:
+            if set(map(type, chain.from_iterable(col))) != {int}:
+                return False
+            deeper = cell + "  "
+            template += "[" + deeper + ("," + deeper).join(["%d"] * min(sizes)) + cell + "]"
+            slots.extend(zip(*col))
+        elif sizes:
+            lists = dict(zip(map(id, col), col))
+            texts = {i: _int_list_text(x, cell, memo) for i, x in lists.items()}
+            if None in texts.values():
+                return False
+            cuts += [_fill(template, slots, len(rows)), map(texts.__getitem__, map(id, col))]
+            template, slots = "", []
+        else:
+            return False
+        template += ","
+    template = template[:-1] + inner + bracket[1] + "," + inner
+    cuts.append(_fill(template, slots, len(rows)))
+    out.append("[" + inner)
+    out.extend(chain.from_iterable(zip(*cuts)))
+    out[-1] = out[-1][: -len(inner) - 1] + newline + "]"
+    return True
+
+
+def _fill(template: str, slots: list, n: int):
+    """The ``n`` row texts of ``template`` filled from the columns ``slots``;
+    a template without slots still goes through ``%`` to undo its ``%%``."""
+    return map(template.__mod__, zip(*slots)) if slots else repeat(template % (), n)
 
 
 def serialize_graph_json(g: ResolutionGraph) -> str:

@@ -218,6 +218,38 @@ def test_check_laufer_golden(graph_file, capsys):
     assert out == "criterion: laufer\nsatisfied: no\nvalue(E1) = 2  VIOLATED\n"
 
 
+_LABELLED_A3 = ResolutionGraph(weights=(-2, -3, -2), genera=(0, 1, 0),
+                               mult=((0, 1, 0), (1, 0, 1), (0, 1, 0)), labels=("a", "b", "c"))
+
+
+def test_check_realization_text_golden(graph_file, capsys):
+    path = graph_file(_LABELLED_A3)
+    assert main(["check", path, "--criterion", "realization", "--divisor", "1,2,1"]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert out == (
+        "criterion: realization\n"
+        "satisfied: no\n"
+        "value(a,a) = 0\n"
+        "value(a,b) = 0\n"
+        "value(a,c) = 0\n"
+        "value(b,a) = 1  VIOLATED\n"
+        "value(b,b) = -2\n"
+        "value(b,c) = 1  VIOLATED\n"
+        "value(c,a) = 0\n"
+        "value(c,b) = 0\n"
+        "value(c,c) = 0\n"
+    )
+
+
+@pytest.mark.parametrize("extra", [[], ["--json"]], ids=["text", "json"])
+def test_check_to_a_closed_stdout_exits_zero(extra, graph_file, monkeypatch, capsys):
+    path = graph_file(_LABELLED_A3)
+    monkeypatch.setattr(sys, "stdout", _ClosedStdout())
+    assert main(["check", path, "--criterion", "realization", "--divisor", "1,2,1", *extra]) == 0
+    assert capsys.readouterr().err == ""
+
+
 def test_check_realization_json(graph_file, capsys):
     from nashcone import ResolutionGraph
 

@@ -1,5 +1,6 @@
 import json
 import re
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -20,7 +21,8 @@ from nashcone import (
     serialize_graph_json,
     validate,
 )
-from nashcone.graph import MAX_VERTICES, render_json
+from nashcone.cli import _uncapped_int_str
+from nashcone.graph import MAX_VERTICES, _render_table, render_json
 
 from oracles import negdef_brute
 
@@ -438,12 +440,60 @@ def _aliasing(children):
     )
 
 
+# keys of table rows; render_json writes them into a %-template
+_table_keys = st.text(st.characters(exclude_categories=()), max_size=4) | st.sampled_from(
+    ["%", "%d", "%%", "a%", "%s%(x)d", "pair", "divisor"])
+
+
+@st.composite
+def _tables(draw, children):
+    """Lists shaped like the tables of a report (witness dicts, index/value
+    records, edge and pair lists), exact or spoilt in one row: keys reordered,
+    one added or dropped, a cell that is not an int or a non-empty int list,
+    or a list row of another length. One int list is shared between cells of
+    a column and, one level up, beside the table."""
+    shared = draw(st.lists(st.integers(), min_size=1, max_size=4))
+    dict_rows = draw(st.booleans())
+    width = draw(st.integers(1, 3))
+    keys = draw(st.lists(_table_keys, min_size=width, max_size=width, unique=True)) if dict_rows else None
+    cells = [
+        draw(st.sampled_from([
+            st.integers(),
+            st.lists(st.integers(), min_size=1, max_size=1),
+            st.lists(st.integers(), min_size=2, max_size=2),
+            st.lists(st.integers(), min_size=1, max_size=4) | st.just(shared),
+        ]))
+        for _ in range(width)
+    ]
+    rows = [[draw(c) for c in cells] for _ in range(draw(st.integers(1, 4)))]
+    r, c = draw(st.integers(0, len(rows) - 1)), draw(st.integers(0, width - 1))
+    spoil = draw(st.sampled_from(["none", "cell", "length", "keys"]))
+    if spoil == "cell":
+        rows[r][c] = draw(st.booleans() | st.none() | st.floats() | st.text(max_size=2)
+                          | st.just([]) | st.lists(children, min_size=1, max_size=3).map(lambda xs: [1] + xs))
+    elif spoil == "length":
+        rows[r] = rows[r][:-1] if draw(st.booleans()) else rows[r] + [0]
+    if dict_rows:
+        rows = [dict(zip(keys, row)) for row in rows]
+        if spoil == "keys":
+            row = rows[r]
+            change = draw(st.sampled_from(["reorder", "extra", "missing"]))
+            if change == "reorder":
+                rows[r] = dict(reversed(row.items()))
+            elif change == "extra":
+                row[draw(_table_keys.filter(lambda k: k not in row))] = draw(children)
+            else:
+                del row[keys[c]]
+    return draw(st.sampled_from([rows, [rows, shared], {"table": rows, "shared": [shared]}]))
+
+
 _json_values = st.recursive(
     _json_scalars,
     lambda children: st.lists(children)
     | st.lists(st.integers())
     | st.dictionaries(st.text(st.characters(exclude_categories=())), children)
-    | _aliasing(children),
+    | _aliasing(children)
+    | _tables(children),
     max_leaves=40,
 )
 
@@ -455,7 +505,7 @@ def test_render_json_matches_stdlib_indent(obj):
 
 
 def test_render_json_renders_a_shared_list_at_each_depth():
-    ints = [1, -2, 3]  # more than two integers: the kind of list the memo keeps
+    ints = [1, -2, 3]  # a list of integers: the kind of list the memo keeps
     mixed = [ints, {"k": True}, []]
     docs = [
         [ints, ints, ints],
@@ -465,3 +515,77 @@ def test_render_json_renders_a_shared_list_at_each_depth():
     ]
     for doc in docs:
         assert render_json(doc) == json.dumps(doc, indent=2)
+
+
+_DIVISOR = [3, 2, 1]
+# (name, list) that render_json must render by its row template
+_TABLES = [
+    ("witnesses", [{"pair": [1, 2], "divisor": _DIVISOR}, {"pair": [1, 3], "divisor": _DIVISOR},
+                   {"pair": [2, 3], "divisor": [1, 2, 3, 4]}]),
+    ("values", [{"index": [1, 2], "value": -3}, {"index": [2, 2], "value": 0}]),
+    ("single dict row", [{"index": [1], "value": 4}]),
+    ("edges", [[1, 2, 1], [2, 3, 5]]),
+    ("pairs", [[1, 2], [3, 4]]),
+    ("percent keys", [{"%": 1, "%d": [2], "%%": [3, 4], "a%": _DIVISOR}] * 2),
+    ("slotless segment after a cut", [{"d": _DIVISOR, "a%": _DIVISOR}] * 2),
+    ("shared lists at two depths", [[1, _DIVISOR], [2, [9]]]),
+]
+# (name, list) that render_json must hand to the generic recursion
+_NOT_TABLES = [
+    ("keys reordered", [{"pair": [1, 2], "value": 1}, {"value": 1, "pair": [1, 2]}]),
+    ("extra key", [{"pair": [1, 2]}, {"pair": [1, 2], "value": 1}]),
+    ("missing key", [{"pair": [1, 2], "value": 1}, {"pair": [1, 2]}]),
+    ("bool in an int column", [{"value": 1}, {"value": True}]),
+    ("None in an int column", [{"value": 1}, {"value": None}]),
+    ("float in an int column", [{"value": 1}, {"value": 1.0}]),
+    ("str in an int column", [{"value": 1}, {"value": "1"}]),
+    ("empty list in a list column", [{"pair": [1, 2]}, {"pair": []}]),
+    ("mixed list in a list column", [{"pair": [1, 2]}, {"pair": [1, True]}]),
+    ("mixed long list in a list column", [{"divisor": [1, 2, 3]}, {"divisor": [1, 2, "3"]}]),
+    ("list rows of unequal length", [[1, 2], [1, 2, 3]]),
+    ("single list row", [[1, 2]]),
+    ("empty list rows", [[], []]),
+    ("rows without keys", [{}, {}]),
+    ("dict and list rows", [{"a": 1}, [1]]),
+]
+
+
+@pytest.mark.parametrize("rows", [t for _, t in _TABLES], ids=[n for n, _ in _TABLES])
+def test_render_json_renders_tables_by_template(rows):
+    out = []
+    assert _render_table(rows, "\n  ", out, {})
+    doc = {"table": rows, "again": [rows, _DIVISOR]}
+    assert render_json(doc) == json.dumps(doc, indent=2)
+
+
+@pytest.mark.parametrize("rows", [t for _, t in _NOT_TABLES], ids=[n for n, _ in _NOT_TABLES])
+def test_render_json_falls_back_on_other_lists(rows):
+    out = []
+    assert not _render_table(rows, "\n  ", out, {})
+    assert out == []
+    doc = {"table": rows, "again": [rows]}
+    assert render_json(doc) == json.dumps(doc, indent=2)
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int digit cap")
+def test_render_json_table_obeys_the_int_digit_cap():
+    big = -(10 ** 4400)
+    docs = [
+        [{"index": [1, 2], "value": big}] * 2,
+        [{"pair": [1, big], "divisor": _DIVISOR}] * 2,
+        [{"pair": [1, 2], "divisor": [1, 2, big]}] * 2,
+        [[1, big], [2, 3]],
+    ]
+    cap = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        for doc in docs:
+            with pytest.raises(ValueError) as ours:
+                render_json(doc)
+            with pytest.raises(ValueError) as stdlib:
+                json.dumps(doc, indent=2)
+            assert str(ours.value) == str(stdlib.value)
+            with _uncapped_int_str():
+                assert render_json(doc) == json.dumps(doc, indent=2)
+    finally:
+        sys.set_int_max_str_digits(cap)
