@@ -5,11 +5,13 @@ fundamental-cycle genus test, and the structural tree/genus/weight
 characterization), a three-state bijectivity verdict for the Nash map,
 constructors for the named graph families used in tests and docs, and an
 exhaustive small-graph enumerator with isomorphism rejection. The
-enumerator marks the orbit of each least edge encoding in a byte table,
-so it relabels once per structure class, and it grows weight tuples
-vertex by vertex, cutting a prefix whose leading minor already rules out
-negative definiteness. Its table is capped at ENCODING_TABLE_CAP bytes,
-which limits the bounds it accepts.
+enumerator grows structures vertex by vertex and keeps only those whose
+matrix is negative definite with every weight at the lower bound, the
+only ones that carry a negative-definite weighting. It marks the orbit of
+each class it keeps in a byte table, so it relabels once per kept class,
+and it grows weight tuples vertex by vertex, cutting a prefix whose
+leading minor already rules out negative definiteness. Its table is
+capped at ENCODING_TABLE_CAP bytes, which limits the bounds it accepts.
 
 Conditions (**) and (*), with the verified (*) witnesses, the
 fundamental cycle Z and Z.Z depend on the intersection matrix alone;
@@ -28,7 +30,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from itertools import permutations, product
-from operator import mul
+from operator import getitem, mul
 
 from .cone import ConeStatus, Divisor, fundamental_cycle, lipman_status, pair
 from .conditions import StarCertificate, StarStarReport, check_star, check_star_star
@@ -300,53 +302,113 @@ def make_family(kind: str, *params: int) -> ResolutionGraph:
 ENCODING_TABLE_CAP = 1 << 24
 
 
-def _encoding_columns(n: int, base: int) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
-    """Relabelings of n vertices and, per upper-triangle position k, the place
-    value that position k takes in each relabeled encoding.
+def _structures(max_vertices: int, base: int, min_weight: int):
+    """Yield (mult, aut) for each connected structure class on 1..max_vertices
+    vertices, with multiplicities below ``base``, whose matrix is negative
+    definite with every weight at min_weight, by vertex count and then by
+    mult, the least edge encoding of the class; aut lists the relabelings
+    that fix mult, in permutations order.
 
-    An encoding lists mult[i][j] for i < j in row order and is read as a
-    base-``base`` number, first position most significant, so numeric order
-    is product order. Relabeling by s moves the entry of pair {s[i], s[j]}
-    to the position of (i, j), hence the image of enc under s has index
-    sum(enc[k] * cols[k][index of s]).
+    Lowering a weight keeps a matrix negative definite, so these are the
+    classes with a negative-definite weighting in [min_weight, -1]. Each is
+    a class one vertex smaller, which passes the same test, with a vertex
+    attached last: one whose removal leaves the graph connected. So level n
+    grows from the least encodings of level n - 1, each kept with its
+    elimination, which leaves one column and one minor to test per child.
+    An encoding lists mult[i][j] for i < j in row order, read as a base
+    ``base`` number. A byte table marks the orbit of each class found, so a
+    marked child is dropped untested and each class is relabeled n! times
+    once. Relabeling by the inverse of t moves edge {x, y} to the position
+    of {t[x], t[y]}; the images equal to the least give mult and aut.
     """
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    pos = {p: k for k, p in enumerate(pairs)}
-    place = [base ** (len(pairs) - 1 - k) for k in range(len(pairs))]
-    perms = list(permutations(range(n)))
-    cols = [[0] * len(perms) for _ in pairs]
-    for c, s in enumerate(perms):
-        for k, (i, j) in enumerate(pairs):
-            cols[pos[min(s[i], s[j]), max(s[i], s[j])]][c] = place[k]
-    return perms, [tuple(col) for col in cols]
 
+    def parent(mult):  # mult with its elimination at weights min_weight
+        urows, minors = [], [1]
+        for k in range(len(mult)):
+            urows.append(_bareiss_column([mult[i][k] for i in range(k)] + [0], urows, minors))
+            minors.append(minors[k] * min_weight + urows[k][k])
+        return mult, urows, minors
 
-def _structures(n: int, base: int):
-    """Yield (mult, aut) for each connected structure class on n vertices
-    with multiplicities below ``base``: mult is the least edge encoding of
-    its class, in increasing order, and aut the relabelings that fix it."""
-    npairs = n * (n - 1) // 2
-    perms, cols = _encoding_columns(n, base)
-    zero = (0,) * len(perms)
-    seen = bytearray(base ** npairs)
-    idx = 0
-    while idx != -1:
-        enc, rest = [0] * npairs, idx
-        for k in reversed(range(npairs)):
-            rest, enc[k] = divmod(rest, base)
-        images = list(map(sum, zip(zero, *(cols[k] for k, m in enumerate(enc) for _ in range(m)))))
-        for image in images:
-            seen[image] = 1
-        mult = [[0] * n for _ in range(n)]
-        pos = 0
+    one = ((0,),)
+    yield one, [(0,)]
+    parents = [parent(one)]
+    for n in range(2, max_vertices + 1):
+        if not parents:
+            return
+        last = n - 1
+        place = [[0] * n for _ in range(n)]  # place value of pair {i, j}
+        k = n * last // 2
         for i in range(n):
             for j in range(i + 1, n):
-                mult[i][j] = mult[j][i] = enc[pos]
-                pos += 1
-        mult_t = tuple(map(tuple, mult))
-        if is_connected(mult_t):
-            yield mult_t, [s for s, image in zip(perms, images) if image == idx]
-        idx = seen.find(0, idx + 1)
+                k -= 1
+                place[i][j] = place[j][i] = base ** k
+        perms = list(permutations(range(n)))
+        at = list(zip(*perms))  # at[x][c] is perms[c][x]
+        # cols[x, y][c]: the place value of edge {x, y} in the image under
+        # the inverse of perms[c]
+        cols = {
+            (x, y): list(map(getitem, map(place.__getitem__, at[x]), at[y]))
+            for x in range(n)
+            for y in range(x + 1, n)
+        }
+        attach = list(product(range(base), repeat=last))[1:]
+        attach_index = [sum(map(mul, a, place[last])) for a in attach]
+        seen = bytearray(base ** (n * last // 2))
+        found = []
+        for mult, urows, minors in parents:
+            # each edge once per unit of its multiplicity
+            units = [(i, j) for i in range(last) for j in range(i + 1, last) for _ in range(mult[i][j])]
+            index = sum(place[i][j] for i, j in units)
+            for a, a_index in zip(attach, attach_index):
+                if seen[index + a_index]:
+                    continue
+                beta = _bareiss_column(list(a) + [0], urows, minors)[last]
+                # the leading minor of size n must have the sign of (-1)^n
+                if (-1) ** n * (minors[last] * min_weight + beta) <= 0:
+                    continue
+                new = [(i, last) for i, m in enumerate(a) for _ in range(m)]
+                images = list(map(sum, zip(*(cols[unit] for unit in units + new))))
+                for image in images:
+                    seen[image] = 1
+                least = min(images)
+                into = []  # the t whose inverse maps the child to its least image
+                c = -1
+                for _ in range(images.count(least)):
+                    c = images.index(least, c + 1)
+                    into.append(perms[c])
+                child = tuple(row + (m,) for row, m in zip(mult, a)) + (a + (0,),)
+                found.append((least, child, into))
+        found.sort(key=lambda f: f[0])
+        parents = []
+        for _, child, into in found:
+            t0 = into[0]
+            s0 = sorted(range(n), key=t0.__getitem__)  # t0's inverse
+            mult = tuple(tuple(child[s0[i]][s0[j]] for j in range(n)) for i in range(n))
+            aut = []
+            for t in into:
+                inverse = sorted(range(n), key=t.__getitem__)
+                aut.append(tuple(t0[inverse[i]] for i in range(n)))
+            aut.sort()
+            yield mult, aut
+            parents.append(parent(mult))
+
+
+def _bareiss_column(col: list[int], urows: list[list[int]], minors: list[int]) -> list[int]:
+    """Column k = len(urows) of a symmetric matrix, its entries above the
+    diagonal followed by 0, brought through the k fraction-free (Bareiss)
+    elimination steps that turned columns 0..k-1 into urows, with leading
+    minors minors[1..k]. urows[c][t] is row t of column c after t steps.
+    The last entry is then beta: with weight w at vertex k, the leading
+    minor of size k + 1 is minors[k] * w + beta."""
+    k = len(urows)
+    prev = 1
+    for t in range(k):
+        p, ct = minors[t + 1], col[t]
+        for i in range(t + 1, k):
+            col[i] = (p * col[i] - urows[i][t] * ct) // prev
+        col[k] = (p * col[k] - ct * ct) // prev
+        prev = p
+    return col
 
 
 def _negdef_weights(mult, weight_range: range):
@@ -356,9 +418,9 @@ def _negdef_weights(mult, weight_range: range):
     A depth-first search over prefixes: every leading principal submatrix
     of a negative-definite matrix is negative definite, so a prefix whose
     leading minor has the wrong sign is cut with all its extensions. The
-    minors come from fraction-free (Bareiss) elimination extended by one
-    column per vertex; the matrix is symmetric, so only column k is new.
-    With w_k set to 0 that column gives beta, and the k-th minor is
+    minors come from fraction-free elimination extended by one column per
+    vertex (_bareiss_column); the matrix is symmetric, so only column k is
+    new. With w_k set to 0 that column gives beta, and the k-th minor is
     D_k(w) = D_{k-1} * w + beta by expansion along row k. The sign test
     (-1)^(k+1) * D_k(w) > 0 fails from some w on, so the scan stops there.
     """
@@ -371,18 +433,11 @@ def _negdef_weights(mult, weight_range: range):
         if k == n:
             yield tuple(weights)
             return
-        col = [mult[i][k] for i in range(k)] + [0]
-        prev = 1
-        for t in range(k):
-            p, ct = minors[t + 1], col[t]
-            for i in range(t + 1, k):
-                col[i] = (p * col[i] - urows[i][t] * ct) // prev
-            col[k] = (p * col[k] - ct * ct) // prev
-            prev = p
+        col = _bareiss_column([mult[i][k] for i in range(k)] + [0], urows, minors)
         urows.append(col)
         sign = -1 if k % 2 == 0 else 1
         for w in weight_range:
-            minor = prev * w + col[k]
+            minor = minors[k] * w + col[k]
             if sign * minor <= 0:
                 break
             weights[k] = w
@@ -408,21 +463,24 @@ def enumerate_graphs(max_vertices: int, min_weight: int, max_genus: int, max_mul
     graphs of one weight tuple share one intersection matrix object, and
     with it what nash_verdict keeps on the matrix.
 
-    Structures are found by orbit marking (the orderly idea of Read 1978):
-    edge encodings are walked in increasing order over a byte table, and
-    the first unmarked one is the least of its orbit, since every smaller
-    encoding has been visited and its entire orbit marked. So the n!
-    relabelings run once per structure class, not once per encoding, and
-    the ones that fix the encoding are its automorphisms. Weights come
-    from a depth-first search that cuts a prefix as soon as a leading
-    minor shows the matrix cannot be negative definite.
+    Structures are grown one vertex at a time from the classes one vertex
+    smaller, and only those whose matrix is negative definite with every
+    weight at min_weight are kept (see _structures): lowering a weight
+    keeps a matrix negative definite, so no other structure carries a
+    weighting within the bounds. A byte table marks the orbit of each kept
+    class, so its n! relabelings run once, and those that map it to its
+    least encoding give its automorphisms. Weights come from a depth-first
+    search that cuts a prefix as soon as a leading minor shows the matrix
+    cannot be negative definite.
 
     The table has (max_mult + 1) ** (n(n-1)/2) bytes at n vertices. Bounds
     whose largest table exceeds ENCODING_TABLE_CAP (16 MiB) raise
     ValueError before anything is yielded: every n >= 8, n = 7 with
     max_mult >= 2, n = 6 with max_mult >= 3, n = 5 with max_mult >= 5,
-    and fewer vertices only with max_mult >= 16. Seven vertices with
-    simple edges take seconds.
+    and fewer vertices only with max_mult >= 16. Generation costs grow
+    with the kept classes: structures on up to seven vertices with simple
+    edges take about 0.02 s at min_weight -2 (3 of the 853 connected
+    classes on seven vertices kept) and 1 to 2 s at -6 (852 kept).
     """
     if max_vertices < 1:
         raise ValueError("max_vertices must be >= 1")
@@ -444,19 +502,19 @@ def enumerate_graphs(max_vertices: int, min_weight: int, max_genus: int, max_mul
     weight_range = range(min_weight, 0)
     genus_range = range(max_genus + 1)
 
-    for n in range(1, max_vertices + 1):
-        for mult, aut in _structures(n, base):
-            for weights in _negdef_weights(mult, weight_range):
-                if any(tuple(weights[s[i]] for i in range(n)) < weights for s in aut):
+    for mult, aut in _structures(max_vertices, base, min_weight):
+        n = len(mult)
+        for weights in _negdef_weights(mult, weight_range):
+            if any(tuple(weights[s[i]] for i in range(n)) < weights for s in aut):
+                continue
+            stab = [s for s in aut if tuple(weights[s[i]] for i in range(n)) == weights]
+            first = None
+            for genera in product(genus_range, repeat=n):
+                if any(tuple(genera[s[i]] for i in range(n)) < genera for s in stab):
                     continue
-                stab = [s for s in aut if tuple(weights[s[i]] for i in range(n)) == weights]
-                first = None
-                for genera in product(genus_range, repeat=n):
-                    if any(tuple(genera[s[i]] for i in range(n)) < genera for s in stab):
-                        continue
-                    g = ResolutionGraph(weights=weights, genera=genera, mult=mult)
-                    if first is None:
-                        first = g
-                    else:
-                        _share_matrix(g, first)
-                    yield g
+                g = ResolutionGraph(weights=weights, genera=genera, mult=mult)
+                if first is None:
+                    first = g
+                else:
+                    _share_matrix(g, first)
+                yield g

@@ -15,7 +15,9 @@ The exceptions to the independence are kept verbatim too: that witness
 synthesis uses the library's divisor type and cone test, and the
 brute-force enumerator that orbit marking replaced uses the library's
 graph type and connectivity test, with the leading-minor elimination
-kept here.
+kept here, and the orbit-marking walk over every edge encoding, which
+growth from negative-definite structures replaced, uses that
+connectivity test.
 """
 
 from fractions import Fraction
@@ -404,3 +406,58 @@ def enumerate_graphs_brute(max_vertices: int, min_weight: int, max_genus: int, m
                     if any(tuple(genera[s[i]] for i in range(n)) < genera for s in stab):
                         continue
                     yield ResolutionGraph(weights=weights, genera=genera, mult=mult_t)
+
+
+def _encoding_columns(n: int, base: int) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
+    """Relabelings of n vertices and, per upper-triangle position k, the place
+    value that position k takes in each relabeled encoding.
+
+    An encoding lists mult[i][j] for i < j in row order and is read as a
+    base-``base`` number, first position most significant, so numeric order
+    is product order. Relabeling by s moves the entry of pair {s[i], s[j]}
+    to the position of (i, j), hence the image of enc under s has index
+    sum(enc[k] * cols[k][index of s]).
+    """
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    pos = {p: k for k, p in enumerate(pairs)}
+    place = [base ** (len(pairs) - 1 - k) for k in range(len(pairs))]
+    perms = list(permutations(range(n)))
+    cols = [[0] * len(perms) for _ in pairs]
+    for c, s in enumerate(perms):
+        for k, (i, j) in enumerate(pairs):
+            cols[pos[min(s[i], s[j]), max(s[i], s[j])]][c] = place[k]
+    return perms, [tuple(col) for col in cols]
+
+
+def structures_by_orbit_marking(n: int, base: int):
+    """Yield (mult, aut) for each connected structure class on n vertices
+    with multiplicities below ``base``: mult is the least edge encoding of
+    its class, in increasing order, and aut the relabelings that fix it.
+
+    Every encoding is walked in increasing order over a byte table; the
+    first unmarked one is the least of its orbit, whose n! images are then
+    marked, connected or not."""
+    from nashcone.graph import is_connected
+
+    npairs = n * (n - 1) // 2
+    perms, cols = _encoding_columns(n, base)
+    zero = (0,) * len(perms)
+    seen = bytearray(base ** npairs)
+    idx = 0
+    while idx != -1:
+        enc, rest = [0] * npairs, idx
+        for k in reversed(range(npairs)):
+            rest, enc[k] = divmod(rest, base)
+        images = list(map(sum, zip(zero, *(cols[k] for k, m in enumerate(enc) for _ in range(m)))))
+        for image in images:
+            seen[image] = 1
+        mult = [[0] * n for _ in range(n)]
+        pos = 0
+        for i in range(n):
+            for j in range(i + 1, n):
+                mult[i][j] = mult[j][i] = enc[pos]
+                pos += 1
+        mult_t = tuple(map(tuple, mult))
+        if is_connected(mult_t):
+            yield mult_t, [s for s, image in zip(perms, images) if image == idx]
+        idx = seen.find(0, idx + 1)

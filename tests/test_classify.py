@@ -20,10 +20,17 @@ from nashcone import (
     structural_rationality,
     validate,
 )
+from nashcone.classify import _structures
 from nashcone.cli import report_to_dict
 from nashcone.graph import ResolutionGraph, is_connected, render_json
 
-from oracles import enumerate_graphs_brute, graphs_isomorphic, halfspace_coverage
+from oracles import (
+    _leading_minors_negdef,
+    enumerate_graphs_brute,
+    graphs_isomorphic,
+    halfspace_coverage,
+    structures_by_orbit_marking,
+)
 
 
 def test_arithmetic_genus_known_values(a2, g2w1, star3_5, cycle3):
@@ -350,6 +357,24 @@ def test_an_witnesses_cover_and_verify():
 )
 def test_enumerate_matches_brute_force_oracle(bounds):
     assert list(enumerate_graphs(*bounds)) == list(enumerate_graphs_brute(*bounds))
+
+
+@pytest.mark.parametrize("max_vertices, max_mult", [(6, 1), (5, 2)])
+def test_structures_are_the_orbit_walk_classes_negative_definite_at_min_weight(
+    max_vertices, max_mult
+):
+    walk = [
+        s for n in range(1, max_vertices + 1) for s in structures_by_orbit_marking(n, max_mult + 1)
+    ]
+    for min_weight in range(-1, -6, -1):
+        kept = [
+            (mult, aut)
+            for mult, aut in walk
+            if _leading_minors_negdef(
+                [[min_weight if i == j else m for j, m in enumerate(row)] for i, row in enumerate(mult)]
+            )
+        ]
+        assert list(_structures(max_vertices, max_mult + 1, min_weight)) == kept
 
 
 @pytest.mark.parametrize(

@@ -301,6 +301,25 @@ def test_enumerate_stdout_digest_is_pinned(capsys):
         "765c854bb27d950c19c6aa65580b7b492a5b078052da69f3da95c598ca542c6b")
 
 
+# bounds past the brute-force oracle's reach, pinned from the orbit-marking
+# enumerator that walked every edge encoding
+@pytest.mark.parametrize(
+    "bounds, lines, size, digest",
+    [
+        (["7", "-2", "0", "1"], 20, 27648,
+         "e0f042f8cc90db1aaccac8a75585d7fef215743b308499fe210afbced7fcd737"),
+        (["6", "-2", "0", "2"], 16, 18774,
+         "9b06d3e99d0350129cb5525d542f6928fba779162c0644879df68ca03921a7da"),
+    ],
+)
+def test_enumerate_stdout_digest_is_pinned_past_the_oracle(bounds, lines, size, digest, capsys):
+    flags = ["--max-vertices", "--min-weight", "--max-genus", "--max-mult"]
+    assert main(["enumerate"] + [f"{f}={b}" for f, b in zip(flags, bounds)]) == 0
+    out = capsys.readouterr().out.encode()
+    assert (out.count(b"\n"), len(out)) == (lines, size)
+    assert hashlib.sha256(out).hexdigest() == digest
+
+
 def _compact_report(g: ResolutionGraph) -> str:
     """The enumerate line of g, from a copy of g that shares no matrix."""
     fresh = ResolutionGraph(g.weights, g.genera, g.mult, g.labels)

@@ -8,13 +8,15 @@ with them: definiteness, the pivots as leading minors, det(-M), the
 adjugate its back-substitution gives (which every (*) question reads),
 the strict interior divisor, and every witness of check_star and
 star_witness. The back-substitution must also stay cheap on long chains
-and forks, where a dense elimination costs far more.
+and forks, where a dense elimination costs far more. Lowering a diagonal
+entry of a negative-definite matrix must keep its factor, as the
+enumerator's pruning assumes.
 """
 
 import time
 from math import gcd
 
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from nashcone import (
@@ -115,6 +117,19 @@ def test_factor_is_none_exactly_when_not_negative_definite(rows):
     if F is not None:
         assert list(F.minors[1:]) == leading_minors_fraction(M)
         assert neg_adjugate(M) == neg_adjugate_gauss_jordan(M)
+
+
+# the pruning of enumerate_graphs' structure search rests on this: a
+# structure with a negative-definite weighting in [w, -1] is negative
+# definite with every weight at w
+@settings(max_examples=300, deadline=None)
+@given(_symmetric_matrices(), st.integers(1, 20))
+def test_lowering_a_diagonal_entry_keeps_the_factor(rows, drop):
+    assume(_leading_minors_negdef(rows))
+    for i in range(len(rows)):
+        lowered = [row[:] for row in rows]
+        lowered[i][i] -= drop
+        assert graph._neg_factor(lowered) is not None
 
 
 def test_each_verb_eliminates_the_graph_once(tmp_path, capsys, monkeypatch):
