@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from itertools import permutations, product
 from operator import getitem, mul
 
-from .cone import ConeStatus, Divisor, fundamental_cycle, lipman_status, pair
+from .cone import Divisor, fundamental_cycle, pair
 from .conditions import StarCertificate, StarStarReport, check_star, check_star_star
 from .errors import InternalInvariantError
 from .graph import (
@@ -55,7 +55,6 @@ __all__ = [
     "is_rational_artin",
     "structural_rationality",
     "nash_verdict",
-    "an_witness_divisors",
     "make_family",
     "enumerate_graphs",
 ]
@@ -223,25 +222,6 @@ def _analysis(g: ResolutionGraph) -> tuple[StarStarReport, StarCertificate, Divi
     on the intersection matrix."""
     star_star, star, Z = check_star_star(g), check_star(g), fundamental_cycle(g)
     return star_star, star, Z, pair(Z, Z, g.intersection_matrix())
-
-
-def an_witness_divisors(n: int) -> tuple[Divisor, Divisor]:
-    """The classical pair of strict anti-nef divisors on the A_n chain.
-
-    alpha_k = n*k - k*(k-1)/2 gives one divisor; its reversal gives the
-    other. Together their coefficient orderings cover every fundamental
-    half-space. Both are re-verified strict before being returned.
-    """
-    if n < 1:
-        raise ValueError("chain length must be at least 1")
-    alphas = tuple(n * k - k * (k - 1) // 2 for k in range(1, n + 1))
-    d1 = Divisor(alphas)
-    d2 = Divisor(alphas[::-1])
-    M = make_family("an", n).intersection_matrix()
-    for d in (d1, d2):
-        if lipman_status(d, M) is not ConeStatus.STRICT_LIPMAN:
-            raise InternalInvariantError(f"chain divisor {d.coeffs} is not strictly anti-nef")
-    return d1, d2
 
 
 def make_family(kind: str, *params: int) -> ResolutionGraph:
@@ -449,6 +429,21 @@ def _negdef_weights(mult, weight_range: range):
     return extend(0)
 
 
+def _genus_tuples(max_genus: int, n: int):
+    """The n-tuples over 0..max_genus in product order, made one at a time:
+    itertools.product would first build a pool of max_genus + 1 values."""
+    genera = [0] * n
+    while True:
+        yield tuple(genera)
+        k = n - 1
+        while genera[k] == max_genus:
+            genera[k] = 0
+            k -= 1
+            if k < 0:
+                return
+        genera[k] += 1
+
+
 def enumerate_graphs(max_vertices: int, min_weight: int, max_genus: int, max_mult: int = 1):
     """Yield every connected negative-definite graph within the bounds,
     one representative per isomorphism class, in a deterministic order.
@@ -500,7 +495,6 @@ def enumerate_graphs(max_vertices: int, min_weight: int, max_genus: int, max_mul
         )
 
     weight_range = range(min_weight, 0)
-    genus_range = range(max_genus + 1)
 
     for mult, aut in _structures(max_vertices, base, min_weight):
         n = len(mult)
@@ -509,7 +503,7 @@ def enumerate_graphs(max_vertices: int, min_weight: int, max_genus: int, max_mul
                 continue
             stab = [s for s in aut if tuple(weights[s[i]] for i in range(n)) == weights]
             first = None
-            for genera in product(genus_range, repeat=n):
+            for genera in _genus_tuples(max_genus, n):
                 if any(tuple(genera[s[i]] for i in range(n)) < genera for s in stab):
                     continue
                 g = ResolutionGraph(weights=weights, genera=genera, mult=mult)

@@ -13,7 +13,6 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 
 from .graph import IntersectionMatrix, ResolutionGraph
 
@@ -23,7 +22,6 @@ __all__ = [
     "pair",
     "lipman_status",
     "fundamental_cycle",
-    "strict_interior_divisor",
 ]
 
 
@@ -168,16 +166,3 @@ def fundamental_cycle(g: ResolutionGraph) -> Divisor:
         for l in range(g.n):
             s[l] += k * M[l][bad]
 
-
-def strict_interior_divisor(g: ResolutionGraph) -> Divisor:
-    """An integer divisor in the strict interior of the anti-nef cone.
-
-    With A = adj(-M) and d = det(-M), the row sums s = A.(1,...,1) satisfy
-    M.s = -d.(1,...,1). Dividing s by c = gcd(d, s_1, ..., s_n) clears the
-    denominators of (-M^-1).(1,...,1) = s/d and gives D with
-    M.D = -(d/c).(1,...,1), so every pairing is strictly negative.
-    """
-    A, d = neg_adjugate(g.intersection_matrix())
-    s = [sum(row) for row in A]
-    c = gcd(d, *s)
-    return Divisor(tuple(x // c for x in s))

@@ -3,7 +3,6 @@
 __all__ = [
     "NashconeError",
     "GraphFormatError",
-    "NoMultiplierGuarantee",
     "InternalInvariantError",
 ]
 
@@ -23,12 +22,6 @@ class GraphFormatError(NashconeError, ValueError):
         if line is not None:
             message = f"line {line}: {message}"
         super().__init__(message)
-
-
-class NoMultiplierGuarantee(NashconeError, ValueError):
-    """Raised when a multiplier is requested for a divisor that is not
-    strictly anti-nef; no multiple of such a divisor need ever satisfy the
-    realization criterion, so the search is refused rather than looped."""
 
 
 class InternalInvariantError(NashconeError, RuntimeError):

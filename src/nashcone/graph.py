@@ -45,7 +45,6 @@ __all__ = [
     "serialize_graph_json",
     "load_graph",
     "validate",
-    "is_negative_definite",
     "canonical_intersections",
     "graph_to_json_dict",
 ]
@@ -213,10 +212,6 @@ class NegFactor:
 
     minors: tuple[int, ...]
     upper: tuple[tuple[tuple[int, int], ...], ...]
-
-    @property
-    def det(self) -> int:
-        return self.minors[-1]
 
 
 def _neg_factor(entries) -> NegFactor | None:
@@ -656,12 +651,6 @@ def load_graph(text: str) -> ResolutionGraph:
 # validation
 
 
-def is_negative_definite(M: IntersectionMatrix) -> bool:
-    """Exact test: (-1)^k * (k-th leading principal minor) > 0 for all k,
-    read from the pivots of M's fraction-free factor."""
-    return M.neg_factor() is not None
-
-
 def is_connected(mult) -> bool:
     """Whether the graph with square multiplicity matrix ``mult`` is connected."""
     n = len(mult)
@@ -678,7 +667,7 @@ def is_connected(mult) -> bool:
 
 def validate(g: ResolutionGraph) -> ValidationReport:
     """Check the contractibility constraints; failures land in the report."""
-    negdef = is_negative_definite(g.intersection_matrix())
+    negdef = g.intersection_matrix().neg_factor() is not None
     connected = is_connected(g.mult)
     nonminimal = [
         i for i in range(g.n) if g.genera[i] == 0 and g.weights[i] == -1

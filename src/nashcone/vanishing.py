@@ -15,15 +15,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
-from .cone import ConeStatus, Divisor, lipman_status
-from .errors import NoMultiplierGuarantee
+from .cone import Divisor
 from .graph import ResolutionGraph, canonical_intersections
 
 __all__ = [
     "CriterionResult",
     "realization_criterion",
     "laufer_criterion",
-    "min_realizing_multiple",
 ]
 
 
@@ -41,17 +39,13 @@ class CriterionResult:
     values: dict[tuple[int, ...], int]
 
 
-def _require_effective(D: Divisor, n: int) -> None:
-    if D.n != n:
-        raise ValueError(f"divisor has {D.n} coefficients, graph has {n} vertices")
-    if not D.is_effective() or D.is_zero():
-        raise ValueError("divisor must be effective and nonzero")
-
-
 def _value_table(g: ResolutionGraph, D: Divisor, keys, value) -> CriterionResult:
     """Evaluate ``value(M, MD, k, *key)`` for every key, where MD = M.D and
     k is the canonical vector; the keys with a positive value violate."""
-    _require_effective(D, g.n)
+    if D.n != g.n:
+        raise ValueError(f"divisor has {D.n} coefficients, graph has {g.n} vertices")
+    if not D.is_effective() or D.is_zero():
+        raise ValueError("divisor must be effective and nonzero")
     M = g.intersection_matrix()
     MD = M.mulvec(D.coeffs)
     k = canonical_intersections(g)
@@ -74,30 +68,3 @@ def laufer_criterion(g: ResolutionGraph, D: Divisor) -> CriterionResult:
         g, D, ((i,) for i in range(g.n)), lambda M, MD, k, i: MD[i] + 2 * k[i]
     )
 
-
-def min_realizing_multiple(g: ResolutionGraph, D: Divisor) -> int:
-    """Least m >= 1 such that m*D passes the realization criterion.
-
-    Requires D strictly anti-nef: then (M.(mD))[l] drops without bound as
-    m grows while the other terms stay fixed, so some multiple works and
-    the minimum has the closed form below. A divisor with D.E_l = 0 for
-    some l gives no such guarantee, hence the dedicated error.
-    """
-    _require_effective(D, g.n)
-    M = g.intersection_matrix()
-    if lipman_status(D, M) is not ConeStatus.STRICT_LIPMAN:
-        raise NoMultiplierGuarantee(
-            "divisor is not strictly anti-nef; no multiple need satisfy the criterion"
-        )
-    MD = M.mulvec(D.coeffs)
-    k = canonical_intersections(g)
-    best = 1
-    for i in range(g.n):
-        for l in range(g.n):
-            num = M[i][l] + k[l] + (2 if i == l else 0)
-            den = -MD[l]  # > 0 by strictness
-            # ceil(num / den) via floor division
-            m = -((-num) // den)
-            if m > best:
-                best = m
-    return best

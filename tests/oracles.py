@@ -18,6 +18,16 @@ graph type and connectivity test, with the leading-minor elimination
 kept here, and the orbit-marking walk over every edge encoding, which
 growth from negative-definite structures replaced, uses that
 connectivity test.
+
+Three references left the package because no command reads them; each
+checks code that stayed, through the library's types: the classical
+pair of chain divisors on A_n (an_witness_divisors), against check_star
+and the half-space coverage; the row-sum divisor of adj(-M)
+(strict_interior_divisor), against neg_adjugate and the Gauss-Jordan
+adjugate; and the closed-form least realizing multiple
+(min_realizing_multiple, refusing a divisor that is not strictly
+anti-nef with NoMultiplierGuarantee), against iterating
+realization_criterion.
 """
 
 from fractions import Fraction
@@ -461,3 +471,82 @@ def structures_by_orbit_marking(n: int, base: int):
         if is_connected(mult_t):
             yield mult_t, [s for s, image in zip(perms, images) if image == idx]
         idx = seen.find(0, idx + 1)
+
+
+def an_witness_divisors(n: int):
+    """The classical pair of strict anti-nef divisors on the A_n chain.
+
+    alpha_k = n*k - k*(k-1)/2 gives one divisor; its reversal gives the
+    other. Together their coefficient orderings cover every fundamental
+    half-space. Both are re-verified strict before being returned.
+    """
+    from nashcone.classify import make_family
+    from nashcone.cone import ConeStatus, Divisor, lipman_status
+    from nashcone.errors import InternalInvariantError
+
+    if n < 1:
+        raise ValueError("chain length must be at least 1")
+    alphas = tuple(n * k - k * (k - 1) // 2 for k in range(1, n + 1))
+    d1 = Divisor(alphas)
+    d2 = Divisor(alphas[::-1])
+    M = make_family("an", n).intersection_matrix()
+    for d in (d1, d2):
+        if lipman_status(d, M) is not ConeStatus.STRICT_LIPMAN:
+            raise InternalInvariantError(f"chain divisor {d.coeffs} is not strictly anti-nef")
+    return d1, d2
+
+
+def strict_interior_divisor(g):
+    """An integer divisor in the strict interior of the anti-nef cone.
+
+    With A = adj(-M) and d = det(-M), the row sums s = A.(1,...,1) satisfy
+    M.s = -d.(1,...,1). Dividing s by c = gcd(d, s_1, ..., s_n) clears the
+    denominators of (-M^-1).(1,...,1) = s/d and gives D with
+    M.D = -(d/c).(1,...,1), so every pairing is strictly negative.
+    """
+    from nashcone.cone import Divisor, neg_adjugate
+
+    A, d = neg_adjugate(g.intersection_matrix())
+    s = [sum(row) for row in A]
+    c = gcd(d, *s)
+    return Divisor(tuple(x // c for x in s))
+
+
+class NoMultiplierGuarantee(ValueError):
+    """Raised when a multiplier is requested for a divisor that is not
+    strictly anti-nef; no multiple of such a divisor need ever satisfy the
+    realization criterion, so the search is refused rather than looped."""
+
+
+def min_realizing_multiple(g, D) -> int:
+    """Least m >= 1 such that m*D passes the realization criterion.
+
+    Requires D strictly anti-nef: then (M.(mD))[l] drops without bound as
+    m grows while the other terms stay fixed, so some multiple works and
+    the minimum has the closed form below. A divisor with D.E_l = 0 for
+    some l gives no such guarantee, hence the dedicated error.
+    """
+    from nashcone.cone import ConeStatus, lipman_status
+    from nashcone.graph import canonical_intersections
+
+    if D.n != g.n:
+        raise ValueError(f"divisor has {D.n} coefficients, graph has {g.n} vertices")
+    if not D.is_effective() or D.is_zero():
+        raise ValueError("divisor must be effective and nonzero")
+    M = g.intersection_matrix()
+    if lipman_status(D, M) is not ConeStatus.STRICT_LIPMAN:
+        raise NoMultiplierGuarantee(
+            "divisor is not strictly anti-nef; no multiple need satisfy the criterion"
+        )
+    MD = M.mulvec(D.coeffs)
+    k = canonical_intersections(g)
+    best = 1
+    for i in range(g.n):
+        for l in range(g.n):
+            num = M[i][l] + k[l] + (2 if i == l else 0)
+            den = -MD[l]  # > 0 by strictness
+            # ceil(num / den) via floor division
+            m = -((-num) // den)
+            if m > best:
+                best = m
+    return best

@@ -17,7 +17,6 @@ from nashcone import (
     Divisor,
     NashVerdict,
     ResolutionGraph,
-    an_witness_divisors,
     arithmetic_genus,
     check_star,
     check_star_star,
@@ -36,6 +35,7 @@ from nashcone.cone import neg_inverse
 
 from oracles import (
     all_orders_fundamental_cycles,
+    an_witness_divisors,
     find_strict_witness,
     graphs_isomorphic,
     halfspace_coverage,

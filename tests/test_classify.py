@@ -7,7 +7,6 @@ from nashcone import (
     ConeStatus,
     Divisor,
     NashVerdict,
-    an_witness_divisors,
     arithmetic_genus,
     check_star,
     check_star_star,
@@ -26,6 +25,7 @@ from nashcone.graph import ResolutionGraph, is_connected, render_json
 
 from oracles import (
     _leading_minors_negdef,
+    an_witness_divisors,
     enumerate_graphs_brute,
     graphs_isomorphic,
     halfspace_coverage,

@@ -379,7 +379,9 @@ _ONE_VERTEX_GENERA = ["enumerate", "--max-vertices", "1", "--min-weight", "-1",
 @pytest.mark.parametrize("argv", [
     _ONE_VERTEX_GENERA,
     ["analyze", "--json", "AN120"],
-], ids=["enumerate", "analyze-json"])
+    # a genus bound far past what memory holds: the genera must come lazily
+    [*_ONE_VERTEX_GENERA[:-1], str(10**20)],
+], ids=["enumerate", "analyze-json", "enumerate-genus-1e20"])
 @pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
 def test_closed_stdout_exits_zero_without_stderr(argv, buffered, tmp_path):
     """A reader that stops after one line (``| head -n 1``) is a normal end:

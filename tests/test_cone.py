@@ -18,11 +18,15 @@ from nashcone import (
     lipman_status,
     make_family,
     pair,
-    strict_interior_divisor,
 )
 from nashcone.cone import neg_adjugate, neg_inverse
 
-from oracles import all_orders_fundamental_cycles, clear_denominators, laufer_with_order
+from oracles import (
+    all_orders_fundamental_cycles,
+    clear_denominators,
+    laufer_with_order,
+    strict_interior_divisor,
+)
 
 
 def test_divisor_basics():

@@ -1,9 +1,12 @@
 """The package's public names: each is declared once, in the ``__all__`` of
-its module, and the package re-exports exactly those names."""
+its module, the package re-exports exactly those names, and each is
+reached by the package's own code or named in the README."""
 
 import ast
 import importlib
 import pathlib
+import re
+import tokenize
 from collections import Counter
 
 import nashcone
@@ -13,14 +16,14 @@ PACKAGE = pathlib.Path(nashcone.__file__).resolve().parent
 EXPORTS = [
     "ClassificationReport", "ConeStatus", "CriterionResult", "Divisor",
     "GraphFormatError", "InternalInvariantError", "IntersectionMatrix", "NashVerdict",
-    "NashconeError", "NoMultiplierGuarantee", "ResolutionGraph", "StarCertificate",
+    "NashconeError", "ResolutionGraph", "StarCertificate",
     "StarStarReport", "StructuralReport", "ValidationReport", "__version__",
-    "an_witness_divisors", "arithmetic_genus", "canonical_intersections", "check_star",
+    "arithmetic_genus", "canonical_intersections", "check_star",
     "check_star_star", "enumerate_graphs", "fundamental_cycle", "graph_to_json_dict",
-    "is_negative_definite", "is_rational_artin", "laufer_criterion", "lipman_status",
-    "load_graph", "make_family", "min_realizing_multiple", "nash_verdict", "pair",
+    "is_rational_artin", "laufer_criterion", "lipman_status",
+    "load_graph", "make_family", "nash_verdict", "pair",
     "parse_graph", "parse_graph_json", "realization_criterion", "serialize_graph",
-    "serialize_graph_json", "star_witness", "strict_interior_divisor",
+    "serialize_graph_json", "star_witness",
     "structural_rationality", "validate",
 ]
 
@@ -61,3 +64,28 @@ def test_init_names_no_export():
         elif isinstance(node, ast.Constant) and isinstance(node.value, str):
             written.add(node.value)
     assert written & (set(EXPORTS) - {"__version__"}) == set()
+
+
+def _code_uses() -> Counter:
+    """How often each identifier occurs in the package's code, not counting
+    the name a ``def`` or ``class`` statement binds; strings, docstrings
+    and comments (so the ``__all__`` entries) do not count."""
+    uses = Counter()
+    for path in PACKAGE.glob("*.py"):
+        with tokenize.open(path) as f:
+            previous = None
+            for tok in tokenize.generate_tokens(f.readline):
+                if tok.type == tokenize.NAME and previous not in ("def", "class"):
+                    uses[tok.string] += 1
+                previous = tok.string
+    return uses
+
+
+def test_each_export_is_reached_by_the_package_or_the_readme():
+    readme = (pathlib.Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    uses = _code_uses()
+    unreached = [
+        name for name in sorted(set(nashcone.__all__) - {"__version__"})
+        if not uses[name] and not re.search(rf"\b{re.escape(name)}\b", readme)
+    ]
+    assert unreached == []

@@ -26,7 +26,6 @@ from nashcone import (
     make_family,
     serialize_graph,
     star_witness,
-    strict_interior_divisor,
 )
 from nashcone import graph
 from nashcone.cli import main
@@ -37,6 +36,7 @@ from oracles import (
     _leading_minors_negdef,
     leading_minors_fraction,
     neg_adjugate_gauss_jordan,
+    strict_interior_divisor,
 )
 
 
@@ -65,7 +65,7 @@ def test_factor_matches_two_pass_oracle():
         F = M.neg_factor()
         assert list(F.minors[1:]) == leading_minors_fraction(M), g
         A, d = neg_adjugate_gauss_jordan(M)
-        assert F.det == d
+        assert F.minors[-1] == d
         assert neg_adjugate(M) == (A, d), g
         s = [sum(row) for row in A]
         assert strict_interior_divisor(g).coeffs == tuple(x // gcd(d, *s) for x in s)

@@ -12,7 +12,6 @@ from nashcone import (
     ResolutionGraph,
     canonical_intersections,
     graph_to_json_dict,
-    is_negative_definite,
     load_graph,
     make_family,
     parse_graph,
@@ -268,9 +267,9 @@ def test_mulvec_dimension_mismatch():
 
 
 def test_negative_definite_known_cases():
-    assert is_negative_definite(IntersectionMatrix(((-2, 1, 0), (1, -2, 1), (0, 1, -2))))
-    assert not is_negative_definite(IntersectionMatrix(((-1, 1), (1, -1))))
-    assert not is_negative_definite(IntersectionMatrix(((-2, 3), (3, -2))))
+    assert IntersectionMatrix(((-2, 1, 0), (1, -2, 1), (0, 1, -2))).neg_factor() is not None
+    assert IntersectionMatrix(((-1, 1), (1, -1))).neg_factor() is None
+    assert IntersectionMatrix(((-2, 3), (3, -2))).neg_factor() is None
 
 
 def test_negative_definite_agrees_with_brute_force():
@@ -286,7 +285,7 @@ def test_negative_definite_agrees_with_brute_force():
                         mult=((0, 1, 1), (1, 0, 1), (1, 1, 0))).intersection_matrix(),
     ]
     for M in cases:
-        assert is_negative_definite(M) == negdef_brute(M), M.entries
+        assert (M.neg_factor() is not None) == negdef_brute(M), M.entries
 
 
 def test_validate_good_graph(a2):

@@ -4,15 +4,13 @@ import pytest
 
 from nashcone import (
     Divisor,
-    NoMultiplierGuarantee,
     laufer_criterion,
     make_family,
-    min_realizing_multiple,
     realization_criterion,
 )
 from nashcone.cone import neg_inverse
 
-from oracles import clear_denominators
+from oracles import NoMultiplierGuarantee, clear_denominators, min_realizing_multiple
 
 
 def test_realization_genus2_vertex(g2w1):
