@@ -30,6 +30,7 @@ from .errors import InternalInvariantError, NashconeError
 from .graph import (
     _input_int,
     _kept,
+    _Table,
     ResolutionGraph,
     graph_to_json_dict,
     load_graph,
@@ -58,9 +59,13 @@ class _Int(click.ParamType):
             self.fail(str(exc), param, ctx)
 
 
-def report_to_dict(r: ClassificationReport, matrix_part: bool = True) -> dict:
+def report_to_dict(
+    r: ClassificationReport, matrix_part: bool = True, columns: bool = False
+) -> dict:
     """JSON form of a classification report, 1-based indices throughout;
-    with ``matrix_part`` False, without the keys of _matrix_dict."""
+    with ``matrix_part`` False, without the keys of _matrix_dict, and with
+    ``columns``, with its pair lists as columns for render_json (see
+    _matrix_dict)."""
     g = r.graph
     d = {
         "graph": {**graph_to_json_dict(g), "labels": [g.label(i) for i in range(g.n)]},
@@ -72,7 +77,7 @@ def report_to_dict(r: ClassificationReport, matrix_part: bool = True) -> dict:
         },
     }
     if matrix_part:
-        d.update(_matrix_dict(r))
+        d.update(_matrix_dict(r, columns))
     d["pa_fundamental"] = r.pa_fundamental
     d["artin_rational"] = r.artin_rational
     d["structural"] = {
@@ -86,21 +91,35 @@ def report_to_dict(r: ClassificationReport, matrix_part: bool = True) -> dict:
     return d
 
 
-def _matrix_dict(r: ClassificationReport) -> dict:
+def _matrix_dict(r: ClassificationReport, columns: bool = False) -> dict:
     """The report keys ``star_star``, ``star`` and ``fundamental_cycle``,
     which depend on the intersection matrix alone.
 
     Pairs that share a witness ``Divisor`` object share one ``divisor``
     list, so that ``render_json`` writes its text once: a caller that
-    mutates the list of one pair changes it for all of them.
+    mutates the list of one pair changes it for all of them. With
+    ``columns``, the witnesses and the failing pairs are graph._Table
+    values instead, which only render_json reads: two int columns for the
+    pairs and, for the witnesses, a column of the divisors' shared
+    coefficient tuples. No dict or list is then built per pair.
     """
-    divisors: dict[int, list[int]] = {}  # id of a witness Divisor -> its one list
-    witnesses = []
-    for (i, j), w in sorted(r.star.witnesses.items()):
-        coeffs = divisors.get(id(w))
-        if coeffs is None:
-            coeffs = divisors[id(w)] = list(w.coeffs)
-        witnesses.append({"pair": [i + 1, j + 1], "divisor": coeffs})
+    found = r.star.witnesses
+    pairs = sorted(found)
+    divisors = list(map(found.__getitem__, pairs))
+    failing = sorted(r.star.failing_pairs)
+    if columns:
+        witnesses = _Table(("pair", "divisor"), (
+            ("ints", _one_based(pairs)), ("lists", [w.coeffs for w in divisors]),
+        ), len(pairs))
+        first, second = _one_based(failing)
+        failing_pairs = _Table(None, (("int", first), ("int", second)), len(failing))
+    else:
+        distinct = dict(zip(map(id, divisors), divisors))  # each witness Divisor once, by id
+        lists = {key: list(w.coeffs) for key, w in distinct.items()}
+        witnesses = [
+            {"pair": [i + 1, j + 1], "divisor": lists[id(w)]} for (i, j), w in zip(pairs, divisors)
+        ]
+        failing_pairs = [[i + 1, j + 1] for i, j in failing]
     return {
         "star_star": {
             "holds": r.star_star.holds,
@@ -109,10 +128,16 @@ def _matrix_dict(r: ClassificationReport) -> dict:
         "star": {
             "holds": r.star.holds,
             "witnesses": witnesses,
-            "failing_pairs": [[i + 1, j + 1] for i, j in sorted(r.star.failing_pairs)],
+            "failing_pairs": failing_pairs,
         },
         "fundamental_cycle": list(r.fundamental_cycle.coeffs),
     }
+
+
+def _one_based(pairs: list[tuple[int, int]]) -> tuple[list[int], list[int]]:
+    """The first and the second vertices of 0-based ``pairs``, as two 1-based
+    columns."""
+    return [i + 1 for i, _ in pairs], [j + 1 for _, j in pairs]
 
 
 def _yn(b: bool) -> str:
@@ -184,7 +209,7 @@ def emit_report(r: ClassificationReport, format: str = "text") -> str:
     """Render a report; both formats are byte-deterministic."""
     with _uncapped_int_str():
         if format == "json":
-            return render_json(report_to_dict(r)) + "\n"
+            return render_json(report_to_dict(r, columns=True)) + "\n"
         return _text_report(r)
 
 

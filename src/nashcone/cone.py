@@ -127,15 +127,14 @@ def neg_inverse(M: IntersectionMatrix) -> tuple[tuple[Fraction, ...], ...]:
 
 
 def lipman_status(D: Divisor, M: IntersectionMatrix) -> ConeStatus:
-    """Classify D against the anti-nef cone by the signs of M.D."""
+    """Classify D against the anti-nef cone by the signs of M.D; the zero
+    divisor, whose M.D is zero, is not in the cone."""
     if D.n != M.n:
         raise ValueError("dimension mismatch")
-    if D.is_zero():
-        return ConeStatus.NOT_IN_CONE
-    s = M.mulvec(D.coeffs)
-    if all(x < 0 for x in s):
+    top = max(M.mulvec(D.coeffs))
+    if top < 0:
         return ConeStatus.STRICT_LIPMAN
-    if all(x <= 0 for x in s):
+    if top == 0 and any(D.coeffs):
         return ConeStatus.LIPMAN_BOUNDARY
     return ConeStatus.NOT_IN_CONE
 

@@ -32,6 +32,7 @@ import sys
 from dataclasses import dataclass
 from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii
+from operator import mul
 
 from .errors import GraphFormatError
 
@@ -171,9 +172,12 @@ class IntersectionMatrix:
         # compare each row with the matching column, a row at a time
         if any(tuple(row) != col for row, col in zip(self.entries, zip(*self.entries))):
             raise ValueError("intersection matrix must be symmetric")
-        # dual graphs are sparse: products cost O(n + edges) over the nonzeros
-        sparse = tuple(tuple((j, x) for j, x in enumerate(row) if x) for row in self.entries)
-        object.__setattr__(self, "_sparse", sparse)
+        # dual graphs are sparse: M.v costs O(n + edges), from the diagonal
+        # and the nonzeros above it, each edge taken once for both its ends
+        object.__setattr__(self, "_diag", tuple(row[i] for i, row in enumerate(self.entries)))
+        object.__setattr__(self, "_edges", tuple(
+            (i, j, x) for i, row in enumerate(self.entries) for j, x in enumerate(row) if j > i and x
+        ))
 
     @property
     def n(self) -> int:
@@ -186,7 +190,11 @@ class IntersectionMatrix:
         """Matrix-vector product M.v, exact."""
         if len(v) != self.n:
             raise ValueError("dimension mismatch")
-        return tuple([sum([x * v[j] for j, x in row]) for row in self._sparse])
+        out = list(map(mul, self._diag, v))
+        for i, j, x in self._edges:
+            out[i] += x * v[j]
+            out[j] += x * v[i]
+        return tuple(out)
 
     def neg_factor(self) -> NegFactor | None:
         """The fraction-free factor of -M, or None if M is not negative
@@ -488,7 +496,8 @@ def render_json(obj) -> str:
     A list that is a table (see _render_table), such as the witnesses of a
     report or the values of a criterion, is rendered by one row template
     filled once per row, and a list of integers in it, such as a shared
-    witness divisor, by the same memo.
+    witness divisor, by the same memo. A ``_Table`` is rendered the same
+    way from the columns it holds, as the list of records it stands for.
     """
     out: list[str] = []
     _render(obj, "\n", out, {})
@@ -529,6 +538,9 @@ def _render(obj, newline: str, out: list[str], memo: dict) -> None:
         out.append(encode_basestring_ascii(obj))
     elif type(obj) is int:
         out.append(str(obj))
+    elif type(obj) is _Table:
+        if not _render_columns(obj, newline, out, memo):
+            raise ValueError("a table column of lists must hold non-empty lists of ints")
     else:
         out.append(json.dumps(obj))
 
@@ -552,11 +564,9 @@ def _render_table(rows: list, newline: str, out: list[str], memo: dict) -> bool:
     of one non-zero length, whose every column holds only ints (not bools)
     or only non-empty lists of ints. Otherwise append nothing, return False.
 
-    An int column, or a column of int lists of one length of at most two
-    (pairs and indices), fills ``%d`` slots of one row template. Any other
-    column holds text from _int_list_text, once per list object, and the
-    template is cut around it. The row separator ends the last cut, so the
-    rows are emitted without a Python loop per row.
+    The columns are sorted here into the fields of a _Table: an int column,
+    a column of int lists of one length of at most two (pairs and indices)
+    as that many int columns, or any other column of int lists.
     """
     kinds = set(map(type, rows))
     if kinds == {dict}:
@@ -564,42 +574,82 @@ def _render_table(rows: list, newline: str, out: list[str], memo: dict) -> bool:
         if not keys or set(map(type, keys)) != {str} or not all(map(keys.__eq__, map(tuple, rows))):
             return False
         cols = zip(*map(dict.values, rows))
-        heads = [encode_basestring_ascii(k).replace("%", "%%") + ": " for k in keys]
-        bracket = "{}"
     elif kinds == {list} and len(rows) > 1 and len(set(map(len, rows))) == 1 and rows[0]:
+        keys = None
         cols = zip(*rows)
-        heads = [""] * len(rows[0])
-        bracket = "[]"
     else:
         return False
-    inner = newline + "  "
-    cell = inner + "  "  # the newline of a value in a row
-    template, slots, cuts = bracket[0], [], []
-    for head, col in zip(heads, cols):
-        template += cell + head
+    fields = []
+    for col in cols:
         types = set(map(type, col))
         sizes = set(map(len, col)) if types == {list} else ()
         if types == {int}:
-            template += "%d"
-            slots.append(col)
+            fields.append(("int", col))
         elif len(sizes) == 1 and 0 < min(sizes) <= 2:
             if set(map(type, chain.from_iterable(col))) != {int}:
                 return False
-            deeper = cell + "  "
-            template += "[" + deeper + ("," + deeper).join(["%d"] * min(sizes)) + cell + "]"
-            slots.extend(zip(*col))
+            fields.append(("ints", tuple(zip(*col))))
         elif sizes:
+            fields.append(("lists", col))
+        else:
+            return False
+    return _render_columns(_Table(keys, tuple(fields), len(rows)), newline, out, memo)
+
+
+@dataclass(frozen=True)
+class _Table:
+    """A list of ``n`` records given by its columns, which render_json writes
+    as the list of dicts with ``keys`` (or, with ``keys`` None, of lists)
+    without building a record. Each field, one per key, is ``("int", col)``,
+    a column of ints; ``("ints", cols)``, a list of len(cols) ints per
+    record, taken from the int columns ``cols``; or ``("lists", col)``, a
+    column of int lists."""
+
+    keys: tuple[str, ...] | None
+    fields: tuple
+    n: int
+
+
+def _render_columns(table: _Table, newline: str, out: list[str], memo: dict) -> bool:
+    """Append the text of ``table`` and return True, or, if a list of a
+    ``lists`` field is empty or holds anything but ints, append nothing and
+    return False.
+
+    An int fills a ``%d`` slot of one row template. An int list of a
+    ``lists`` field is text from _int_list_text, once per list object, and
+    the template is cut around it. The row separator ends the last cut, so
+    the rows are emitted without a Python loop per row.
+    """
+    keys, fields, n = table.keys, table.fields, table.n
+    if not n:
+        out.append("[]")
+        return True
+    if keys is None:
+        heads, bracket = [""] * len(fields), "[]"
+    else:
+        heads, bracket = [encode_basestring_ascii(k).replace("%", "%%") + ": " for k in keys], "{}"
+    inner = newline + "  "
+    cell = inner + "  "  # the newline of a value in a row
+    template, slots, cuts = bracket[0], [], []
+    for head, (kind, col) in zip(heads, fields):
+        template += cell + head
+        if kind == "int":
+            template += "%d"
+            slots.append(col)
+        elif kind == "ints":
+            deeper = cell + "  "
+            template += "[" + deeper + ("," + deeper).join(["%d"] * len(col)) + cell + "]"
+            slots.extend(col)
+        else:
             lists = dict(zip(map(id, col), col))
             texts = {i: _int_list_text(x, cell, memo) for i, x in lists.items()}
             if None in texts.values():
                 return False
-            cuts += [_fill(template, slots, len(rows)), map(texts.__getitem__, map(id, col))]
+            cuts += [_fill(template, slots, n), map(texts.__getitem__, map(id, col))]
             template, slots = "", []
-        else:
-            return False
         template += ","
     template = template[:-1] + inner + bracket[1] + "," + inner
-    cuts.append(_fill(template, slots, len(rows)))
+    cuts.append(_fill(template, slots, n))
     out.append("[" + inner)
     out.extend(chain.from_iterable(zip(*cuts)))
     out[-1] = out[-1][: -len(inner) - 1] + newline + "]"

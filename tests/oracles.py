@@ -6,7 +6,8 @@ the set of half-spaces a list of divisors covers,
 naive quadratic-form scans for definiteness, a reorderable variant of the
 one-step fundamental-cycle sequence, and the rational-arithmetic route to
 -M^-1 and to the condition (*) witnesses that the integer kernel replaced,
-with the denominator clearing it used.
+with the denominator clearing it used, and the dense row-by-row
+product M.v with the cone test read off its signs.
 The old two-pass integer kernel that the fraction-free factor replaced
 is kept verbatim as a differential oracle: the leading-minor elimination
 that validation ran, the Bareiss Gauss-Jordan pass that gave adj(-M) and
@@ -550,3 +551,26 @@ def min_realizing_multiple(g, D) -> int:
             if m > best:
                 best = m
     return best
+
+
+def mulvec_dense(entries, v) -> tuple[int, ...]:
+    """M.v row by row over every entry of M, zeros included: the product
+    that IntersectionMatrix.mulvec computes from the diagonal and the edge
+    list."""
+    if len(v) != len(entries):
+        raise ValueError("dimension mismatch")
+    return tuple(sum(x * y for x, y in zip(row, v)) for row in entries)
+
+
+def lipman_status_dense(entries, coeffs) -> str:
+    """The cone status value of the divisor ``coeffs``, by the definition:
+    not in the cone if it is zero, else strict if every pairing
+    (M.D)[i] < 0, on the boundary if every pairing is <= 0."""
+    if all(c == 0 for c in coeffs):
+        return "not_in_cone"
+    s = mulvec_dense(entries, coeffs)
+    if all(x < 0 for x in s):
+        return "strict_lipman"
+    if all(x <= 0 for x in s):
+        return "lipman_boundary"
+    return "not_in_cone"

@@ -827,3 +827,33 @@ def test_render_json_matches_stdlib_on_reports():
     ]
     for doc in docs:
         assert render_json(doc) == json.dumps(doc, indent=2)
+
+
+def test_column_report_renders_as_the_plain_report():
+    # analyze --json renders its pair lists from columns; the text is that
+    # of the plain report, empty tables and failing pairs included
+    graphs = [make_family(*f) for f in _BENCH_FAMILIES] + [
+        make_family("vertex", 1, -2), make_family("an", 2), make_family("dn", 4),
+        ResolutionGraph((-2, -3, -5), (0, 1, 0), ((0, 1, 0), (1, 0, 2), (0, 2, 0)), ("a", "b", "%d")),
+    ]
+    for g in graphs:
+        r = nash_verdict(g)
+        assert render_json(report_to_dict(r, columns=True)) == json.dumps(report_to_dict(r), indent=2)
+
+
+# no benchmark workload reaches these sizes; the digests were taken from the
+# per-pair renderer that the column one replaced
+@pytest.mark.parametrize(
+    "family, size, digest",
+    [
+        (("an", 120), 32339044, "b10e82808404bd4f698cb7514f4aa02611cad5037e299662088a6b6b8ce9705b"),
+        (("dn", 120), 15188897, "96af3851b36055393b3dd5d0cfbb39f601ff22eff4027a25e45c7edca84e4652"),
+        (("cycle", 60, -3), 5683205,
+         "05742d1bf083549ba41903c9559f100e93bc9eeb212623451214b97c7a4f5f9a"),
+    ],
+)
+def test_analyze_json_digest_is_pinned_at_large_n(family, size, digest, graph_file, capsys):
+    assert main(["analyze", "--json", graph_file(make_family(*family))]) == 0
+    out = capsys.readouterr().out.encode()
+    assert len(out) == size
+    assert hashlib.sha256(out).hexdigest() == digest

@@ -264,3 +264,123 @@ def test_ordering_checked_for_every_pair_of_a_class():
     adj.witnesses[key] = Divisor((1,) * g.n)
     with pytest.raises(InternalInvariantError, match=re.escape(f"pair {later}")):
         adj.witness(*later)
+
+
+def _corrupting(row, col, delta=0, d_delta=0):
+    """A stand-in for conditions.neg_adjugate that adds ``delta`` to the one
+    entry A[row][col] of the adjugate (its mirror entry stays) and
+    ``d_delta`` to the determinant."""
+    real = conditions.neg_adjugate
+
+    def corrupted(M):
+        A, d = real(M)
+        rows = [list(r) for r in A]
+        rows[row][col] += delta
+        return tuple(map(tuple, rows)), d + d_delta
+
+    return corrupted
+
+
+def _mutations(g):
+    """Each entry of adj(-M) moved by +-1, +-2, +-floor(d/2) and +-d, and d
+    moved by -1 and +1, as arguments of _corrupting."""
+    _, d = conditions.neg_adjugate(g.intersection_matrix())
+    for row in range(g.n):
+        for col in range(g.n):
+            for delta in (-d, -(d // 2), -2, -1, 1, 2, d // 2, d):
+                yield (row, col, delta)
+    yield (0, 0, 0, -1)
+    yield (0, 0, 0, 1)
+
+
+# on each of these, some mutation above moves a failing pair while every
+# witness still passes its own checks
+_CERTIFIED_GRAPHS = [("an", 4), ("dn", 6), ("star3", 5), ("cycle", 4, -3)]
+
+
+@pytest.mark.parametrize("family", _CERTIFIED_GRAPHS)
+def test_corrupted_adjugate_never_changes_a_verdict(family):
+    # a corrupted entry may change which witness a pair gets, but a pair
+    # that holds may not be reported failing, nor the reverse: each such
+    # run raises instead. Without the row check, some run would.
+    g = make_family(*family)
+    truth = check_star(g)
+    raised = wrong_without_check = 0
+    for mutation in _mutations(g):
+        with mock.patch.object(conditions, "neg_adjugate", _corrupting(*mutation)):
+            try:
+                cert = check_star(g)
+            except InternalInvariantError:
+                raised += 1
+            else:
+                assert (cert.holds, cert.failing_pairs) == (truth.holds, truth.failing_pairs)
+                assert set(cert.witnesses) == set(truth.witnesses)
+            with mock.patch.object(conditions._Adjugate, "certify"):
+                try:
+                    unchecked = check_star(g)
+                except InternalInvariantError:
+                    continue
+            wrong_without_check += unchecked.failing_pairs != truth.failing_pairs
+    assert raised > 0
+    assert wrong_without_check > 0
+
+
+@pytest.mark.parametrize("family", _CERTIFIED_GRAPHS)
+def test_corrupted_adjugate_never_changes_a_witness_answer(family):
+    g = make_family(*family)
+    truth = {(i, j): star_witness(g, i, j) is None
+             for i in range(g.n) for j in range(g.n) if i != j}
+    raised_instead_of_none = 0
+    for mutation in _mutations(g):
+        with mock.patch.object(conditions, "neg_adjugate", _corrupting(*mutation)):
+            for (i, j), none in truth.items():
+                try:
+                    answer = star_witness(g, i, j)
+                except InternalInvariantError as exc:
+                    raised_instead_of_none += "adj(-M)" in str(exc)
+                    continue
+                assert (answer is None) == none
+    assert raised_instead_of_none > 0
+
+
+def test_witness_verb_refuses_a_none_from_a_corrupted_adjugate(tmp_path, capsys):
+    # on A4, adj(-M) has rows (4, 3, 2, 1) and (3, 6, 4, 2), so E2 < E1 holds;
+    # with A[1][0] raised by 1, the row of E2 is at least that of E1
+    # entrywise, and the pair would be answered "none"
+    path = tmp_path / "a4.graph"
+    path.write_text(serialize_graph(make_family("an", 4)))
+    assert main(["witness", str(path), "--pair", "2", "1"]) == 0
+    assert capsys.readouterr().out not in ("", "none\n")
+    with mock.patch.object(conditions, "neg_adjugate", _corrupting(1, 0, 1)):
+        with mock.patch.object(conditions._Adjugate, "certify"):
+            assert main(["witness", str(path), "--pair", "2", "1"]) == 0
+            assert capsys.readouterr().out == "none\n"
+        assert main(["witness", str(path), "--pair", "2", "1"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "internal error: row 1 of adj(-M) failed re-verification" in err
+
+
+@pytest.mark.parametrize(
+    "family,products",
+    [(("an", 30), 108), (("dn", 30), 41 + 30), (("cycle", 30, -3), 17), (("dn", 4), 4 + 4)],
+)
+def test_failing_rows_are_checked_once_each(family, products):
+    # one product M.v per distinct witness (its strictness check) and one
+    # per row of adj(-M) that a failing pair reads; an and cycle fail no pair
+    g = make_family(*family)
+    M = g.intersection_matrix()
+    with mock.patch.object(type(M), "mulvec", autospec=True, side_effect=type(M).mulvec) as spy:
+        cert = check_star(g)
+    rows = {x for pair in cert.failing_pairs for x in pair}
+    assert spy.call_count == len({w.coeffs for w in cert.witnesses.values()}) + len(rows) == products
+
+
+def test_certificate_needs_a_positive_determinant():
+    # -A and -d satisfy M.(-A[r]) = -(-d) e_r as well, but with a negative
+    # determinant the rows prove nothing about the anti-nef cone
+    adj = conditions._Adjugate(make_family("dn", 4).intersection_matrix())
+    adj.certify(range(4))
+    adj.A, adj.d = tuple(tuple(-x for x in row) for row in adj.A), -adj.d
+    with pytest.raises(InternalInvariantError, match="row 0 of adj"):
+        adj.certify(range(4))

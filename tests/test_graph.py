@@ -21,9 +21,10 @@ from nashcone import (
     validate,
 )
 from nashcone.cli import _uncapped_int_str
-from nashcone.graph import MAX_VERTICES, _render_table, render_json
+from nashcone.cone import ConeStatus, Divisor, lipman_status, neg_adjugate
+from nashcone.graph import MAX_VERTICES, _render_table, _Table, render_json
 
-from oracles import negdef_brute
+from oracles import lipman_status_dense, mulvec_dense, negdef_brute
 
 A2_TEXT = """\
 vertices: 2
@@ -264,6 +265,70 @@ def test_intersection_matrix_accepts_list_rows():
 def test_mulvec_dimension_mismatch():
     with pytest.raises(ValueError, match="^dimension mismatch$"):
         IntersectionMatrix(((-2, 1), (1, -2))).mulvec((1, 1, 1))
+
+
+# coefficients of a few digits and of hundreds
+_coefficients = st.integers(-9, 9) | st.integers(-(10 ** 300), 10 ** 300)
+
+
+@st.composite
+def _symmetric_matrices(draw, dominant=False):
+    """Symmetric integer matrices of 1 to 8 rows: graph-like (negative
+    diagonal, multiplicities 0 to 3), dense (every entry nonzero), or with
+    entries of hundreds of digits. With ``dominant``, each diagonal entry
+    is below minus the sum of the other absolute values of its row, which
+    makes the matrix negative definite."""
+    n = draw(st.integers(1, 8))
+    diag, off = draw(st.sampled_from([
+        (st.integers(-6, -1), st.integers(0, 3)),
+        (st.integers(-50, 50).filter(bool), st.integers(-50, 50).filter(bool)),
+        (st.integers(-(10 ** 400), 10 ** 400), st.integers(-(10 ** 400), 10 ** 400)),
+    ]))
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            rows[i][j] = rows[j][i] = draw(off)
+    for i, row in enumerate(rows):
+        if dominant:
+            row[i] = -sum(map(abs, row)) - draw(st.integers(1, 5))
+        else:
+            row[i] = draw(diag)
+    return IntersectionMatrix(tuple(map(tuple, rows)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_mulvec_matches_the_dense_product(data):
+    M = data.draw(_symmetric_matrices())
+    v = data.draw(st.lists(_coefficients, min_size=M.n, max_size=M.n))
+    expected = mulvec_dense(M.entries, v)
+    assert M.mulvec(v) == M.mulvec(tuple(v)) == expected
+    assert type(M.mulvec(v)) is tuple
+    wrong = data.draw(st.lists(_coefficients, max_size=10).filter(lambda w: len(w) != M.n))
+    with pytest.raises(ValueError, match="^dimension mismatch$"):
+        M.mulvec(wrong)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_lipman_status_matches_the_definition(data):
+    # on a negative-definite M with A = adj(-M) and d = det(-M) > 0:
+    # M.(A.1) = -d.1 (strict), M.A[k] = -d e_k (boundary once n >= 2),
+    # M.(-A.1) = d.1 (outside), and the zero divisor is outside too
+    M = data.draw(_symmetric_matrices(dominant=True))
+    A, _ = neg_adjugate(M)
+    s = [sum(row) for row in A]
+    expected = [
+        (s, ConeStatus.STRICT_LIPMAN),
+        ([-x for x in s], ConeStatus.NOT_IN_CONE),
+        ([0] * M.n, ConeStatus.NOT_IN_CONE),
+    ] + [(list(row), ConeStatus.LIPMAN_BOUNDARY) for row in A if M.n > 1]
+    for coeffs, status in expected:
+        assert lipman_status(Divisor(tuple(coeffs)), M) is status
+        assert lipman_status_dense(M.entries, coeffs) == status.value
+    for M in (M, data.draw(_symmetric_matrices())):
+        coeffs = data.draw(st.lists(_coefficients, min_size=M.n, max_size=M.n))
+        assert lipman_status(Divisor(tuple(coeffs)), M).value == lipman_status_dense(M.entries, coeffs)
 
 
 def test_negative_definite_known_cases():
@@ -564,6 +629,31 @@ def test_render_json_falls_back_on_other_lists(rows):
     assert out == []
     doc = {"table": rows, "again": [rows]}
     assert render_json(doc) == json.dumps(doc, indent=2)
+
+
+def test_render_json_renders_a_column_table_as_its_records():
+    pairs = [(1, 2), (1, 3), (2, 3)]
+    divisors = [_DIVISOR, _DIVISOR, (1, 2, 3, 4)]
+    first, second = map(list, zip(*pairs))
+    cases = [
+        (_Table(("pair", "divisor"), (("ints", (first, second)), ("lists", divisors)), 3),
+         [{"pair": list(p), "divisor": list(d)} for p, d in zip(pairs, divisors)]),
+        (_Table(("%d", "a%"), (("lists", divisors), ("int", second)), 3),
+         [{"%d": list(d), "a%": j} for d, j in zip(divisors, second)]),
+        (_Table(None, (("int", first), ("int", second)), 3), [list(p) for p in pairs]),
+        (_Table(None, (("int", [7]), ("int", [8])), 1), [[7, 8]]),
+        (_Table(("pair",), (("ints", ([], [])),), 0), []),
+    ]
+    for table, records in cases:
+        doc = {"table": table, "again": [table, _DIVISOR]}
+        assert render_json(doc) == json.dumps({"table": records, "again": [records, _DIVISOR]},
+                                              indent=2)
+
+
+@pytest.mark.parametrize("column", [[[1], []], [[1], [1, True]], [[1], ["1"]]])
+def test_render_json_refuses_a_column_table_of_other_lists(column):
+    with pytest.raises(ValueError, match="non-empty lists of ints"):
+        render_json([_Table(("divisor",), (("lists", column),), 2)])
 
 
 @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int digit cap")

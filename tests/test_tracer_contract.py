@@ -61,3 +61,20 @@ def test_tracer_counts_one_validation_per_verb(tmp_path, capsys):
     assert t.calls["classify.nash_verdict"] == 1
     assert t.calls["conditions.star_witness"] == 1
     assert t.calls["vanishing.laufer_criterion"] == 1
+
+
+def test_tracer_counts_of_one_json_report(tmp_path, capsys):
+    # one strictness check per distinct witness (108 on an 30), one (*)
+    # decision and one report dict per analyze --json call
+    path = tmp_path / "a30.graph"
+    path.write_text(serialize_graph(make_family("an", 30)))
+    t = tracer.Tracer()
+    t.install()
+    try:
+        assert main(["analyze", "--json", str(path)]) == 0
+    finally:
+        t.uninstall()
+    capsys.readouterr()
+    assert t.calls["cone.lipman_status"] == 108
+    assert t.calls["conditions.check_star"] == 1
+    assert t.calls["cli.report_to_dict"] == 1
