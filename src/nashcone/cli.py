@@ -111,8 +111,7 @@ def _matrix_dict(r: ClassificationReport, columns: bool = False) -> dict:
         witnesses = _Table(("pair", "divisor"), (
             ("ints", _one_based(pairs)), ("lists", [w.coeffs for w in divisors]),
         ), len(pairs))
-        first, second = _one_based(failing)
-        failing_pairs = _Table(None, (("int", first), ("int", second)), len(failing))
+        failing_pairs = _index_table(failing)
     else:
         distinct = dict(zip(map(id, divisors), divisors))  # each witness Divisor once, by id
         lists = {key: list(w.coeffs) for key, w in distinct.items()}
@@ -134,10 +133,15 @@ def _matrix_dict(r: ClassificationReport, columns: bool = False) -> dict:
     }
 
 
-def _one_based(pairs: list[tuple[int, int]]) -> tuple[list[int], list[int]]:
-    """The first and the second vertices of 0-based ``pairs``, as two 1-based
-    columns."""
-    return [i + 1 for i, _ in pairs], [j + 1 for _, j in pairs]
+def _one_based(keys, width: int = 2) -> tuple[list[int], ...]:
+    """The 0-based index tuples ``keys``, each of ``width`` entries, as
+    ``width`` 1-based columns."""
+    return tuple([[key[p] + 1 for key in keys] for p in range(width)])
+
+
+def _index_table(keys, width: int = 2) -> _Table:
+    """The 0-based index tuples ``keys`` as a _Table of 1-based int lists."""
+    return _Table(None, tuple(("int", col) for col in _one_based(keys, width)), len(keys))
 
 
 def _yn(b: bool) -> str:
@@ -213,6 +217,16 @@ def emit_report(r: ClassificationReport, format: str = "text") -> str:
         return _text_report(r)
 
 
+def _stdout():
+    """The stream the commands write their output to: click's text writer
+    for sys.stdout, which rewraps the buffer of an ASCII-encoded stdout as
+    UTF-8. click.echo without a ``file`` keeps this writer in a cache keyed
+    weakly on sys.stdout; for a stream that needs no rewrap the value is the
+    stream itself, so the cache keeps every such stream alive. A command
+    that writes many lines looks the writer up once."""
+    return click.get_text_stream("stdout")
+
+
 def _read_graph_file(path: str) -> ResolutionGraph:
     with open(path, "r", encoding="utf-8") as fh:
         return load_graph(fh.read())
@@ -257,7 +271,7 @@ def analyze(file: str, as_json: bool) -> None:
     """Full classification report for one graph file."""
     g = _read_graph_file(file)
     r = nash_verdict(g)
-    click.echo(emit_report(r, "json" if as_json else "text"), nl=False)
+    click.echo(emit_report(r, "json" if as_json else "text"), file=_stdout(), nl=False)
 
 
 @cli.command()
@@ -275,7 +289,7 @@ def witness(file: str, pair: tuple[int, int]) -> None:
         raise ValueError(f"pair indices must be in 1..{g.n}")
     w = star_witness(g, i - 1, j - 1)
     with _uncapped_int_str():
-        click.echo("none" if w is None else " ".join(str(c) for c in w.coeffs))
+        click.echo("none" if w is None else " ".join(str(c) for c in w.coeffs), file=_stdout())
 
 
 @cli.command(context_settings={"ignore_unknown_options": True})
@@ -290,7 +304,7 @@ def family(kind: str, params: tuple[str, ...], as_json: bool, output: str | None
     g = make_family(kind, *args)
     text = serialize_graph_json(g) if as_json else serialize_graph(g)
     if output is None:
-        click.echo(text, nl=False)
+        click.echo(text, file=_stdout(), nl=False)
     else:
         with open(output, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -321,11 +335,27 @@ def _enum_line(g: ResolutionGraph) -> str:
 @click.option("--max-mult", type=_Int(), default=1, show_default=True)
 def enumerate(max_vertices: int, min_weight: int, max_genus: int, max_mult: int) -> None:
     """Stream one JSON report line per graph, smallest graphs first."""
+    out = _stdout()
     for g in enumerate_graphs(max_vertices, min_weight, max_genus, max_mult):
-        click.echo(_enum_line(g))
+        click.echo(_enum_line(g), file=out)
 
 
-def _criterion_json(name: str, res: CriterionResult) -> dict:
+def _criterion_json(name: str, res: CriterionResult, columns: bool = False) -> dict:
+    """JSON form of a criterion result, 1-based indices. With ``columns``,
+    as for report_to_dict, ``violating`` and ``values`` are graph._Table
+    values, which only render_json reads: one int column per index position
+    (two for realization, one for Laufer) and, for ``values``, one int
+    column of the values, taken in the result's key order."""
+    if columns:
+        width = len(next(iter(res.values)))
+        return {
+            "criterion": name,
+            "satisfied": res.satisfied,
+            "violating": _index_table(res.violating_pairs, width),
+            "values": _Table(("index", "value"), (
+                ("ints", _one_based(res.values, width)), ("int", list(res.values.values())),
+            ), len(res.values)),
+        }
     return {
         "criterion": name,
         "satisfied": res.satisfied,
@@ -354,14 +384,14 @@ def check(file: str, criterion: str, divisor: str, as_json: bool) -> None:
     res = fn(g, D)
     with _uncapped_int_str():
         if as_json:
-            click.echo(render_json(_criterion_json(criterion, res)))
+            click.echo(render_json(_criterion_json(criterion, res, columns=True)), file=_stdout())
             return
         lines = [f"criterion: {criterion}", f"satisfied: {_yn(res.satisfied)}"]
         for key in sorted(res.values):
             spot = ",".join(map(g.label, key))
             flag = "  VIOLATED" if res.values[key] > 0 else ""
             lines.append(f"value({spot}) = {res.values[key]}{flag}")
-        click.echo("\n".join(lines))
+        click.echo("\n".join(lines), file=_stdout())
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -30,7 +30,7 @@ import json
 import re
 import sys
 from dataclasses import dataclass
-from itertools import chain, repeat
+from itertools import chain, compress, repeat
 from json.encoder import encode_basestring_ascii
 from operator import mul
 
@@ -175,9 +175,10 @@ class IntersectionMatrix:
         # dual graphs are sparse: M.v costs O(n + edges), from the diagonal
         # and the nonzeros above it, each edge taken once for both its ends
         object.__setattr__(self, "_diag", tuple(row[i] for i, row in enumerate(self.entries)))
-        object.__setattr__(self, "_edges", tuple(
-            (i, j, x) for i, row in enumerate(self.entries) for j, x in enumerate(row) if j > i and x
-        ))
+        cols = range(n)
+        object.__setattr__(self, "_edges", tuple([
+            (i, j, row[j]) for i, row in enumerate(self.entries) for j in compress(cols, row) if j > i
+        ]))
 
     @property
     def n(self) -> int:
@@ -702,14 +703,16 @@ def load_graph(text: str) -> ResolutionGraph:
 
 
 def is_connected(mult) -> bool:
-    """Whether the graph with square multiplicity matrix ``mult`` is connected."""
+    """Whether the graph with square multiplicity matrix ``mult`` (entries
+    >= 0) is connected. A row's neighbours are read by one pass of
+    ``compress``, so the loop runs per edge, not per entry."""
     n = len(mult)
+    vertices = range(n)
     seen = {0}
     stack = [0]
     while stack:
-        i = stack.pop()
-        for j in range(n):
-            if mult[i][j] > 0 and j not in seen:
+        for j in compress(vertices, mult[stack.pop()]):
+            if j not in seen:
                 seen.add(j)
                 stack.append(j)
     return len(seen) == n

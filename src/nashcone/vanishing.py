@@ -13,7 +13,8 @@ failed check shows where and by how much.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+from itertools import chain, compress, product
+from operator import add
 
 from .cone import Divisor
 from .graph import ResolutionGraph, canonical_intersections
@@ -31,7 +32,8 @@ class CriterionResult:
 
     ``values`` maps an index tuple to the integer left-hand side: pairs
     (i, l) for the realization criterion, singletons (i,) for Laufer.
-    ``violating_pairs`` are the keys with a positive value. 0-based.
+    ``violating_pairs`` are the keys with a positive value. 0-based; both
+    are in key order, which is sorted order.
     """
 
     satisfied: bool
@@ -39,32 +41,36 @@ class CriterionResult:
     values: dict[tuple[int, ...], int]
 
 
-def _value_table(g: ResolutionGraph, D: Divisor, keys, value) -> CriterionResult:
-    """Evaluate ``value(M, MD, k, *key)`` for every key, where MD = M.D and
-    k is the canonical vector; the keys with a positive value violate."""
+def _pairings(g: ResolutionGraph, D: Divisor):
+    """M, M.D and the canonical vector k, for an effective nonzero D on g."""
     if D.n != g.n:
         raise ValueError(f"divisor has {D.n} coefficients, graph has {g.n} vertices")
     if not D.is_effective() or D.is_zero():
         raise ValueError("divisor must be effective and nonzero")
     M = g.intersection_matrix()
-    MD = M.mulvec(D.coeffs)
-    k = canonical_intersections(g)
-    values = {key: value(M, MD, k, *key) for key in keys}
-    violating = tuple(key for key, v in values.items() if v > 0)
+    return M, M.mulvec(D.coeffs), canonical_intersections(g)
+
+
+def _result(values: dict[tuple[int, ...], int]) -> CriterionResult:
+    """The result of a value table; the keys with a positive value violate."""
+    violating = tuple(compress(values, map((0).__lt__, values.values())))
     return CriterionResult(satisfied=not violating, violating_pairs=violating, values=values)
 
 
 def realization_criterion(g: ResolutionGraph, D: Divisor) -> CriterionResult:
-    """value(i, l) = (M.D)[l] + M[i][l] + k[l] + 2*delta_il, all must be <= 0."""
-    return _value_table(
-        g, D, product(range(g.n), repeat=2),
-        lambda M, MD, k, i, l: MD[l] + M[i][l] + k[l] + (2 if i == l else 0),
-    )
+    """value(i, l) = (M.D)[l] + M[i][l] + k[l] + 2*delta_il, all must be <= 0.
+    Row i of the table is M.D + k + M[i], plus 2 at position i."""
+    M, MD, k = _pairings(g, D)
+    base = list(map(add, MD, k))
+    rows = []
+    for i in range(g.n):
+        row = list(map(add, base, M[i]))
+        row[i] += 2
+        rows.append(row)
+    return _result(dict(zip(product(range(g.n), repeat=2), chain.from_iterable(rows))))
 
 
 def laufer_criterion(g: ResolutionGraph, D: Divisor) -> CriterionResult:
     """value(i) = (M.D)[i] + 2*k[i], all must be <= 0."""
-    return _value_table(
-        g, D, ((i,) for i in range(g.n)), lambda M, MD, k, i: MD[i] + 2 * k[i]
-    )
-
+    _, MD, k = _pairings(g, D)
+    return _result(dict(zip(zip(range(g.n)), map(add, MD, map(add, k, k)))))

@@ -7,7 +7,9 @@ naive quadratic-form scans for definiteness, a reorderable variant of the
 one-step fundamental-cycle sequence, and the rational-arithmetic route to
 -M^-1 and to the condition (*) witnesses that the integer kernel replaced,
 with the denominator clearing it used, and the dense row-by-row
-product M.v with the cone test read off its signs.
+product M.v with the cone test read off its signs, the value tables of
+the two vanishing criteria key by key from their formulas, and
+connectivity by merging the ends of every edge.
 The old two-pass integer kernel that the fraction-free factor replaced
 is kept verbatim as a differential oracle: the leading-minor elimination
 that validation ran, the Bareiss Gauss-Jordan pass that gave adj(-M) and
@@ -574,3 +576,40 @@ def lipman_status_dense(entries, coeffs) -> str:
     if all(x <= 0 for x in s):
         return "lipman_boundary"
     return "not_in_cone"
+
+
+def criterion_values_by_definition(weights, genera, mult, coeffs, criterion):
+    """The value table of a vanishing criterion, one key at a time from its
+    formula, with the intersection matrix written out from the weights and
+    multiplicities, K.E_i = 2 p_i - 2 - w_i by adjunction, and M.D summed
+    over every entry. Realization: (M.D)[l] + M[i][l] + K.E_l + 2 delta_il
+    for every (i, l); Laufer: (M.D)[i] + 2 K.E_i for every (i,). The keys
+    are 0-based and in sorted order."""
+    n = len(weights)
+    M = [[weights[i] if i == j else mult[i][j] for j in range(n)] for i in range(n)]
+    MD = mulvec_dense(M, coeffs)
+    K = [2 * p - 2 - w for p, w in zip(genera, weights)]
+    if criterion == "laufer":
+        return {(i,): MD[i] + 2 * K[i] for i in range(n)}
+    return {
+        (i, l): MD[l] + M[i][l] + K[l] + (2 if i == l else 0)
+        for i in range(n)
+        for l in range(n)
+    }
+
+
+def connected_by_union(mult) -> bool:
+    """Whether the graph with multiplicity matrix ``mult`` is connected, by
+    merging the components of the two ends of every positive entry."""
+    parent = list(range(len(mult)))
+
+    def root(i):
+        while parent[i] != i:
+            i = parent[i]
+        return i
+
+    for i, row in enumerate(mult):
+        for j, m in enumerate(row):
+            if m > 0:
+                parent[root(i)] = root(j)
+    return len({root(i) for i in range(len(mult))}) == 1

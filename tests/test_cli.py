@@ -1,12 +1,15 @@
 import contextlib
 import errno
+import gc
 import hashlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import tempfile
+import weakref
 from unittest import mock
 
 import click
@@ -857,3 +860,75 @@ def test_analyze_json_digest_is_pinned_at_large_n(family, size, digest, graph_fi
     out = capsys.readouterr().out.encode()
     assert len(out) == size
     assert hashlib.sha256(out).hexdigest() == digest
+
+
+def _criterion_cases():
+    """(graph, divisor) pairs whose criterion tables cover: a satisfied table
+    with no violating key, exactly one violating key (realization on the
+    two-vertex graph, Laufer on the genus-2 vertex), a one-vertex table,
+    the graphs of the families workload with seeded random divisors, and
+    3,000-digit weights with a 4,001-digit divisor."""
+    two_vertex = ResolutionGraph(weights=(-4, -2), genera=(0, 0), mult=((0, 2), (2, 0)))
+    cases = [
+        (make_family("vertex", 2, -1), Divisor((4,))),
+        (two_vertex, Divisor((4, 4))),
+        (make_family("an", 2), Divisor((1, 1))),
+    ]
+    rng = random.Random(18)
+    for f in _BENCH_FAMILIES:
+        g = make_family(*f)
+        coeffs = [rng.randrange(10) for _ in range(g.n)]
+        coeffs[rng.randrange(g.n)] += 1
+        cases.append((g, Divisor(tuple(coeffs))))
+    d = 10 ** 4000
+    cases.append((load_graph(_big_graph_text(3000)), Divisor((d, d, d))))
+    return cases
+
+
+def test_column_criterion_renders_as_the_plain_one():
+    # check --json renders its index and value columns; the text is that of
+    # the plain records, for both criteria
+    seen = set()
+    with _no_int_str_cap():
+        for g, D in _criterion_cases():
+            for name, criterion in (("realization", realization_criterion), ("laufer", laufer_criterion)):
+                res = criterion(g, D)
+                seen.add((name, len(res.violating_pairs) if len(res.violating_pairs) < 2 else "more"))
+                plain = _criterion_json(name, res)
+                assert render_json(_criterion_json(name, res, columns=True)) == json.dumps(plain, indent=2)
+    assert seen == {(name, k) for name in ("realization", "laufer") for k in (0, 1, "more")}
+
+
+def test_stdout_stream_is_freed_after_a_call():
+    # click.echo caches the stream it writes to, keyed weakly on the stream
+    # but holding it as the value; the commands' output must not go there
+    refs = []
+    for _ in range(3):
+        out = io.StringIO()
+        refs.append(weakref.ref(out))
+        with contextlib.redirect_stdout(out):
+            assert main(["family", "an", "30"]) == 0
+        assert out.getvalue().startswith("vertices: 30\n")
+        del out
+    gc.collect()
+    assert [r() for r in refs] == [None] * 3
+
+
+def test_ascii_stdout_is_rewrapped_as_utf8(tmp_path):
+    # with an ASCII-encoded stdout, click writes to its buffer in UTF-8, so a
+    # label outside ASCII comes out as its UTF-8 bytes
+    import nashcone
+
+    g = ResolutionGraph((-2, -2), (0, 0), ((0, 1), (1, 0)), ("é", "b"))
+    path = tmp_path / "e.graph"
+    path.write_text(serialize_graph(g), encoding="utf-8")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(nashcone.__file__)))
+    env = dict(os.environ, PYTHONIOENCODING="ascii")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", "from nashcone.cli import entry; entry()", "analyze", str(path)],
+        capture_output=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0 and proc.stderr == b""
+    assert proc.stdout == emit_report(nash_verdict(g)).encode("utf-8")
+    assert b"\n  \303\251: weight -2, genus 0\n" in proc.stdout

@@ -22,9 +22,9 @@ from nashcone import (
 )
 from nashcone.cli import _uncapped_int_str
 from nashcone.cone import ConeStatus, Divisor, lipman_status, neg_adjugate
-from nashcone.graph import MAX_VERTICES, _render_table, _Table, render_json
+from nashcone.graph import MAX_VERTICES, _render_table, _Table, is_connected, render_json
 
-from oracles import lipman_status_dense, mulvec_dense, negdef_brute
+from oracles import connected_by_union, lipman_status_dense, mulvec_dense, negdef_brute
 
 A2_TEXT = """\
 vertices: 2
@@ -307,6 +307,25 @@ def test_mulvec_matches_the_dense_product(data):
     wrong = data.draw(st.lists(_coefficients, max_size=10).filter(lambda w: len(w) != M.n))
     with pytest.raises(ValueError, match="^dimension mismatch$"):
         M.mulvec(wrong)
+
+
+@st.composite
+def _multiplicity_tables(draw):
+    """Symmetric tables of 1 to 9 vertices with a zero diagonal and
+    multiplicities 0 to 3, sparse or dense."""
+    n = draw(st.integers(1, 9))
+    m = draw(st.sampled_from([st.integers(0, 3), st.sampled_from([0] * 6 + [1, 2, 3])]))
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            rows[i][j] = rows[j][i] = draw(m)
+    return tuple(map(tuple, rows))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_multiplicity_tables())
+def test_is_connected_matches_the_union_of_edge_ends(mult):
+    assert is_connected(mult) is connected_by_union(mult)
 
 
 @settings(max_examples=200, deadline=None)

@@ -1,16 +1,24 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nashcone import (
     Divisor,
+    ResolutionGraph,
     laufer_criterion,
     make_family,
     realization_criterion,
 )
 from nashcone.cone import neg_inverse
 
-from oracles import NoMultiplierGuarantee, clear_denominators, min_realizing_multiple
+from oracles import (
+    NoMultiplierGuarantee,
+    clear_denominators,
+    criterion_values_by_definition,
+    min_realizing_multiple,
+)
 
 
 def test_realization_genus2_vertex(g2w1):
@@ -119,3 +127,42 @@ def test_realization_monotone_in_multiplier(g2w1, star3_5):
             assert realization_criterion(g, m * D).satisfied
         for m in range(1, m0):
             assert not realization_criterion(g, m * D).satisfied
+
+
+_BIG = 10 ** 400
+
+
+@st.composite
+def _graphs_and_divisors(draw):
+    """A graph of 1 to 7 vertices, not necessarily negative definite, with
+    multiplicities 0 to 3, genera from 0 up, and weights and genera of up to
+    400 digits; and an effective nonzero divisor on it, whose coefficients
+    may have 400 digits too."""
+    n = draw(st.integers(1, 7))
+    weight = draw(st.sampled_from([st.integers(-6, -1), st.integers(-_BIG, -1)]))
+    genus = draw(st.sampled_from([st.integers(0, 3), st.integers(0, _BIG)]))
+    coeff = draw(st.sampled_from([st.integers(0, 9), st.integers(0, _BIG)]))
+    mult = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            mult[i][j] = mult[j][i] = draw(st.integers(0, 3))
+    g = ResolutionGraph(
+        weights=tuple(draw(st.lists(weight, min_size=n, max_size=n))),
+        genera=tuple(draw(st.lists(genus, min_size=n, max_size=n))),
+        mult=tuple(map(tuple, mult)),
+    )
+    coeffs = draw(st.lists(coeff, min_size=n, max_size=n).filter(any))
+    return g, Divisor(tuple(coeffs))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_graphs_and_divisors())
+def test_criteria_match_their_definitions(case):
+    g, D = case
+    for name, criterion in (("realization", realization_criterion), ("laufer", laufer_criterion)):
+        expected = criterion_values_by_definition(g.weights, g.genera, g.mult, D.coeffs, name)
+        res = criterion(g, D)
+        assert res.values == expected
+        assert list(res.values) == sorted(expected)
+        assert res.violating_pairs == tuple(key for key in sorted(expected) if expected[key] > 0)
+        assert res.satisfied is (not res.violating_pairs)
