@@ -14,15 +14,18 @@ leading minor already rules out negative definiteness. Its table is
 capped at ENCODING_TABLE_CAP bytes, which limits the bounds it accepts.
 
 Conditions (**) and (*), with the verified (*) witnesses, the
-fundamental cycle Z and Z.Z depend on the intersection matrix alone;
-genera enter only the canonical pairing K.Z, p_a, minimality and the
-notes. The enumerator gives every genus variant of one weight tuple the
-same matrix object, and nash_verdict keeps those matrix-only results on
-the matrix, so an ``enumerate`` run computes them once per distinct
-intersection matrix: 357 times for the 4,467 graphs of
-enumerate_graphs(4, -4, 1, 1). Per graph there remain one validation,
-whose connectivity the structural check reuses, one dot product with K
-for p_a, and the verdict and notes.
+fundamental cycle Z and Z.Z depend on the intersection matrix alone, and
+so do connectivity and the tree and (iii) flags of the structural check;
+genera enter only the canonical pairing K.Z, p_a, minimality, the genus
+flag and the notes. The enumerator builds the first graph of each weight
+tuple with every check, and each further genus variant from it: only the
+genera are checked, and the variant shares the first graph's weights,
+mult and matrix object. nash_verdict keeps the matrix-only results on the
+matrix, so an ``enumerate`` run checks a whole graph, tests connectivity
+and computes those results once per distinct intersection matrix: 357
+times for the 4,467 graphs of enumerate_graphs(4, -4, 1, 1). Per graph
+there remain the genus checks, validation's minimality scan, one dot
+product with K for p_a, the genus flag, the verdict and the notes.
 """
 
 from __future__ import annotations
@@ -38,12 +41,12 @@ from .errors import InternalInvariantError
 from .graph import (
     MAX_VERTICES,
     _build_graph,
+    _connected,
+    _genus_variant,
     _kept,
-    _share_matrix,
     ResolutionGraph,
     ValidationReport,
     canonical_intersections,
-    is_connected,
     validate,
 )
 
@@ -98,8 +101,10 @@ class ClassificationReport:
     one weight tuple, or one graph analyzed twice) share the same
     StarCertificate, its ``witnesses`` dict and the fundamental-cycle
     Divisor: mutating the dict of one report changes the others. The
-    ``enumerate`` command keeps its JSON text of these three fields on the
-    matrix too, so it renders them once per matrix.
+    connectivity in ``validation`` and the tree and (iii) flags of
+    ``structural`` are kept on the matrix too, as plain bools. The
+    ``enumerate`` command keeps its JSON text of the three matrix fields
+    on the matrix as well, so it renders them once per matrix.
     """
 
     graph: ResolutionGraph
@@ -138,26 +143,30 @@ def is_rational_artin(g: ResolutionGraph) -> bool:
     return arithmetic_genus(g, fundamental_cycle(g)) == 0
 
 
-def structural_rationality(g: ResolutionGraph, connected: bool | None = None) -> StructuralReport:
+def structural_rationality(g: ResolutionGraph) -> StructuralReport:
     """Check tree shape, vanishing genera, and |E_i^2| > gamma(E_i).
 
     A connected graph on n vertices has at least n - 1 edges, each of
     multiplicity >= 1, so it is a tree with simple edges exactly when its
-    multiplicities over pairs add up to n - 1. ``connected`` is
-    is_connected(g.mult) when the caller knows it already.
+    multiplicities over pairs add up to n - 1. The tree and (iii) flags
+    depend on the intersection matrix alone and are kept on it, with the
+    connectivity validation reads; only the genus flag is per graph.
     """
-    if connected is None:
-        connected = is_connected(g.mult)
-    gamma = [sum(row) for row in g.mult]
-    tree = connected and sum(gamma) == 2 * (g.n - 1)
+    tree, iii = _kept(g.intersection_matrix(), "_shape", lambda: _shape(g))
     all_genus_zero = all(gi == 0 for gi in g.genera)
-    iii = all(-w > s for w, s in zip(g.weights, gamma))
     return StructuralReport(
         tree=tree,
         all_genus_zero=all_genus_zero,
         iii_holds=iii,
         verdict=tree and all_genus_zero and iii,
     )
+
+
+def _shape(g: ResolutionGraph) -> tuple[bool, bool]:
+    """The tree and (iii) flags of structural_rationality."""
+    gamma = [sum(row) for row in g.mult]
+    tree = _connected(g) and sum(gamma) == 2 * (g.n - 1)
+    return tree, all(-w > s for w, s in zip(g.weights, gamma))
 
 
 _GENUS_NOTE = "component smoothness is inferred from arithmetic genus zero in the structural check"
@@ -175,8 +184,9 @@ def nash_verdict(g: ResolutionGraph) -> ClassificationReport:
 
     (**), (*) with its witnesses, the fundamental cycle Z and Z.Z are
     computed on the first call for an intersection matrix object and kept
-    on it, as its factor is; validation, p_a (Z.Z plus one dot product with
-    K), the structural check (given validation's connectivity), the verdict
+    on it, as its factor, its connectivity and the tree and (iii) flags
+    are; validation's minimality scan and warnings, p_a (Z.Z plus one dot
+    product with K), the genus flag of the structural check, the verdict
     and the notes are computed for each graph. Reports of graphs sharing a
     matrix object therefore share their StarCertificate, its ``witnesses``
     dict and the fundamental-cycle Divisor (see ClassificationReport). The
@@ -188,7 +198,7 @@ def nash_verdict(g: ResolutionGraph) -> ClassificationReport:
 
     star_star, star, Z, zz = _kept(g.intersection_matrix(), "_analysis", lambda: _analysis(g))
     pa = _genus(g, Z, zz)
-    structural = structural_rationality(g, report.connected)
+    structural = structural_rationality(g)
 
     if star_star.holds:
         verdict = NashVerdict.BIJECTIVE_BY_STAR_STAR
@@ -455,8 +465,11 @@ def enumerate_graphs(max_vertices: int, min_weight: int, max_genus: int, max_mul
     are reduced by the structure's automorphisms, genera by the
     stabilizer of the chosen weights. Output runs by vertex count, then
     structure, weights and genera, each in increasing product order. The
-    graphs of one weight tuple share one intersection matrix object, and
-    with it what nash_verdict keeps on the matrix.
+    first graph of a weight tuple is built with every ResolutionGraph
+    check; each further one is its genus variant (graph._genus_variant),
+    which checks only its genera and holds the first graph's weights, mult
+    and intersection matrix object, and with it what validate and
+    nash_verdict keep on the matrix.
 
     Structures are grown one vertex at a time from the classes one vertex
     smaller, and only those whose matrix is negative definite with every
@@ -506,9 +519,8 @@ def enumerate_graphs(max_vertices: int, min_weight: int, max_genus: int, max_mul
             for genera in _genus_tuples(max_genus, n):
                 if any(tuple(genera[s[i]] for i in range(n)) < genera for s in stab):
                     continue
-                g = ResolutionGraph(weights=weights, genera=genera, mult=mult)
                 if first is None:
-                    first = g
+                    first = ResolutionGraph(weights=weights, genera=genera, mult=mult)
+                    yield first
                 else:
-                    _share_matrix(g, first)
-                yield g
+                    yield _genus_variant(first, genera)

@@ -227,6 +227,12 @@ def _stdout():
     return click.get_text_stream("stdout")
 
 
+def _stderr():
+    """The stream diagnostics go to, looked up as _stdout looks up stdout:
+    click.echo with ``err=True`` would keep every sys.stderr it sees alive."""
+    return click.get_text_stream("stderr")
+
+
 def _read_graph_file(path: str) -> ResolutionGraph:
     with open(path, "r", encoding="utf-8") as fh:
         return load_graph(fh.read())
@@ -336,8 +342,11 @@ def _enum_line(g: ResolutionGraph) -> str:
 def enumerate(max_vertices: int, min_weight: int, max_genus: int, max_mult: int) -> None:
     """Stream one JSON report line per graph, smallest graphs first."""
     out = _stdout()
+    # one write and one flush per line, as click.echo does, without its
+    # per-call ANSI-strip probes: json.dumps escapes every control character
     for g in enumerate_graphs(max_vertices, min_weight, max_genus, max_mult):
-        click.echo(_enum_line(g), file=out)
+        out.write(_enum_line(g) + "\n")
+        out.flush()
 
 
 def _criterion_json(name: str, res: CriterionResult, columns: bool = False) -> dict:
@@ -404,13 +413,13 @@ def main(argv: list[str] | None = None) -> int:
         exc.show()
         return 1
     except click.exceptions.Abort:
-        click.echo("aborted", err=True)
+        click.echo("aborted", file=_stderr())
         return 1
     except InternalInvariantError as exc:
-        click.echo(f"internal error: {exc}", err=True)
+        click.echo(f"internal error: {exc}", file=_stderr())
         return 2
     except (NashconeError, ValueError, OSError) as exc:
-        click.echo(f"error: {exc}", err=True)
+        click.echo(f"error: {exc}", file=_stderr())
         return 1
     return code or 0
 

@@ -18,10 +18,13 @@ forward Bareiss pass of ``NegFactor``: its pivots are the leading
 principal minors of -M. The intersection matrix keeps the factor once
 built, and the graph keeps its matrix, so each graph is eliminated once;
 cone.neg_adjugate continues the same factor, by one back-substitution,
-to the integer adjugate that every cone computation reads. Graphs that
-differ only in genera or labels may share one matrix object, given by
-``_share_matrix`` (the enumerator does so), and with it everything kept
-on the matrix.
+to the integer adjugate that every cone computation reads. The matrix
+also keeps its edge list, which ``edges()`` returns, and its
+connectivity, which validation reads. ``_genus_variant`` builds a graph
+that differs from another only in its genera: it checks just the genera
+and shares the other graph's weights, mult, labels and matrix object, and
+with it everything kept on the matrix (the enumerator builds every genus
+variant of a weight tuple so).
 """
 
 from __future__ import annotations
@@ -80,11 +83,11 @@ class ResolutionGraph:
         n = len(self.weights)
         if n < 1:
             raise ValueError("graph needs at least one vertex")
-        if len(self.genera) != n or len(self.mult) != n:
+        if len(self.mult) != n:
             raise ValueError("weights, genera and mult must have matching size")
         # exact integers only: a float would leak into every sign decision,
         # and bool is an int subclass that no graph file means as a number
-        if any(type(x) is not int for x in (*self.weights, *self.genera)):
+        if any(type(x) is not int for x in self.weights):
             raise ValueError("weights and genera must be integers")
         if any(len(row) != n for row in self.mult):
             raise ValueError("mult must be a square matrix")
@@ -92,8 +95,7 @@ class ResolutionGraph:
             raise ValueError("intersection multiplicities must be integers")
         if max(self.weights) > -1:
             raise _FieldError("weights", f"weight {max(self.weights)} must be <= -1")
-        if min(self.genera) < 0:
-            raise _FieldError("genera", f"genus {min(self.genera)} must be >= 0")
+        _check_genera(self.genera, n)
         for i, row in enumerate(self.mult):
             if row[i] != 0:
                 raise ValueError("mult diagonal must be zero")
@@ -123,14 +125,10 @@ class ResolutionGraph:
             return self.labels[i]
         return f"E{i + 1}"
 
-    def edges(self) -> list[tuple[int, int, int]]:
-        """Sorted (i, j, mult) triples with i < j and mult > 0, 0-based."""
-        return [
-            (i, j, self.mult[i][j])
-            for i in range(self.n)
-            for j in range(i + 1, self.n)
-            if self.mult[i][j] > 0
-        ]
+    def edges(self) -> tuple[tuple[int, int, int], ...]:
+        """Sorted (i, j, mult) triples with i < j and mult > 0, 0-based: the
+        edge list the intersection matrix keeps for M.v."""
+        return self.intersection_matrix()._edges
 
     def intersection_matrix(self) -> IntersectionMatrix:
         """The matrix of E_i . E_j, built on the first call and kept."""
@@ -150,13 +148,36 @@ def _kept(obj, key: str, build):
         return obj.__dict__[key]
 
 
-def _share_matrix(g: ResolutionGraph, source: ResolutionGraph) -> None:
-    """Give ``g`` the intersection matrix object of ``source``, so that what
-    is kept on the matrix is computed once for both; the two graphs must
-    differ at most in their genera and labels."""
-    if g.weights != source.weights or g.mult != source.mult:
-        raise ValueError("only graphs with equal weights and mult can share a matrix")
-    object.__setattr__(g, "_matrix", source.intersection_matrix())
+def _check_genera(genera, n: int) -> None:
+    """The checks ResolutionGraph makes on its genera: n of them, each an
+    int (not a bool) and >= 0."""
+    if len(genera) != n:
+        raise ValueError("weights, genera and mult must have matching size")
+    if any(type(x) is not int for x in genera):
+        raise ValueError("weights and genera must be integers")
+    if min(genera) < 0:
+        raise _FieldError("genera", f"genus {min(genera)} must be >= 0")
+
+
+def _genus_variant(source: ResolutionGraph, genera) -> ResolutionGraph:
+    """``source`` with ``genera`` in place of its own. The variant holds the
+    very ``weights``, ``mult`` and ``labels`` objects that source's
+    __post_init__ checked, and source's intersection matrix object, so what
+    is kept on the matrix is computed once for both; only the genera are
+    checked, by the checks ResolutionGraph makes on them."""
+    _check_genera(genera, source.n)
+    g = object.__new__(ResolutionGraph)
+    g.__dict__.update(
+        weights=source.weights, genera=genera, mult=source.mult, labels=source.labels,
+        _matrix=source.intersection_matrix(),
+    )
+    return g
+
+
+def _connected(g: ResolutionGraph) -> bool:
+    """is_connected(g.mult), kept on g's intersection matrix: graphs that
+    share a matrix share their mult."""
+    return _kept(g.intersection_matrix(), "_connected", lambda: is_connected(g.mult))
 
 
 @dataclass(frozen=True)
@@ -721,7 +742,7 @@ def is_connected(mult) -> bool:
 def validate(g: ResolutionGraph) -> ValidationReport:
     """Check the contractibility constraints; failures land in the report."""
     negdef = g.intersection_matrix().neg_factor() is not None
-    connected = is_connected(g.mult)
+    connected = _connected(g)
     nonminimal = [
         i for i in range(g.n) if g.genera[i] == 0 and g.weights[i] == -1
     ]

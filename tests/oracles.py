@@ -8,8 +8,9 @@ one-step fundamental-cycle sequence, and the rational-arithmetic route to
 -M^-1 and to the condition (*) witnesses that the integer kernel replaced,
 with the denominator clearing it used, and the dense row-by-row
 product M.v with the cone test read off its signs, the value tables of
-the two vanishing criteria key by key from their formulas, and
-connectivity by merging the ends of every edge.
+the two vanishing criteria key by key from their formulas,
+connectivity by merging the ends of every edge, and the edge list by a
+scan of every entry above the diagonal.
 The old two-pass integer kernel that the fraction-free factor replaced
 is kept verbatim as a differential oracle: the leading-minor elimination
 that validation ran, the Bareiss Gauss-Jordan pass that gave adj(-M) and
@@ -613,3 +614,16 @@ def connected_by_union(mult) -> bool:
             if m > 0:
                 parent[root(i)] = root(j)
     return len({root(i) for i in range(len(mult))}) == 1
+
+
+def edges_by_scan(mult) -> list[tuple[int, int, int]]:
+    """The (i, j, mult) triples with i < j and mult > 0, 0-based, by a scan
+    of every entry above the diagonal: ResolutionGraph.edges before it read
+    the edge list its intersection matrix keeps."""
+    n = len(mult)
+    return [
+        (i, j, mult[i][j])
+        for i in range(n)
+        for j in range(i + 1, n)
+        if mult[i][j] > 0
+    ]

@@ -21,7 +21,7 @@ from nashcone import (
 )
 from nashcone.classify import _structures
 from nashcone.cli import report_to_dict
-from nashcone.graph import ResolutionGraph, is_connected, render_json
+from nashcone.graph import ResolutionGraph, _genus_variant, is_connected, render_json
 
 from oracles import (
     _leading_minors_negdef,
@@ -142,6 +142,63 @@ def test_check_star_runs_once_per_family_graph(star3_5):
     assert counting.call_count == 1
 
 
+@pytest.mark.parametrize("bounds,graphs,matrices", [
+    ((4, -4, 1, 1), 4467, 357),
+    ((3, -3, 1, 2), 207, 35),
+])
+def test_genus_variants_skip_the_graph_checks_and_share_connectivity(bounds, graphs, matrices):
+    # only the first graph of a weight tuple runs every ResolutionGraph
+    # check; connectivity is kept on the matrix, for validation and the
+    # structural check alike
+    import nashcone.graph as graph_mod
+
+    checked = []
+    post_init = ResolutionGraph.__post_init__
+
+    def counting(self):
+        checked.append(self)
+        post_init(self)
+
+    with mock.patch.object(ResolutionGraph, "__post_init__", counting), \
+            mock.patch.object(graph_mod, "is_connected", wraps=is_connected) as connectivity:
+        reports = [nash_verdict(g) for g in enumerate_graphs(*bounds)]
+    assert len(reports) == graphs
+    assert len(checked) == matrices
+    assert connectivity.call_count == matrices
+
+
+@pytest.mark.parametrize("bounds", [(3, -3, 1, 2), (4, -4, 1, 1), (3, -2, 1, 1)])
+def test_genus_variants_match_fresh_graphs(bounds):
+    firsts = {}  # id of a matrix -> the first graph that holds it
+    variants = 0
+    for g in enumerate_graphs(*bounds):
+        first = firsts.setdefault(id(g.intersection_matrix()), g)
+        if first is not g:
+            variants += 1
+            assert g.weights is first.weights and g.mult is first.mult
+            assert g.labels is first.labels
+        fresh = ResolutionGraph(g.weights, g.genera, g.mult, g.labels)
+        assert g == fresh
+        assert validate(g) == validate(fresh)
+        assert structural_rationality(g) == structural_rationality(fresh)
+        assert g.edges() == fresh.edges()
+    assert 0 < variants < sum(1 for _ in enumerate_graphs(*bounds))
+
+
+@pytest.mark.parametrize("genera", [
+    (0, 0), (0, 0, 0, 0), (0, True, 0), (0, 1.0, 0), (0, "1", 0), (0, None, 0), (0, -1, 0), (-2, 0, -1),
+])
+def test_genus_variant_refuses_what_the_constructor_refuses(genera):
+    source = ResolutionGraph((-2, -3, -2), (0, 1, 0), ((0, 1, 0), (1, 0, 2), (0, 2, 0)), ("a", "b", "c"))
+    with pytest.raises(Exception) as built:
+        ResolutionGraph(source.weights, genera, source.mult, source.labels)
+    with pytest.raises(Exception) as varied:
+        _genus_variant(source, genera)
+    assert type(varied.value) is type(built.value)
+    assert str(varied.value) == str(built.value)
+    assert isinstance(built.value, ValueError)
+
+
 @pytest.mark.parametrize("bounds", [(3, -3, 1, 2), (4, -4, 1, 1)])
 def test_shared_matrix_reports_match_fresh_graphs(bounds):
     for g in enumerate_graphs(*bounds):
@@ -165,7 +222,6 @@ def test_tree_flag_matches_the_edge_list_definition(two_vertex):
         connected = is_connected(g.mult)
         tree = connected and all(m == 1 for _, _, m in edges) and len(edges) == g.n - 1
         assert structural_rationality(g).tree == tree
-        assert structural_rationality(g, connected) == structural_rationality(g)
         trees += tree
     assert 0 < trees < len(graphs)
 

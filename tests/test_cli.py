@@ -34,7 +34,7 @@ from nashcone import (
 )
 from nashcone import cli as cli_module
 from nashcone.cli import _criterion_json, cli, emit_report, main, report_to_dict
-from nashcone.graph import _share_matrix, render_json
+from nashcone.graph import _genus_variant, render_json
 from nashcone.vanishing import laufer_criterion, realization_criterion
 
 A2_REPORT = """\
@@ -345,8 +345,7 @@ def test_spliced_enum_line_of_labelled_graphs():
     # the matrix part its sibling rendered
     mult = ((0, 1, 0), (1, 0, 2), (0, 2, 0))
     first = ResolutionGraph((-2, -3, -5), (0, 1, 0), mult, (',"pa_fundamental":', 'a"b', "c\\"))
-    second = ResolutionGraph((-2, -3, -5), (1, 0, 0), mult, ("x", "y", "z"))
-    _share_matrix(second, first)
+    second = _genus_variant(first, (1, 0, 0))
     for g in (first, second):
         assert cli_module._enum_line(g) == _compact_report(g)
     assert "_enum_text" in first.intersection_matrix().__dict__
@@ -910,6 +909,22 @@ def test_stdout_stream_is_freed_after_a_call():
             assert main(["family", "an", "30"]) == 0
         assert out.getvalue().startswith("vertices: 30\n")
         del out
+    gc.collect()
+    assert [r() for r in refs] == [None] * 3
+
+
+def test_stderr_stream_is_freed_after_an_error(graph_file):
+    # main's own error line goes to the stream itself, not through click's
+    # per-stream cache, which would keep the stream alive as its value
+    path = graph_file(make_family("an", 3))
+    refs = []
+    for _ in range(3):
+        err = io.StringIO()
+        refs.append(weakref.ref(err))
+        with contextlib.redirect_stderr(err):
+            assert main(["witness", path, "--pair", "1", "1"]) == 1
+        assert err.getvalue() == "error: witness pair needs two distinct vertices\n"
+        del err
     gc.collect()
     assert [r() for r in refs] == [None] * 3
 

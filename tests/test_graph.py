@@ -24,7 +24,7 @@ from nashcone.cli import _uncapped_int_str
 from nashcone.cone import ConeStatus, Divisor, lipman_status, neg_adjugate
 from nashcone.graph import MAX_VERTICES, _render_table, _Table, is_connected, render_json
 
-from oracles import connected_by_union, lipman_status_dense, mulvec_dense, negdef_brute
+from oracles import connected_by_union, edges_by_scan, lipman_status_dense, mulvec_dense, negdef_brute
 
 A2_TEXT = """\
 vertices: 2
@@ -326,6 +326,14 @@ def _multiplicity_tables(draw):
 @given(_multiplicity_tables())
 def test_is_connected_matches_the_union_of_edge_ends(mult):
     assert is_connected(mult) is connected_by_union(mult)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_multiplicity_tables())
+def test_edges_match_the_scan_of_every_entry(mult):
+    # edges() is the edge list the intersection matrix keeps for M.v
+    g = ResolutionGraph((-2,) * len(mult), (0,) * len(mult), mult)
+    assert list(g.edges()) == edges_by_scan(mult)
 
 
 @settings(max_examples=200, deadline=None)
