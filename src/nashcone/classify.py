@@ -10,8 +10,10 @@ matrix is negative definite with every weight at the lower bound, the
 only ones that carry a negative-definite weighting. It marks the orbit of
 each class it keeps in a byte table, so it relabels once per kept class,
 and it grows weight tuples vertex by vertex, cutting a prefix whose
-leading minor already rules out negative definiteness. Its table is
-capped at ENCODING_TABLE_CAP bytes, which limits the bounds it accepts.
+leading minor already rules out negative definiteness. A structure's
+automorphisms other than the identity become itemgetter moves once, and
+the same moves test its weight tuples and their genus tuples. Its table
+is capped at ENCODING_TABLE_CAP bytes, which limits the bounds it accepts.
 
 Conditions (**) and (*), with the verified (*) witnesses, the
 fundamental cycle Z and Z.Z depend on the intersection matrix alone, and
@@ -25,7 +27,10 @@ matrix, so an ``enumerate`` run checks a whole graph, tests connectivity
 and computes those results once per distinct intersection matrix: 357
 times for the 4,467 graphs of enumerate_graphs(4, -4, 1, 1). Per graph
 there remain the genus checks, validation's minimality scan, one dot
-product with K for p_a, the genus flag, the verdict and the notes.
+product with K for p_a, the genus flag, the verdict and the notes. The
+``enumerate`` command keeps its line template on the matrix as well (see
+cli._enum_line), so per graph it writes only the genera and p_a and looks
+up the texts of the rest.
 """
 
 from __future__ import annotations
@@ -33,7 +38,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from itertools import permutations, product
-from operator import getitem, mul
+from operator import getitem, itemgetter, mul
 
 from .cone import Divisor, fundamental_cycle, pair
 from .conditions import StarCertificate, StarStarReport, check_star, check_star_star
@@ -103,8 +108,11 @@ class ClassificationReport:
     Divisor: mutating the dict of one report changes the others. The
     connectivity in ``validation`` and the tree and (iii) flags of
     ``structural`` are kept on the matrix too, as plain bools. The
-    ``enumerate`` command keeps its JSON text of the three matrix fields
-    on the matrix as well, so it renders them once per matrix.
+    ``enumerate`` command keeps on the matrix the JSON text of the three
+    matrix fields, of ``graph`` split around its genera, and of
+    ``validation`` and the fields after ``pa_fundamental`` for each set of
+    their values, so it renders each of them once per matrix; every value
+    in them still comes from this report.
     """
 
     graph: ResolutionGraph
@@ -309,7 +317,10 @@ def _structures(max_vertices: int, base: int, min_weight: int):
     ``base`` number. A byte table marks the orbit of each class found, so a
     marked child is dropped untested and each class is relabeled n! times
     once. Relabeling by the inverse of t moves edge {x, y} to the position
-    of {t[x], t[y]}; the images equal to the least give mult and aut.
+    of {t[x], t[y]}; the images equal to the least give mult and aut. A
+    level lists its n! relabelings when a first child passes its minor
+    test, and the images of an edge position when a child first has an
+    edge there, so a level that keeps few classes builds little of them.
     """
 
     def parent(mult):  # mult with its elimination at weights min_weight
@@ -332,15 +343,19 @@ def _structures(max_vertices: int, base: int, min_weight: int):
             for j in range(i + 1, n):
                 k -= 1
                 place[i][j] = place[j][i] = base ** k
-        perms = list(permutations(range(n)))
-        at = list(zip(*perms))  # at[x][c] is perms[c][x]
-        # cols[x, y][c]: the place value of edge {x, y} in the image under
-        # the inverse of perms[c]
-        cols = {
-            (x, y): list(map(getitem, map(place.__getitem__, at[x]), at[y]))
-            for x in range(n)
-            for y in range(x + 1, n)
-        }
+        # the n! relabelings, with at[x][c] = perms[c][x], made once a child
+        # passes its minor test; cols[x, y][c], the place value of edge
+        # {x, y} in the image under the inverse of perms[c], made on first use
+        perms = at = None
+        cols = {}
+
+        def column(edge):
+            col = cols.get(edge)
+            if col is None:
+                x, y = edge
+                col = cols[edge] = list(map(getitem, map(place.__getitem__, at[x]), at[y]))
+            return col
+
         attach = list(product(range(base), repeat=last))[1:]
         attach_index = [sum(map(mul, a, place[last])) for a in attach]
         seen = bytearray(base ** (n * last // 2))
@@ -356,8 +371,11 @@ def _structures(max_vertices: int, base: int, min_weight: int):
                 # the leading minor of size n must have the sign of (-1)^n
                 if (-1) ** n * (minors[last] * min_weight + beta) <= 0:
                     continue
+                if perms is None:
+                    perms = list(permutations(range(n)))
+                    at = list(zip(*perms))
                 new = [(i, last) for i, m in enumerate(a) for _ in range(m)]
-                images = list(map(sum, zip(*(cols[unit] for unit in units + new))))
+                images = list(map(sum, zip(*map(column, units + new))))
                 for image in images:
                     seen[image] = 1
                 least = min(images)
@@ -463,8 +481,11 @@ def enumerate_graphs(max_vertices: int, min_weight: int, max_genus: int, max_mul
     interchangeable, so a class representative is the lexicographically
     least (structure, weights, genera) triple under relabeling; weights
     are reduced by the structure's automorphisms, genera by the
-    stabilizer of the chosen weights. Output runs by vertex count, then
-    structure, weights and genera, each in increasing product order. The
+    stabilizer of the chosen weights. Both reductions use one list of
+    moves per structure, an operator.itemgetter for each automorphism but
+    the identity, and genus tuples are made one at a time, whatever
+    max_genus. Output runs by vertex count, then structure, weights and
+    genera, each in increasing product order. The
     first graph of a weight tuple is built with every ResolutionGraph
     check; each further one is its genus variant (graph._genus_variant),
     which checks only its genera and holds the first graph's weights, mult
@@ -487,7 +508,7 @@ def enumerate_graphs(max_vertices: int, min_weight: int, max_genus: int, max_mul
     max_mult >= 2, n = 6 with max_mult >= 3, n = 5 with max_mult >= 5,
     and fewer vertices only with max_mult >= 16. Generation costs grow
     with the kept classes: structures on up to seven vertices with simple
-    edges take about 0.02 s at min_weight -2 (3 of the 853 connected
+    edges take about 0.015 s at min_weight -2 (3 of the 853 connected
     classes on seven vertices kept) and 1 to 2 s at -6 (852 kept).
     """
     if max_vertices < 1:
@@ -511,13 +532,17 @@ def enumerate_graphs(max_vertices: int, min_weight: int, max_genus: int, max_mul
 
     for mult, aut in _structures(max_vertices, base, min_weight):
         n = len(mult)
+        # each relabeling but the identity as a move t -> tuple(t[s[i]]);
+        # a one-vertex structure has none (itemgetter(0) gives no tuple)
+        identity = tuple(range(n))
+        moves = [itemgetter(*s) for s in aut if s != identity]
         for weights in _negdef_weights(mult, weight_range):
-            if any(tuple(weights[s[i]] for i in range(n)) < weights for s in aut):
+            if any(m(weights) < weights for m in moves):
                 continue
-            stab = [s for s in aut if tuple(weights[s[i]] for i in range(n)) == weights]
+            stab = [m for m in moves if m(weights) == weights]
             first = None
             for genera in _genus_tuples(max_genus, n):
-                if any(tuple(genera[s[i]] for i in range(n)) < genera for s in stab):
+                if any(m(genera) < genera for m in stab):
                     continue
                 if first is None:
                     first = ResolutionGraph(weights=weights, genera=genera, mult=mult)

@@ -59,36 +59,49 @@ class _Int(click.ParamType):
             self.fail(str(exc), param, ctx)
 
 
-def report_to_dict(
-    r: ClassificationReport, matrix_part: bool = True, columns: bool = False
-) -> dict:
+def report_to_dict(r: ClassificationReport, columns: bool = False) -> dict:
     """JSON form of a classification report, 1-based indices throughout;
-    with ``matrix_part`` False, without the keys of _matrix_dict, and with
-    ``columns``, with its pair lists as columns for render_json (see
+    with ``columns``, with its pair lists as columns for render_json (see
     _matrix_dict)."""
-    g = r.graph
-    d = {
-        "graph": {**graph_to_json_dict(g), "labels": [g.label(i) for i in range(g.n)]},
-        "validation": {
-            "negative_definite": r.validation.negative_definite,
-            "connected": r.validation.connected,
-            "minimal": r.validation.minimal,
-            "messages": list(r.validation.messages),
+    return {
+        "graph": _graph_dict(r.graph),
+        "validation": _validation_dict(r),
+        **_matrix_dict(r, columns),
+        "pa_fundamental": r.pa_fundamental,
+        **_tail_dict(r),
+    }
+
+
+def _graph_dict(g: ResolutionGraph) -> dict:
+    """The report key ``graph``: the graph's JSON form, with every label."""
+    return {**graph_to_json_dict(g), "labels": [g.label(i) for i in range(g.n)]}
+
+
+def _validation_dict(r: ClassificationReport) -> dict:
+    """The report key ``validation``."""
+    v = r.validation
+    return {
+        "negative_definite": v.negative_definite,
+        "connected": v.connected,
+        "minimal": v.minimal,
+        "messages": list(v.messages),
+    }
+
+
+def _tail_dict(r: ClassificationReport) -> dict:
+    """The report keys after ``pa_fundamental``."""
+    s = r.structural
+    return {
+        "artin_rational": r.artin_rational,
+        "structural": {
+            "tree": s.tree,
+            "all_genus_zero": s.all_genus_zero,
+            "iii_holds": s.iii_holds,
+            "verdict": s.verdict,
         },
+        "nash_verdict": r.nash_verdict.value,
+        "notes": list(r.notes),
     }
-    if matrix_part:
-        d.update(_matrix_dict(r, columns))
-    d["pa_fundamental"] = r.pa_fundamental
-    d["artin_rational"] = r.artin_rational
-    d["structural"] = {
-        "tree": r.structural.tree,
-        "all_genus_zero": r.structural.all_genus_zero,
-        "iii_holds": r.structural.iii_holds,
-        "verdict": r.structural.verdict,
-    }
-    d["nash_verdict"] = r.nash_verdict.value
-    d["notes"] = list(r.notes)
-    return d
 
 
 def _matrix_dict(r: ClassificationReport, columns: bool = False) -> dict:
@@ -319,19 +332,52 @@ def family(kind: str, params: tuple[str, ...], as_json: bool, output: str | None
 _COMPACT = (",", ":")
 
 
+def _compact(obj) -> str:
+    return json.dumps(obj, separators=_COMPACT)
+
+
 def _enum_line(g: ResolutionGraph) -> str:
     """``json.dumps(report_to_dict(r), separators=(",", ":"))``, byte for
-    byte, with the matrix part (see _matrix_dict) rendered once per matrix
-    object, kept on it, and spliced in before ``pa_fundamental``. Compact
-    JSON escapes every quote inside a string, so ``,"pa_fundamental":``
-    can only be the top-level key."""
+    byte, filled into a template kept on g's intersection matrix.
+
+    The matrix keeps three things: the ``graph`` object's text split around
+    the genera (_graph_halves), the text of the matrix part (see
+    _matrix_dict) under ``_enum_text``, and a dict from the values of the
+    validation and tail keys to their texts. Per graph there remain the
+    genera, p_a and one lookup in that dict; nash_verdict still gives every
+    value. The split is safe because graphs that share a matrix object are
+    the genus variants of one graph (graph._genus_variant), which share its
+    weights, mult and labels, and ``genera`` is the first key of the
+    graph's text after ints only; compact JSON escapes every quote inside a
+    string, so no label can end a value early."""
     r = nash_verdict(g)
+    M = g.intersection_matrix()
+    v, s = r.validation, r.structural
+    key = (
+        v.negative_definite, v.connected, v.minimal, v.messages, r.artin_rational,
+        s.tree, s.all_genus_zero, s.iii_holds, s.verdict, r.nash_verdict, r.notes,
+    )
     with _uncapped_int_str():
-        shared = _kept(g.intersection_matrix(), "_enum_text",
-                       lambda: json.dumps(_matrix_dict(r), separators=_COMPACT)[1:-1])
-        own = json.dumps(report_to_dict(r, matrix_part=False), separators=_COMPACT)
-    cut = own.index(',"pa_fundamental":')
-    return f"{own[:cut]},{shared}{own[cut:]}"
+        head, mid = _kept(M, "_enum_graph", lambda: _graph_halves(g))
+        shared = _kept(M, "_enum_text", lambda: _compact(_matrix_dict(r))[1:-1])
+        tails = _kept(M, "_enum_tails", dict)
+        texts = tails.get(key)
+        if texts is None:
+            texts = tails[key] = (_compact(_validation_dict(r)), _compact(_tail_dict(r))[1:])
+        genera = ",".join(map(str, g.genera))
+        return (f'{head}{genera}{mid},"validation":{texts[0]},{shared},'
+                f'"pa_fundamental":{r.pa_fundamental},{texts[1]}')
+
+
+def _graph_halves(g: ResolutionGraph) -> tuple[str, str]:
+    """The compact text of ``{"graph": ...}``, without its closing brace,
+    cut where the genera go: ``{"graph":{..."genera":[`` and
+    ``],"edges":...}``. Only ints come before ``genera``."""
+    graph = _graph_dict(g)
+    graph["genera"] = []
+    text = _compact({"graph": graph})
+    cut = text.index('"genera":[') + len('"genera":[')
+    return text[:cut], text[cut:-1]
 
 
 @cli.command()

@@ -351,6 +351,50 @@ def test_spliced_enum_line_of_labelled_graphs():
     assert "_enum_text" in first.intersection_matrix().__dict__
 
 
+@pytest.mark.parametrize("bounds,lines,matrices", [((3, -2, 2, 2), 66, 6), ((4, -3, 2, 1), 4276, 86)])
+def test_templated_enum_line_matches_an_unshared_report(bounds, lines, matrices):
+    # within one matrix, every per-graph slot of the template must change
+    # somewhere: the validation text, p_a and the tail
+    slots = {}  # id of a matrix -> the matrix, kept alive, and the values each slot took
+    count = 0
+    for g in enumerate_graphs(*bounds):
+        assert cli_module._enum_line(g) == _compact_report(g)
+        count += 1
+        r = nash_verdict(g)
+        M = g.intersection_matrix()
+        taken = slots.setdefault(id(M), (M, set(), set(), set()))[1:]
+        for values, value in zip(taken, (r.validation.minimal, r.pa_fundamental,
+                                         r.structural.all_genus_zero)):
+            values.add(value)
+    assert (count, len(slots)) == (lines, matrices)
+    assert any(all(len(values) > 1 for values in entry[1:]) for entry in slots.values())
+
+
+def test_templated_enum_line_of_labelled_variants_that_flip_minimality():
+    # the genus-0 (-1)-curve of the first graph warns under its label, and a
+    # variant that gives it genus 1 is minimal; the last two variants share
+    # their validation and tail texts but not p_a. The labels look like the
+    # points the template is cut at.
+    mult = ((0, 1, 0), (1, 0, 1), (0, 1, 0))
+    first = ResolutionGraph((-1, -3, -5), (0, 0, 0), mult, ('"genera":[', '],"edges":', 'c"\\'))
+    variants = [first] + [_genus_variant(first, genera) for genera in [(1, 0, 0), (0, 2, 0), (1, 1, 1)]]
+    lines = [cli_module._enum_line(g) for g in variants]
+    assert lines == [_compact_report(g) for g in variants]
+    docs = [json.loads(line) for line in lines]
+    assert [doc["validation"]["minimal"] for doc in docs] == [False, True, False, True]
+    assert [doc["pa_fundamental"] for doc in docs] == [0, 1, 2, 3]
+    assert len(first.intersection_matrix()._enum_tails) == 3
+
+
+def test_enumerate_builds_the_graph_halves_once_per_matrix(capsys):
+    with mock.patch.object(cli_module, "_graph_halves", wraps=cli_module._graph_halves) as halves, \
+            mock.patch.object(cli_module, "report_to_dict", wraps=report_to_dict) as reports:
+        assert main(["enumerate", "--max-vertices=4", "--min-weight=-4", "--max-genus=1"]) == 0
+    assert capsys.readouterr().out.count("\n") == 4467
+    assert halves.call_count == 357
+    assert reports.call_count == 0
+
+
 def test_enumerate_renders_the_matrix_part_once_per_matrix(capsys):
     with mock.patch.object(cli_module, "_matrix_dict", wraps=cli_module._matrix_dict) as counting:
         assert main(["enumerate", "--max-vertices=4", "--min-weight=-4", "--max-genus=1"]) == 0
