@@ -505,8 +505,9 @@ def graph_to_json_dict(g: ResolutionGraph) -> dict:
     return d
 
 
-def render_json(obj) -> str:
-    """The text ``json.dumps`` gives with ``indent=2``, byte for byte, for the
+def render_json(obj, compact: bool = False) -> str:
+    """The text ``json.dumps`` gives with ``indent=2``, or with ``compact``
+    the text it gives with ``separators=(",", ":")``, byte for byte, for the
     values a report holds: dicts with str keys, lists, str, int, bool and None.
     Every indented JSON document the package writes goes through it: the C
     encoder does not take ``indent``, so ``json.dumps`` with it is slower.
@@ -514,46 +515,44 @@ def render_json(obj) -> str:
     Any other value is rendered by ``json.dumps``. The text is gathered in
     pieces and joined once. A list of integers is rendered once per level it
     occurs at: the memo of one call is keyed on the list's identity and its
-    indentation, as the same list is indented differently at another depth.
-    A list that is a table (see _render_table), such as the witnesses of a
-    report or the values of a criterion, is rendered by one row template
-    filled once per row, and a list of integers in it, such as a shared
-    witness divisor, by the same memo. A ``_Table`` is rendered the same
-    way from the columns it holds, as the list of records it stands for.
+    indentation, as the same list is indented differently at another depth
+    (compact text has one indentation, the empty one). A ``_Table`` is
+    rendered from the columns it holds, as the list of records it stands for,
+    by one row template filled once per row; a list of integers in it, such
+    as a shared witness divisor, goes through the same memo.
     """
     out: list[str] = []
-    _render(obj, "\n", out, {})
+    _render(obj, "" if compact else "\n", "" if compact else "  ", out, {})
     return "".join(out)
 
 
-def _render(obj, newline: str, out: list[str], memo: dict) -> None:
+def _render(obj, newline: str, step: str, out: list[str], memo: dict) -> None:
     """Append the pieces of the text of ``obj`` to ``out``; see render_json.
-    ``newline`` is the line break plus the indentation of the current level."""
-    inner = newline + "  "
+    ``newline`` is the line break plus the indentation of the current level,
+    and ``step`` one level of indentation; compact text has neither."""
+    inner = newline + step
     if isinstance(obj, list):
         if not obj:
             out.append("[]")
             return
-        text = _int_list_text(obj, newline, memo)
+        text = _int_list_text(obj, newline, step, memo)
         if text is not None:
             out.append(text)
-            return
-        if _render_table(obj, newline, out, memo):
             return
         sep, comma = "[" + inner, "," + inner
         for x in obj:
             out.append(sep)
-            _render(x, inner, out, memo)
+            _render(x, inner, step, out, memo)
             sep = comma
         out.append(newline + "]")
     elif isinstance(obj, dict):
         if not obj:
             out.append("{}")
             return
-        sep, comma = "{" + inner, "," + inner
+        sep, comma, colon = "{" + inner, "," + inner, ": " if step else ":"
         for k, v in obj.items():
-            out.append(sep + encode_basestring_ascii(k) + ": ")
-            _render(v, inner, out, memo)
+            out.append(sep + encode_basestring_ascii(k) + colon)
+            _render(v, inner, step, out, memo)
             sep = comma
         out.append(newline + "}")
     elif isinstance(obj, str):
@@ -561,13 +560,12 @@ def _render(obj, newline: str, out: list[str], memo: dict) -> None:
     elif type(obj) is int:
         out.append(str(obj))
     elif type(obj) is _Table:
-        if not _render_columns(obj, newline, out, memo):
-            raise ValueError("a table column of lists must hold non-empty lists of ints")
+        _render_columns(obj, newline, step, out, memo)
     else:
         out.append(json.dumps(obj))
 
 
-def _int_list_text(xs: list, newline: str, memo: dict) -> str | None:
+def _int_list_text(xs: list, newline: str, step: str, memo: dict) -> str | None:
     """The text of the non-empty list ``xs`` at ``newline`` if it holds only
     ints, else None. The text is kept in ``memo`` under the list's identity
     and ``newline``: ``xs`` lives as long as the render_json call, so its id
@@ -575,47 +573,9 @@ def _int_list_text(xs: list, newline: str, memo: dict) -> str | None:
     key = (id(xs), newline)
     text = memo.get(key)
     if text is None and set(map(type, xs)) == {int}:
-        inner = newline + "  "
+        inner = newline + step
         text = memo[key] = "[" + inner + ("," + inner).join(map(str, xs)) + newline + "]"
     return text
-
-
-def _render_table(rows: list, newline: str, out: list[str], memo: dict) -> bool:
-    """Append the text of ``rows`` and return True if it is a table: dicts
-    that all have the same str keys in the same order, or two or more lists
-    of one non-zero length, whose every column holds only ints (not bools)
-    or only non-empty lists of ints. Otherwise append nothing, return False.
-
-    The columns are sorted here into the fields of a _Table: an int column,
-    a column of int lists of one length of at most two (pairs and indices)
-    as that many int columns, or any other column of int lists.
-    """
-    kinds = set(map(type, rows))
-    if kinds == {dict}:
-        keys = tuple(rows[0])
-        if not keys or set(map(type, keys)) != {str} or not all(map(keys.__eq__, map(tuple, rows))):
-            return False
-        cols = zip(*map(dict.values, rows))
-    elif kinds == {list} and len(rows) > 1 and len(set(map(len, rows))) == 1 and rows[0]:
-        keys = None
-        cols = zip(*rows)
-    else:
-        return False
-    fields = []
-    for col in cols:
-        types = set(map(type, col))
-        sizes = set(map(len, col)) if types == {list} else ()
-        if types == {int}:
-            fields.append(("int", col))
-        elif len(sizes) == 1 and 0 < min(sizes) <= 2:
-            if set(map(type, chain.from_iterable(col))) != {int}:
-                return False
-            fields.append(("ints", tuple(zip(*col))))
-        elif sizes:
-            fields.append(("lists", col))
-        else:
-            return False
-    return _render_columns(_Table(keys, tuple(fields), len(rows)), newline, out, memo)
 
 
 @dataclass(frozen=True)
@@ -632,10 +592,9 @@ class _Table:
     n: int
 
 
-def _render_columns(table: _Table, newline: str, out: list[str], memo: dict) -> bool:
-    """Append the text of ``table`` and return True, or, if a list of a
-    ``lists`` field is empty or holds anything but ints, append nothing and
-    return False.
+def _render_columns(table: _Table, newline: str, step: str, out: list[str], memo: dict) -> None:
+    """Append the text of ``table``; raise ValueError if a list of a
+    ``lists`` field is empty or holds anything but ints.
 
     An int fills a ``%d`` slot of one row template. An int list of a
     ``lists`` field is text from _int_list_text, once per list object, and
@@ -645,13 +604,14 @@ def _render_columns(table: _Table, newline: str, out: list[str], memo: dict) -> 
     keys, fields, n = table.keys, table.fields, table.n
     if not n:
         out.append("[]")
-        return True
+        return
     if keys is None:
         heads, bracket = [""] * len(fields), "[]"
     else:
-        heads, bracket = [encode_basestring_ascii(k).replace("%", "%%") + ": " for k in keys], "{}"
-    inner = newline + "  "
-    cell = inner + "  "  # the newline of a value in a row
+        colon = ": " if step else ":"
+        heads, bracket = [encode_basestring_ascii(k).replace("%", "%%") + colon for k in keys], "{}"
+    inner = newline + step
+    cell = inner + step  # the newline of a value in a row
     template, slots, cuts = bracket[0], [], []
     for head, (kind, col) in zip(heads, fields):
         template += cell + head
@@ -659,14 +619,14 @@ def _render_columns(table: _Table, newline: str, out: list[str], memo: dict) -> 
             template += "%d"
             slots.append(col)
         elif kind == "ints":
-            deeper = cell + "  "
+            deeper = cell + step
             template += "[" + deeper + ("," + deeper).join(["%d"] * len(col)) + cell + "]"
             slots.extend(col)
         else:
             lists = dict(zip(map(id, col), col))
-            texts = {i: _int_list_text(x, cell, memo) for i, x in lists.items()}
+            texts = {i: _int_list_text(x, cell, step, memo) for i, x in lists.items()}
             if None in texts.values():
-                return False
+                raise ValueError("a table column of lists must hold non-empty lists of ints")
             cuts += [_fill(template, slots, n), map(texts.__getitem__, map(id, col))]
             template, slots = "", []
         template += ","
@@ -675,7 +635,6 @@ def _render_columns(table: _Table, newline: str, out: list[str], memo: dict) -> 
     out.append("[" + inner)
     out.extend(chain.from_iterable(zip(*cuts)))
     out[-1] = out[-1][: -len(inner) - 1] + newline + "]"
-    return True
 
 
 def _fill(template: str, slots: list, n: int):

@@ -31,7 +31,9 @@ and the half-space coverage; the row-sum divisor of adj(-M)
 adjugate; and the closed-form least realizing multiple
 (min_realizing_multiple, refusing a divisor that is not strictly
 anti-nef with NoMultiplierGuarantee), against iterating
-realization_criterion.
+realization_criterion. The plain per-pair report and criterion dicts
+that the column tables of the CLI replaced stay as the references whose
+``json.dumps`` text the rendered reports must equal.
 """
 
 from fractions import Fraction
@@ -627,3 +629,58 @@ def edges_by_scan(mult) -> list[tuple[int, int, int]]:
         for j in range(i + 1, n)
         if mult[i][j] > 0
     ]
+
+
+def matrix_dict_plain(r) -> dict:
+    """The report keys ``star_star``, ``star`` and ``fundamental_cycle`` as
+    plain dicts and lists, one record per pair: the form cli._matrix_dict
+    built before it handed its pairs to render_json as columns. Pairs that
+    share a witness ``Divisor`` object share one ``divisor`` list."""
+    found = r.star.witnesses
+    pairs = sorted(found)
+    divisors = list(map(found.__getitem__, pairs))
+    distinct = dict(zip(map(id, divisors), divisors))  # each witness Divisor once, by id
+    lists = {key: list(w.coeffs) for key, w in distinct.items()}
+    return {
+        "star_star": {
+            "holds": r.star_star.holds,
+            "violations": [i + 1 for i in r.star_star.violations],
+        },
+        "star": {
+            "holds": r.star.holds,
+            "witnesses": [
+                {"pair": [i + 1, j + 1], "divisor": lists[id(w)]} for (i, j), w in zip(pairs, divisors)
+            ],
+            "failing_pairs": [[i + 1, j + 1] for i, j in sorted(r.star.failing_pairs)],
+        },
+        "fundamental_cycle": list(r.fundamental_cycle.coeffs),
+    }
+
+
+def report_dict_plain(r) -> dict:
+    """cli.report_to_dict with its matrix part from matrix_dict_plain: the
+    plain dict whose ``json.dumps`` text every report must equal. The
+    other keys come from the library's own builders, which hold no table."""
+    from nashcone import cli
+
+    return {
+        "graph": cli._graph_dict(r.graph),
+        "validation": cli._validation_dict(r),
+        **matrix_dict_plain(r),
+        "pa_fundamental": r.pa_fundamental,
+        **cli._tail_dict(r),
+    }
+
+
+def criterion_dict_plain(name: str, res) -> dict:
+    """cli._criterion_json as plain records, keys in sorted order: the form
+    it built before it handed its index and value columns to render_json."""
+    return {
+        "criterion": name,
+        "satisfied": res.satisfied,
+        "violating": [[i + 1 for i in key] for key in res.violating_pairs],
+        "values": [
+            {"index": [i + 1 for i in key], "value": res.values[key]}
+            for key in sorted(res.values)
+        ],
+    }

@@ -37,6 +37,8 @@ from nashcone.cli import _criterion_json, cli, emit_report, main, report_to_dict
 from nashcone.graph import _genus_variant, render_json
 from nashcone.vanishing import laufer_criterion, realization_criterion
 
+from oracles import criterion_dict_plain, report_dict_plain
+
 A2_REPORT = """\
 graph: 2 vertices
   E1: weight -2, genus 0
@@ -326,7 +328,7 @@ def test_enumerate_stdout_digest_is_pinned_past_the_oracle(bounds, lines, size, 
 def _compact_report(g: ResolutionGraph) -> str:
     """The enumerate line of g, from a copy of g that shares no matrix."""
     fresh = ResolutionGraph(g.weights, g.genera, g.mult, g.labels)
-    return json.dumps(report_to_dict(nash_verdict(fresh)), separators=(",", ":"))
+    return json.dumps(report_dict_plain(nash_verdict(fresh)), separators=(",", ":"))
 
 
 @pytest.mark.parametrize("bounds", [(3, -3, 1, 2), (4, -4, 1, 1), (3, -2, 1, 1)])
@@ -853,7 +855,7 @@ _BENCH_FAMILIES = (
 
 def test_report_shares_one_divisor_list_per_witness():
     r = nash_verdict(make_family("an", 30))
-    witnesses = report_to_dict(r)["star"]["witnesses"]
+    witnesses = report_dict_plain(r)["star"]["witnesses"]
     assert len(witnesses) == len(r.star.witnesses) == 870
     assert len({id(w["divisor"]) for w in witnesses}) == len(
         {id(w) for w in r.star.witnesses.values()}) == 108
@@ -864,12 +866,12 @@ def test_report_shares_one_divisor_list_per_witness():
 
 def test_render_json_matches_stdlib_on_reports():
     graphs = list(enumerate_graphs(3, -3, 1, 2)) + [make_family(*f) for f in _BENCH_FAMILIES]
-    docs = [report_to_dict(nash_verdict(g)) for g in graphs]
+    docs = [report_dict_plain(nash_verdict(g)) for g in graphs]
     g = make_family("dn", 6)
     D = Divisor((1,) * g.n)
     docs += [
-        _criterion_json("realization", realization_criterion(g, D)),
-        _criterion_json("laufer", laufer_criterion(g, D)),
+        criterion_dict_plain("realization", realization_criterion(g, D)),
+        criterion_dict_plain("laufer", laufer_criterion(g, D)),
     ]
     for doc in docs:
         assert render_json(doc) == json.dumps(doc, indent=2)
@@ -884,7 +886,7 @@ def test_column_report_renders_as_the_plain_report():
     ]
     for g in graphs:
         r = nash_verdict(g)
-        assert render_json(report_to_dict(r, columns=True)) == json.dumps(report_to_dict(r), indent=2)
+        assert render_json(report_to_dict(r)) == json.dumps(report_dict_plain(r), indent=2)
 
 
 # no benchmark workload reaches these sizes; the digests were taken from the
@@ -937,8 +939,8 @@ def test_column_criterion_renders_as_the_plain_one():
             for name, criterion in (("realization", realization_criterion), ("laufer", laufer_criterion)):
                 res = criterion(g, D)
                 seen.add((name, len(res.violating_pairs) if len(res.violating_pairs) < 2 else "more"))
-                plain = _criterion_json(name, res)
-                assert render_json(_criterion_json(name, res, columns=True)) == json.dumps(plain, indent=2)
+                plain = criterion_dict_plain(name, res)
+                assert render_json(_criterion_json(name, res)) == json.dumps(plain, indent=2)
     assert seen == {(name, k) for name in ("realization", "laufer") for k in (0, 1, "more")}
 
 

@@ -22,7 +22,7 @@ from nashcone import (
 )
 from nashcone.cli import _uncapped_int_str
 from nashcone.cone import ConeStatus, Divisor, lipman_status, neg_adjugate
-from nashcone.graph import MAX_VERTICES, _render_table, _Table, is_connected, render_json
+from nashcone.graph import MAX_VERTICES, _Table, is_connected, render_json
 
 from oracles import connected_by_union, edges_by_scan, lipman_status_dense, mulvec_dense, negdef_brute
 
@@ -531,7 +531,7 @@ def _aliasing(children):
     )
 
 
-# keys of table rows; render_json writes them into a %-template
+# keys of table-shaped rows, some with % signs
 _table_keys = st.text(st.characters(exclude_categories=()), max_size=4) | st.sampled_from(
     ["%", "%d", "%%", "a%", "%s%(x)d", "pair", "divisor"])
 
@@ -595,6 +595,12 @@ def test_render_json_matches_stdlib_indent(obj):
     assert render_json(obj) == json.dumps(obj, indent=2)
 
 
+@settings(max_examples=300, deadline=None)
+@given(_json_values)
+def test_render_json_compact_matches_stdlib_separators(obj):
+    assert render_json(obj, compact=True) == json.dumps(obj, separators=(",", ":"))
+
+
 def test_render_json_renders_a_shared_list_at_each_depth():
     ints = [1, -2, 3]  # a list of integers: the kind of list the memo keeps
     mixed = [ints, {"k": True}, []]
@@ -606,10 +612,12 @@ def test_render_json_renders_a_shared_list_at_each_depth():
     ]
     for doc in docs:
         assert render_json(doc) == json.dumps(doc, indent=2)
+        # compact text indents every depth alike, so one memo entry serves all
+        assert render_json(doc, compact=True) == json.dumps(doc, separators=(",", ":"))
 
 
 _DIVISOR = [3, 2, 1]
-# (name, list) that render_json must render by its row template
+# (name, list) shaped like a table of a report: records of one shape
 _TABLES = [
     ("witnesses", [{"pair": [1, 2], "divisor": _DIVISOR}, {"pair": [1, 3], "divisor": _DIVISOR},
                    {"pair": [2, 3], "divisor": [1, 2, 3, 4]}]),
@@ -621,7 +629,7 @@ _TABLES = [
     ("slotless segment after a cut", [{"d": _DIVISOR, "a%": _DIVISOR}] * 2),
     ("shared lists at two depths", [[1, _DIVISOR], [2, [9]]]),
 ]
-# (name, list) that render_json must hand to the generic recursion
+# (name, list) that are no table: records of unlike shapes
 _NOT_TABLES = [
     ("keys reordered", [{"pair": [1, 2], "value": 1}, {"value": 1, "pair": [1, 2]}]),
     ("extra key", [{"pair": [1, 2]}, {"pair": [1, 2], "value": 1}]),
@@ -643,17 +651,12 @@ _NOT_TABLES = [
 
 @pytest.mark.parametrize("rows", [t for _, t in _TABLES], ids=[n for n, _ in _TABLES])
 def test_render_json_renders_tables_by_template(rows):
-    out = []
-    assert _render_table(rows, "\n  ", out, {})
     doc = {"table": rows, "again": [rows, _DIVISOR]}
     assert render_json(doc) == json.dumps(doc, indent=2)
 
 
 @pytest.mark.parametrize("rows", [t for _, t in _NOT_TABLES], ids=[n for n, _ in _NOT_TABLES])
 def test_render_json_falls_back_on_other_lists(rows):
-    out = []
-    assert not _render_table(rows, "\n  ", out, {})
-    assert out == []
     doc = {"table": rows, "again": [rows]}
     assert render_json(doc) == json.dumps(doc, indent=2)
 
@@ -673,8 +676,9 @@ def test_render_json_renders_a_column_table_as_its_records():
     ]
     for table, records in cases:
         doc = {"table": table, "again": [table, _DIVISOR]}
-        assert render_json(doc) == json.dumps({"table": records, "again": [records, _DIVISOR]},
-                                              indent=2)
+        plain = {"table": records, "again": [records, _DIVISOR]}
+        assert render_json(doc) == json.dumps(plain, indent=2)
+        assert render_json(doc, compact=True) == json.dumps(plain, separators=(",", ":"))
 
 
 @pytest.mark.parametrize("column", [[[1], []], [[1], [1, True]], [[1], ["1"]]])
@@ -692,16 +696,24 @@ def test_render_json_table_obeys_the_int_digit_cap():
         [{"pair": [1, 2], "divisor": [1, 2, big]}] * 2,
         [[1, big], [2, 3]],
     ]
+    # the same records as the column tables the CLI hands over
+    tables = [
+        _Table(("index", "value"), (("ints", ([1, 1], [2, 2])), ("int", [big, big])), 2),
+        _Table(("pair", "divisor"), (("ints", ([1, 1], [big, big])), ("lists", [_DIVISOR] * 2)), 2),
+        _Table(("pair", "divisor"), (("ints", ([1, 1], [2, 2])), ("lists", [[1, 2, big]] * 2)), 2),
+        _Table(None, (("int", [1, 2]), ("int", [big, 3])), 2),
+    ]
     cap = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(4300)
     try:
-        for doc in docs:
-            with pytest.raises(ValueError) as ours:
-                render_json(doc)
-            with pytest.raises(ValueError) as stdlib:
-                json.dumps(doc, indent=2)
-            assert str(ours.value) == str(stdlib.value)
-            with _uncapped_int_str():
-                assert render_json(doc) == json.dumps(doc, indent=2)
+        for doc, plain in [*zip(docs, docs), *zip(tables, docs)]:
+            for compact, options in ((False, {"indent": 2}), (True, {"separators": (",", ":")})):
+                with pytest.raises(ValueError) as ours:
+                    render_json(doc, compact)
+                with pytest.raises(ValueError) as stdlib:
+                    json.dumps(plain, **options)
+                assert str(ours.value) == str(stdlib.value)
+                with _uncapped_int_str():
+                    assert render_json(doc, compact) == json.dumps(plain, **options)
     finally:
         sys.set_int_max_str_digits(cap)
