@@ -22,15 +22,15 @@ genera enter only the canonical pairing K.Z, p_a, minimality, the genus
 flag and the notes. The enumerator builds the first graph of each weight
 tuple with every check, and each further genus variant from it: only the
 genera are checked, and the variant shares the first graph's weights,
-mult and matrix object. nash_verdict keeps the matrix-only results on the
-matrix, so an ``enumerate`` run checks a whole graph, tests connectivity
-and computes those results once per distinct intersection matrix: 357
-times for the 4,467 graphs of enumerate_graphs(4, -4, 1, 1). Per graph
-there remain the genus checks, validation's minimality scan, one dot
-product with K for p_a, the genus flag, the verdict and the notes. The
-``enumerate`` command keeps its line template on the matrix as well (see
-cli._enum_line), so per graph it writes only the genera and p_a and looks
-up the texts of the rest.
+mult and matrix object. nash_verdict keeps one record on the matrix, so
+an ``enumerate`` run checks a whole graph, tests connectivity and
+computes the matrix-only results once per distinct intersection matrix
+(357 times for the 4,467 graphs of enumerate_graphs(4, -4, 1, 1)), and
+validates once per matrix and genus key (887 times). Per graph there
+remain the genus checks, the key, one dot product with K for p_a and the
+report. The ``enumerate`` command keeps its line template on the matrix
+as well (see cli._enum_line), so per graph it writes only the genera and
+p_a and looks up the texts of the rest.
 """
 
 from __future__ import annotations
@@ -49,6 +49,7 @@ from .graph import (
     _connected,
     _genus_variant,
     _kept,
+    _nonminimal,
     ResolutionGraph,
     ValidationReport,
     canonical_intersections,
@@ -105,14 +106,14 @@ class ClassificationReport:
     share one matrix object (the genus variants enumerate_graphs yields for
     one weight tuple, or one graph analyzed twice) share the same
     StarCertificate, its ``witnesses`` dict and the fundamental-cycle
-    Divisor: mutating the dict of one report changes the others. The
-    connectivity in ``validation`` and the tree and (iii) flags of
-    ``structural`` are kept on the matrix too, as plain bools. The
-    ``enumerate`` command keeps on the matrix the JSON text of the three
-    matrix fields, of ``graph`` split around its genera, and of
-    ``validation`` and the fields after ``pa_fundamental`` for each set of
-    their values, so it renders each of them once per matrix; every value
-    in them still comes from this report.
+    Divisor: mutating the dict of one report changes the others. Reports
+    of graphs that share a matrix and have equal genus keys (see
+    nash_verdict) also share their ValidationReport, StructuralReport and
+    ``notes`` objects. The ``enumerate`` command keeps on the matrix the
+    JSON text of the three matrix fields, of ``graph`` split around its
+    genera, and of ``validation`` and the fields after ``pa_fundamental``
+    for each set of their values, so it renders each of them once per
+    matrix; every value in them still comes from this report.
     """
 
     graph: ResolutionGraph
@@ -190,40 +191,39 @@ def nash_verdict(g: ResolutionGraph) -> ClassificationReport:
     matrix is not negative definite; a non-minimal graph only produces a
     warning note and the analysis proceeds.
 
-    (**), (*) with its witnesses, the fundamental cycle Z and Z.Z are
-    computed on the first call for an intersection matrix object and kept
-    on it, as its factor, its connectivity and the tree and (iii) flags
-    are; validation's minimality scan and warnings, p_a (Z.Z plus one dot
-    product with K), the genus flag of the structural check, the verdict
-    and the notes are computed for each graph. Reports of graphs sharing a
-    matrix object therefore share their StarCertificate, its ``witnesses``
-    dict and the fundamental-cycle Divisor (see ClassificationReport). The
-    cache lives and dies with the matrix: a graph built afresh is analyzed
-    afresh.
+    The intersection matrix object keeps one record: (**), (*) with its
+    witnesses, Z, Z.Z and the verdict, which depend on the matrix alone,
+    and ``parts``, a dict from the key (genus-0 (-1)-curves, all genera
+    zero) to the validation and structural reports and the notes, which
+    validate and structural_rationality fill for a new key. The key decides
+    all three: graphs that share a matrix object are one graph and its
+    genus variants (graph._genus_variant), which hold the same weights,
+    mult and labels. Per graph there remain the key, one lookup, p_a (Z.Z plus one
+    dot product with K) and the report, which shares the kept objects (see
+    ClassificationReport). The record lives and dies with the matrix: a
+    graph built afresh is analyzed afresh.
     """
-    report = validate(g)
-    report.require_analyzable()
-
-    star_star, star, Z, zz = _kept(g.intersection_matrix(), "_analysis", lambda: _analysis(g))
+    M = g.intersection_matrix()
+    key = (_nonminimal(g), not any(g.genera))
+    record = M.__dict__.get("_verdict")
+    parts = None if record is None else record[2].get(key)
+    if parts is None:
+        report = validate(g)
+        report.require_analyzable()
+        record = _kept(M, "_verdict", lambda: _record(g))
+        structural = structural_rationality(g)
+        notes = list(report.warnings)
+        if structural.all_genus_zero:
+            notes.append(_GENUS_NOTE)
+        if record[1] is NashVerdict.INCONCLUSIVE:
+            notes.append(_INCONCLUSIVE_NOTE)
+        parts = record[2][key] = (report, structural, tuple(notes))
+    (star_star, star, Z, zz), verdict, _ = record
+    validation, structural, notes = parts
     pa = _genus(g, Z, zz)
-    structural = structural_rationality(g)
-
-    if star_star.holds:
-        verdict = NashVerdict.BIJECTIVE_BY_STAR_STAR
-    elif star.holds:
-        verdict = NashVerdict.BIJECTIVE_BY_STAR
-    else:
-        verdict = NashVerdict.INCONCLUSIVE
-
-    notes = list(report.warnings)
-    if structural.all_genus_zero:
-        notes.append(_GENUS_NOTE)
-    if verdict is NashVerdict.INCONCLUSIVE:
-        notes.append(_INCONCLUSIVE_NOTE)
-
     return ClassificationReport(
         graph=g,
-        validation=report,
+        validation=validation,
         star_star=star_star,
         star=star,
         fundamental_cycle=Z,
@@ -231,15 +231,17 @@ def nash_verdict(g: ResolutionGraph) -> ClassificationReport:
         artin_rational=pa == 0,
         structural=structural,
         nash_verdict=verdict,
-        notes=tuple(notes),
+        notes=notes,
     )
 
 
-def _analysis(g: ResolutionGraph) -> tuple[StarStarReport, StarCertificate, Divisor, int]:
-    """(**), (*), the fundamental cycle Z and Z.Z: what nash_verdict keeps
-    on the intersection matrix."""
+def _record(g: ResolutionGraph) -> tuple[tuple, NashVerdict, dict]:
+    """((**), (*), Z, Z.Z), the verdict and an empty ``parts``: the record
+    nash_verdict keeps on the intersection matrix."""
     star_star, star, Z = check_star_star(g), check_star(g), fundamental_cycle(g)
-    return star_star, star, Z, pair(Z, Z, g.intersection_matrix())
+    verdict = (NashVerdict.BIJECTIVE_BY_STAR_STAR if star_star.holds else
+               NashVerdict.BIJECTIVE_BY_STAR if star.holds else NashVerdict.INCONCLUSIVE)
+    return (star_star, star, Z, pair(Z, Z, g.intersection_matrix())), verdict, {}
 
 
 def make_family(kind: str, *params: int) -> ResolutionGraph:

@@ -327,27 +327,25 @@ def _enum_line(g: ResolutionGraph) -> str:
     """``render_json(report_to_dict(r), compact=True)``, byte for byte,
     filled into a template kept on g's intersection matrix.
 
-    The matrix keeps three things: the ``graph`` object's text split around
-    the genera (_graph_halves), the compact text of the matrix part (see
-    _matrix_dict) under ``_enum_text``, and a dict from the values of the
-    validation and tail keys to their texts. Per graph there remain the
+    The template is one tuple: the ``graph`` object's text split around the
+    genera (_graph_halves), the compact text of the matrix part (see
+    _matrix_dict), and a dict from the report's shared parts (validation,
+    structural, notes) and ``artin_rational`` to the texts of
+    ``validation`` and of the keys after ``pa_fundamental``; the verdict in
+    the latter depends on the matrix alone. Per graph there remain the
     genera, p_a and one lookup in that dict; nash_verdict still gives every
-    value. The split is safe because graphs that share a matrix object are
-    the genus variants of one graph (graph._genus_variant), which share its
-    weights, mult and labels, and ``genera`` is the first key of the
-    graph's text after ints only; compact JSON escapes every quote inside a
-    string, so no label can end a value early."""
+    value, and genus variants with equal parts share those objects, so the
+    lookup hashes them but compares by identity. The split is safe because
+    graphs that share a matrix object are the genus variants of one graph
+    (graph._genus_variant), which share its weights, mult and labels, and
+    ``genera`` is the first key of the graph's text after ints only;
+    compact JSON escapes every quote inside a string, so no label can end
+    a value early."""
     r = nash_verdict(g)
-    M = g.intersection_matrix()
-    v, s = r.validation, r.structural
-    key = (
-        v.negative_definite, v.connected, v.minimal, v.messages, r.artin_rational,
-        s.tree, s.all_genus_zero, s.iii_holds, s.verdict, r.nash_verdict, r.notes,
-    )
     with _uncapped_int_str():
-        head, mid = _kept(M, "_enum_graph", lambda: _graph_halves(g))
-        shared = _kept(M, "_enum_text", lambda: render_json(_matrix_dict(r), compact=True)[1:-1])
-        tails = _kept(M, "_enum_tails", dict)
+        head, mid, shared, tails = _kept(g.intersection_matrix(), "_enum_template", lambda: (
+            *_graph_halves(g), render_json(_matrix_dict(r), compact=True)[1:-1], {}))
+        key = (r.validation, r.structural, r.notes, r.artin_rational)
         texts = tails.get(key)
         if texts is None:
             texts = tails[key] = (_compact(_validation_dict(r)), _compact(_tail_dict(r))[1:])

@@ -132,9 +132,12 @@ class ResolutionGraph:
 
     def intersection_matrix(self) -> IntersectionMatrix:
         """The matrix of E_i . E_j, built on the first call and kept."""
-        return _kept(self, "_matrix", lambda: IntersectionMatrix(tuple([
-            (*row[:i], w, *row[i + 1:]) for i, (w, row) in enumerate(zip(self.weights, self.mult))
-        ])))
+        try:
+            return self.__dict__["_matrix"]
+        except KeyError:
+            return _kept(self, "_matrix", lambda: IntersectionMatrix(tuple([
+                (*row[:i], w, *row[i + 1:]) for i, (w, row) in enumerate(zip(self.weights, self.mult))
+            ])))
 
 
 def _kept(obj, key: str, build):
@@ -512,14 +515,15 @@ def render_json(obj, compact: bool = False) -> str:
     Every indented JSON document the package writes goes through it: the C
     encoder does not take ``indent``, so ``json.dumps`` with it is slower.
 
-    Any other value is rendered by ``json.dumps``. The text is gathered in
-    pieces and joined once. A list of integers is rendered once per level it
-    occurs at: the memo of one call is keyed on the list's identity and its
-    indentation, as the same list is indented differently at another depth
-    (compact text has one indentation, the empty one). A ``_Table`` is
-    rendered from the columns it holds, as the list of records it stands for,
-    by one row template filled once per row; a list of integers in it, such
-    as a shared witness divisor, goes through the same memo.
+    A bool or None is written as its literal, any other value by
+    ``json.dumps``. The text is gathered in pieces and joined once. A list
+    of integers is rendered once per level it occurs at: the memo of one
+    call is keyed on the list's identity and its indentation, as the same
+    list is indented differently at another depth (compact text has one
+    indentation, the empty one). A ``_Table`` is rendered from the columns
+    it holds, as the list of records it stands for, by one row template
+    filled once per row; a list of integers in it, such as a shared witness
+    divisor, goes through the same memo.
     """
     out: list[str] = []
     _render(obj, "" if compact else "\n", "" if compact else "  ", out, {})
@@ -559,6 +563,8 @@ def _render(obj, newline: str, step: str, out: list[str], memo: dict) -> None:
         out.append(encode_basestring_ascii(obj))
     elif type(obj) is int:
         out.append(str(obj))
+    elif type(obj) is bool or obj is None:
+        out.append("null" if obj is None else "true" if obj else "false")
     elif type(obj) is _Table:
         _render_columns(obj, newline, step, out, memo)
     else:
@@ -702,9 +708,7 @@ def validate(g: ResolutionGraph) -> ValidationReport:
     """Check the contractibility constraints; failures land in the report."""
     negdef = g.intersection_matrix().neg_factor() is not None
     connected = _connected(g)
-    nonminimal = [
-        i for i in range(g.n) if g.genera[i] == 0 and g.weights[i] == -1
-    ]
+    nonminimal = _nonminimal(g)
     problems = []
     if not negdef:
         problems.append("intersection matrix is not negative definite")
@@ -723,6 +727,11 @@ def validate(g: ResolutionGraph) -> ValidationReport:
     )
 
 
+def _nonminimal(g: ResolutionGraph) -> tuple[int, ...]:
+    """The genus-0 (-1)-curves of g, which a minimal resolution lacks."""
+    return tuple([i for i, (p, w) in enumerate(zip(g.genera, g.weights)) if p == 0 and w == -1])
+
+
 def canonical_intersections(g: ResolutionGraph) -> tuple[int, ...]:
     """Intersection numbers of the canonical divisor with each component.
 
@@ -730,4 +739,4 @@ def canonical_intersections(g: ResolutionGraph) -> tuple[int, ...]:
     self-intersection w, the canonical pairing is 2p - 2 - w. No global
     canonical divisor is modeled, only this vector.
     """
-    return tuple(2 * g.genera[i] - 2 - g.weights[i] for i in range(g.n))
+    return tuple([2 * p - 2 - w for p, w in zip(g.genera, g.weights)])

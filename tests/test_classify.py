@@ -208,6 +208,41 @@ def test_shared_matrix_reports_match_fresh_graphs(bounds):
                 == render_json(report_to_dict(nash_verdict(fresh))))
 
 
+@pytest.mark.parametrize("bounds", [(3, -3, 1, 2), (4, -4, 1, 1), (3, -2, 1, 1), (3, -3, 3, 2)])
+def test_nash_verdict_of_a_genus_variant_matches_a_fresh_graph(bounds):
+    # the kept record gives the same report, as a whole dataclass, as a
+    # graph that shares nothing
+    for g in enumerate_graphs(*bounds):
+        fresh = ResolutionGraph(g.weights, g.genera, g.mult, g.labels)
+        assert "_matrix" not in fresh.__dict__
+        assert nash_verdict(g) == nash_verdict(fresh)
+
+
+@pytest.mark.parametrize("bounds,graphs,keys", [
+    ((4, -4, 1, 1), 4467, 887),
+    ((3, -3, 1, 2), 207, 81),
+])
+def test_validate_runs_once_per_matrix_and_genus_key(bounds, graphs, keys):
+    # validation and the structural check depend on a graph's matrix, its
+    # genus-0 (-1)-curves and whether all its genera are zero; variants with
+    # equal keys share the reports and notes built for the first of them
+    import nashcone.classify as classify_mod
+
+    with mock.patch.object(classify_mod, "validate", wraps=validate) as counting:
+        reports = [nash_verdict(g) for g in enumerate_graphs(*bounds)]
+    assert len(reports) == graphs
+    assert counting.call_count == keys
+    distinct = {
+        (id(r.graph.intersection_matrix()),
+         tuple(i for i in range(r.graph.n) if r.graph.genera[i] == 0 and r.graph.weights[i] == -1),
+         all(p == 0 for p in r.graph.genera))
+        for r in reports
+    }
+    assert len(distinct) == keys
+    assert len({id(r.validation) for r in reports}) == keys
+    assert len({id(r.structural) for r in reports}) == keys
+
+
 def test_tree_flag_matches_the_edge_list_definition(two_vertex):
     graphs = [g for bounds in [(4, -4, 1, 1), (3, -3, 1, 2)] for g in enumerate_graphs(*bounds)]
     graphs += [make_family(*f) for f in [

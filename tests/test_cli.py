@@ -306,6 +306,17 @@ def test_enumerate_stdout_digest_is_pinned(capsys):
         "765c854bb27d950c19c6aa65580b7b492a5b078052da69f3da95c598ca542c6b")
 
 
+def test_enumerate_stdout_digest_of_genus_variants_is_pinned(capsys):
+    # 81 matrix and genus keys over 1,422 lines: nearly every line reads its
+    # validation, structural report and notes from a kept record
+    assert main(["enumerate", "--max-vertices=3", "--min-weight=-3", "--max-genus=3",
+                 "--max-mult=2"]) == 0
+    out = capsys.readouterr().out.encode()
+    assert (out.count(b"\n"), len(out)) == (1422, 1028507)
+    assert hashlib.sha256(out).hexdigest() == (
+        "93ace2ca680f66afb2b9cf2d2e008655ce5e102843b52fb201c5f2b739decc3f")
+
+
 # bounds past the brute-force oracle's reach, pinned from the orbit-marking
 # enumerator that walked every edge encoding
 @pytest.mark.parametrize(
@@ -350,7 +361,7 @@ def test_spliced_enum_line_of_labelled_graphs():
     second = _genus_variant(first, (1, 0, 0))
     for g in (first, second):
         assert cli_module._enum_line(g) == _compact_report(g)
-    assert "_enum_text" in first.intersection_matrix().__dict__
+    assert "_enum_template" in first.intersection_matrix().__dict__
 
 
 @pytest.mark.parametrize("bounds,lines,matrices", [((3, -2, 2, 2), 66, 6), ((4, -3, 2, 1), 4276, 86)])
@@ -374,9 +385,9 @@ def test_templated_enum_line_matches_an_unshared_report(bounds, lines, matrices)
 
 def test_templated_enum_line_of_labelled_variants_that_flip_minimality():
     # the genus-0 (-1)-curve of the first graph warns under its label, and a
-    # variant that gives it genus 1 is minimal; the last two variants share
-    # their validation and tail texts but not p_a. The labels look like the
-    # points the template is cut at.
+    # variant that gives it genus 1 is minimal; the second and the last
+    # graphs share their validation and tail texts but not p_a. The labels
+    # look like the points the template is cut at.
     mult = ((0, 1, 0), (1, 0, 1), (0, 1, 0))
     first = ResolutionGraph((-1, -3, -5), (0, 0, 0), mult, ('"genera":[', '],"edges":', 'c"\\'))
     variants = [first] + [_genus_variant(first, genera) for genera in [(1, 0, 0), (0, 2, 0), (1, 1, 1)]]
@@ -385,7 +396,7 @@ def test_templated_enum_line_of_labelled_variants_that_flip_minimality():
     docs = [json.loads(line) for line in lines]
     assert [doc["validation"]["minimal"] for doc in docs] == [False, True, False, True]
     assert [doc["pa_fundamental"] for doc in docs] == [0, 1, 2, 3]
-    assert len(first.intersection_matrix()._enum_tails) == 3
+    assert len(first.intersection_matrix()._enum_template[3]) == 3
 
 
 def test_enumerate_builds_the_graph_halves_once_per_matrix(capsys):
