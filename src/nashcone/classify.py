@@ -17,16 +17,17 @@ is capped at ENCODING_TABLE_CAP bytes, which limits the bounds it accepts.
 
 Conditions (**) and (*), with the verified (*) witnesses, the
 fundamental cycle Z and Z.Z depend on the intersection matrix alone, and
-so do connectivity and the tree and (iii) flags of the structural check;
-genera enter only the canonical pairing K.Z, p_a, minimality, the genus
-flag and the notes. The enumerator builds the first graph of each weight
-tuple with every check, and each further genus variant from it: only the
-genera are checked, and the variant shares the first graph's weights,
-mult and matrix object. nash_verdict keeps one record on the matrix, so
-an ``enumerate`` run checks a whole graph, tests connectivity and
-computes the matrix-only results once per distinct intersection matrix
-(357 times for the 4,467 graphs of enumerate_graphs(4, -4, 1, 1)), and
-validates once per matrix and genus key (887 times). Per graph there
+so do the tree and (iii) flags of the structural check, read from the
+matrix's connectivity and edges and from (**); genera enter only the
+canonical pairing K.Z, p_a, minimality, the genus flag and the notes.
+The enumerator builds the first graph of each weight tuple with every
+check, and each further genus variant from it: only the genera are
+checked, and the variant shares the first graph's weights, mult and
+matrix object. nash_verdict keeps one record on the matrix, so an
+``enumerate`` run checks a whole graph, tests connectivity and computes
+the matrix-only results once per distinct intersection matrix (357 times
+for the 4,467 graphs of enumerate_graphs(4, -4, 1, 1)), and validates
+once per matrix and genus key (887 times). Per graph there
 remain the genus checks, the key, one dot product with K for p_a and the
 report. The ``enumerate`` command keeps its line template on the matrix
 as well (see cli._enum_line), so per graph it writes only the genera and
@@ -46,7 +47,6 @@ from .errors import InternalInvariantError
 from .graph import (
     MAX_VERTICES,
     _build_graph,
-    _connected,
     _genus_variant,
     _kept,
     _nonminimal,
@@ -87,8 +87,8 @@ class StructuralReport:
 
     gamma_i is the number of edge-ends at vertex i, i.e. the sum of the
     off-diagonal intersection numbers in row i; iii_holds means
-    |weights[i]| > gamma_i everywhere, which is the same inequality as
-    condition (**) rearranged.
+    |weights[i]| > gamma_i everywhere. As E.E_i = weights[i] + gamma_i,
+    that is condition (**), and iii_holds is read from check_star_star.
     """
 
     tree: bool
@@ -109,11 +109,12 @@ class ClassificationReport:
     Divisor: mutating the dict of one report changes the others. Reports
     of graphs that share a matrix and have equal genus keys (see
     nash_verdict) also share their ValidationReport, StructuralReport and
-    ``notes`` objects. The ``enumerate`` command keeps on the matrix the
-    JSON text of the three matrix fields, of ``graph`` split around its
-    genera, and of ``validation`` and the fields after ``pa_fundamental``
-    for each set of their values, so it renders each of them once per
-    matrix; every value in them still comes from this report.
+    ``notes`` objects; ``structural.iii_holds`` always equals
+    ``star_star.holds``, as (iii) is (**). The ``enumerate`` command keeps
+    on the matrix the JSON text of the three matrix fields, of ``graph``
+    split around its genera, and of ``validation`` and the fields after
+    ``pa_fundamental`` for each set of their values, so it renders each of
+    them once per matrix; every value in them still comes from this report.
     """
 
     graph: ResolutionGraph
@@ -157,25 +158,21 @@ def structural_rationality(g: ResolutionGraph) -> StructuralReport:
 
     A connected graph on n vertices has at least n - 1 edges, each of
     multiplicity >= 1, so it is a tree with simple edges exactly when its
-    multiplicities over pairs add up to n - 1. The tree and (iii) flags
-    depend on the intersection matrix alone and are kept on it, with the
-    connectivity validation reads; only the genus flag is per graph.
+    multiplicities over pairs add up to n - 1: the tree flag reads the
+    connectivity and the edge list the intersection matrix computed when it
+    was built. (iii) is condition (**), since E.E_i = E_i^2 + gamma(E_i),
+    and is read from check_star_star. Only the genus flag reads the genera.
     """
-    tree, iii = _kept(g.intersection_matrix(), "_shape", lambda: _shape(g))
-    all_genus_zero = all(gi == 0 for gi in g.genera)
+    M = g.intersection_matrix()
+    tree = M._connected and sum([m for _, _, m in M._edges]) == g.n - 1
+    all_genus_zero = not any(g.genera)
+    iii = check_star_star(g).holds
     return StructuralReport(
         tree=tree,
         all_genus_zero=all_genus_zero,
         iii_holds=iii,
         verdict=tree and all_genus_zero and iii,
     )
-
-
-def _shape(g: ResolutionGraph) -> tuple[bool, bool]:
-    """The tree and (iii) flags of structural_rationality."""
-    gamma = [sum(row) for row in g.mult]
-    tree = _connected(g) and sum(gamma) == 2 * (g.n - 1)
-    return tree, all(-w > s for w, s in zip(g.weights, gamma))
 
 
 _GENUS_NOTE = "component smoothness is inferred from arithmetic genus zero in the structural check"

@@ -79,7 +79,7 @@ def check_star_star(g: ResolutionGraph) -> StarStarReport:
     """Evaluate M.(1,...,1) and report the components pairing >= 0."""
     M = g.intersection_matrix()
     s = M.mulvec([1] * g.n)
-    violations = tuple(i for i in range(g.n) if s[i] >= 0)
+    violations = tuple([i for i, x in enumerate(s) if x >= 0])
     return StarStarReport(holds=not violations, violations=violations)
 
 

@@ -42,20 +42,6 @@ class Divisor:
     def __getitem__(self, i: int) -> int:
         return self.coeffs[i]
 
-    def __iter__(self):
-        return iter(self.coeffs)
-
-    def __len__(self) -> int:
-        return len(self.coeffs)
-
-    def __add__(self, other: "Divisor") -> "Divisor":
-        if self.n != other.n:
-            raise ValueError("dimension mismatch")
-        return Divisor(tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __rmul__(self, k: int) -> "Divisor":
-        return Divisor(tuple(k * a for a in self.coeffs))
-
     def is_zero(self) -> bool:
         return all(a == 0 for a in self.coeffs)
 

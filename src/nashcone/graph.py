@@ -13,18 +13,18 @@ reads the same in both formats, apart from the text format's ``line N:``
 prefix. A file may declare at most MAX_VERTICES vertices: the builder
 refuses a larger count before it allocates the n x n multiplicity table.
 
+A graph builds its intersection matrix once, after its checks, and the
+matrix computes from its own entries, once, its edge list (which
+``edges()`` returns) and its connectivity (which validation reads).
 Negative definiteness is read from one fraction-free factor of -M, the
 forward Bareiss pass of ``NegFactor``: its pivots are the leading
-principal minors of -M. The intersection matrix keeps the factor once
-built, and the graph keeps its matrix, so each graph is eliminated once;
-cone.neg_adjugate continues the same factor, by one back-substitution,
-to the integer adjugate that every cone computation reads. The matrix
-also keeps its edge list, which ``edges()`` returns, and its
-connectivity, which validation reads. ``_genus_variant`` builds a graph
-that differs from another only in its genera: it checks just the genera
-and shares the other graph's weights, mult, labels and matrix object, and
-with it everything kept on the matrix (the enumerator builds every genus
-variant of a weight tuple so).
+principal minors of -M. The matrix keeps the factor once built, so each
+graph is eliminated once; cone.neg_adjugate continues the same factor, by
+one back-substitution, to the integer adjugate that every cone
+computation reads. ``_genus_variant`` builds a graph that differs from
+another only in its genera: it checks just the genera and shares the
+other graph's weights, mult, labels and matrix object (the enumerator
+builds every genus variant of a weight tuple so).
 """
 
 from __future__ import annotations
@@ -114,6 +114,9 @@ class ResolutionGraph:
                 # a repeated label would make the text report ambiguous
                 lab = next(lab for k, lab in enumerate(self.labels) if lab in self.labels[:k])
                 raise _FieldError("labels", f"duplicate label {lab!r}")
+        object.__setattr__(self, "_matrix", IntersectionMatrix(tuple([
+            (*row[:i], w, *row[i + 1:]) for i, (w, row) in enumerate(zip(self.weights, self.mult))
+        ])))
 
     @property
     def n(self) -> int:
@@ -131,13 +134,8 @@ class ResolutionGraph:
         return self.intersection_matrix()._edges
 
     def intersection_matrix(self) -> IntersectionMatrix:
-        """The matrix of E_i . E_j, built on the first call and kept."""
-        try:
-            return self.__dict__["_matrix"]
-        except KeyError:
-            return _kept(self, "_matrix", lambda: IntersectionMatrix(tuple([
-                (*row[:i], w, *row[i + 1:]) for i, (w, row) in enumerate(zip(self.weights, self.mult))
-            ])))
+        """The matrix of E_i . E_j, built once, by __post_init__."""
+        return self._matrix
 
 
 def _kept(obj, key: str, build):
@@ -165,22 +163,16 @@ def _check_genera(genera, n: int) -> None:
 def _genus_variant(source: ResolutionGraph, genera) -> ResolutionGraph:
     """``source`` with ``genera`` in place of its own. The variant holds the
     very ``weights``, ``mult`` and ``labels`` objects that source's
-    __post_init__ checked, and source's intersection matrix object, so what
-    is kept on the matrix is computed once for both; only the genera are
+    __post_init__ checked, and source's intersection matrix object, with
+    what the matrix computed and what is kept on it; only the genera are
     checked, by the checks ResolutionGraph makes on them."""
     _check_genera(genera, source.n)
     g = object.__new__(ResolutionGraph)
     g.__dict__.update(
         weights=source.weights, genera=genera, mult=source.mult, labels=source.labels,
-        _matrix=source.intersection_matrix(),
+        _matrix=source._matrix,
     )
     return g
-
-
-def _connected(g: ResolutionGraph) -> bool:
-    """is_connected(g.mult), kept on g's intersection matrix: graphs that
-    share a matrix share their mult."""
-    return _kept(g.intersection_matrix(), "_connected", lambda: is_connected(g.mult))
 
 
 @dataclass(frozen=True)
@@ -203,6 +195,8 @@ class IntersectionMatrix:
         object.__setattr__(self, "_edges", tuple([
             (i, j, row[j]) for i, row in enumerate(self.entries) for j in compress(cols, row) if j > i
         ]))
+        # a nonzero diagonal entry links a vertex to itself only
+        object.__setattr__(self, "_connected", is_connected(self.entries))
 
     @property
     def n(self) -> int:
@@ -689,13 +683,14 @@ def load_graph(text: str) -> ResolutionGraph:
 
 
 def is_connected(mult) -> bool:
-    """Whether the graph with square multiplicity matrix ``mult`` (entries
-    >= 0) is connected. A row's neighbours are read by one pass of
-    ``compress``, so the loop runs per edge, not per entry."""
+    """Whether the graph on the rows of the square matrix ``mult``, with an
+    edge wherever an entry off the diagonal is nonzero, is connected. A
+    row's neighbours are read by one pass of ``compress``, so the loop runs
+    per edge, not per entry."""
     n = len(mult)
     vertices = range(n)
-    seen = {0}
-    stack = [0]
+    stack = [0] if n else []
+    seen = set(stack)
     while stack:
         for j in compress(vertices, mult[stack.pop()]):
             if j not in seen:
@@ -706,8 +701,9 @@ def is_connected(mult) -> bool:
 
 def validate(g: ResolutionGraph) -> ValidationReport:
     """Check the contractibility constraints; failures land in the report."""
-    negdef = g.intersection_matrix().neg_factor() is not None
-    connected = _connected(g)
+    M = g.intersection_matrix()
+    negdef = M.neg_factor() is not None
+    connected = M._connected
     nonminimal = _nonminimal(g)
     problems = []
     if not negdef:

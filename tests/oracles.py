@@ -8,9 +8,11 @@ one-step fundamental-cycle sequence, and the rational-arithmetic route to
 -M^-1 and to the condition (*) witnesses that the integer kernel replaced,
 with the denominator clearing it used, and the dense row-by-row
 product M.v with the cone test read off its signs, the value tables of
-the two vanishing criteria key by key from their formulas,
-connectivity by merging the ends of every edge, and the edge list by a
-scan of every entry above the diagonal.
+the two vanishing criteria key by key from their formulas, the sum and
+the integer multiple of divisors, which the divisor type does not define,
+connectivity by merging the ends of every edge, condition (iii) of the
+structural check from the weights and multiplicities, and the edge list
+by a scan of every entry above the diagonal.
 The old two-pass integer kernel that the fraction-free factor replaced
 is kept verbatim as a differential oracle: the leading-minor elimination
 that validation ran, the Bareiss Gauss-Jordan pass that gave adj(-M) and
@@ -194,6 +196,20 @@ def clear_denominators(v) -> tuple[int, ...]:
     fracs = [Fraction(x) for x in v]
     m = lcm(*(x.denominator for x in fracs))
     return tuple(int(x * m) for x in fracs)
+
+
+def divisor_sum(a, b):
+    """The divisor a + b, coefficient by coefficient."""
+    from nashcone.cone import Divisor
+
+    return Divisor(tuple(x + y for x, y in zip(a.coeffs, b.coeffs)))
+
+
+def divisor_multiple(k: int, d):
+    """The divisor k d."""
+    from nashcone.cone import Divisor
+
+    return Divisor(tuple(k * x for x in d.coeffs))
 
 
 def neg_inverse_fraction(M):
@@ -616,6 +632,12 @@ def connected_by_union(mult) -> bool:
             if m > 0:
                 parent[root(i)] = root(j)
     return len({root(i) for i in range(len(mult))}) == 1
+
+
+def iii_by_definition(weights, mult) -> bool:
+    """Condition (iii) of the structural check as stated: |w_i| > gamma_i,
+    the sum of row i of ``mult``, at every vertex."""
+    return all(abs(w) > sum(row) for w, row in zip(weights, mult))
 
 
 def edges_by_scan(mult) -> list[tuple[int, int, int]]:

@@ -2,6 +2,8 @@ from itertools import islice
 from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nashcone import (
     ConeStatus,
@@ -29,6 +31,7 @@ from oracles import (
     enumerate_graphs_brute,
     graphs_isomorphic,
     halfspace_coverage,
+    iii_by_definition,
     structures_by_orbit_marking,
 )
 
@@ -203,7 +206,7 @@ def test_genus_variant_refuses_what_the_constructor_refuses(genera):
 def test_shared_matrix_reports_match_fresh_graphs(bounds):
     for g in enumerate_graphs(*bounds):
         fresh = ResolutionGraph(g.weights, g.genera, g.mult, g.labels)
-        assert "_matrix" not in fresh.__dict__
+        assert fresh.intersection_matrix() is not g.intersection_matrix()
         assert (render_json(report_to_dict(nash_verdict(g)))
                 == render_json(report_to_dict(nash_verdict(fresh))))
 
@@ -214,7 +217,7 @@ def test_nash_verdict_of_a_genus_variant_matches_a_fresh_graph(bounds):
     # graph that shares nothing
     for g in enumerate_graphs(*bounds):
         fresh = ResolutionGraph(g.weights, g.genera, g.mult, g.labels)
-        assert "_matrix" not in fresh.__dict__
+        assert fresh.intersection_matrix() is not g.intersection_matrix()
         assert nash_verdict(g) == nash_verdict(fresh)
 
 
@@ -241,6 +244,38 @@ def test_validate_runs_once_per_matrix_and_genus_key(bounds, graphs, keys):
     assert len(distinct) == keys
     assert len({id(r.validation) for r in reports}) == keys
     assert len({id(r.structural) for r in reports}) == keys
+
+
+@st.composite
+def _graphs(draw):
+    """Graphs of 1 to 7 vertices with weights -8 to -1 or of 300 digits,
+    genera 0 to 2 and multiplicities 0 to 3, sparse or dense: not always
+    negative definite, not always connected."""
+    n = draw(st.integers(1, 7))
+    weights = draw(st.lists(st.integers(-8, -1) | st.integers(-(10 ** 300), -1), min_size=n, max_size=n))
+    genera = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+    m = draw(st.sampled_from([st.integers(0, 3), st.sampled_from([0] * 4 + [1, 2, 3])]))
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            rows[i][j] = rows[j][i] = draw(m)
+    return ResolutionGraph(tuple(weights), tuple(genera), tuple(map(tuple, rows)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_graphs())
+def test_iii_flag_matches_its_definition(g):
+    assert structural_rationality(g).iii_holds is iii_by_definition(g.weights, g.mult)
+
+
+@pytest.mark.parametrize("bounds", [(3, -3, 1, 2), (4, -4, 1, 1)])
+def test_iii_flag_matches_its_definition_on_enumerated_graphs(bounds):
+    flags = set()
+    for g in enumerate_graphs(*bounds):
+        iii = iii_by_definition(g.weights, g.mult)
+        assert structural_rationality(g).iii_holds is iii
+        flags.add(iii)
+    assert flags == {False, True}
 
 
 def test_tree_flag_matches_the_edge_list_definition(two_vertex):

@@ -77,6 +77,19 @@ def test_analyze_text_golden(graph_file, capsys):
     assert err == ""
 
 
+@pytest.mark.parametrize("extra", [[], ["--json"]], ids=["text", "json"])
+def test_analyze_tests_connectivity_once(extra, graph_file, capsys):
+    # the matrix computes it when the graph builds it; validation and the
+    # structural check read it
+    import nashcone.graph as graph_mod
+
+    path = graph_file(make_family("dn", 6))
+    with mock.patch.object(graph_mod, "is_connected", wraps=graph_mod.is_connected) as counting:
+        assert main(["analyze", *extra, path]) == 0
+    capsys.readouterr()
+    assert counting.call_count == 1
+
+
 def test_analyze_json_schema_and_values(graph_file, capsys):
     path = graph_file(make_family("an", 3))
     assert main(["analyze", path, "--json"]) == 0

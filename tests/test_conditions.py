@@ -23,6 +23,7 @@ from nashcone.cone import neg_inverse
 from nashcone.graph import serialize_graph
 
 from oracles import (
+    divisor_multiple,
     find_strict_witness,
     halfspace_coverage,
     naive_find_witness,
@@ -100,7 +101,7 @@ def test_witness_scaling_invariance(a3):
     cert = check_star(a3)
     for (i, j), w in cert.witnesses.items():
         for m in (2, 3, 7):
-            scaled = m * w
+            scaled = divisor_multiple(m, w)
             assert lipman_status(scaled, M) is ConeStatus.STRICT_LIPMAN
             assert scaled[i] < scaled[j]
 

@@ -24,6 +24,8 @@ from nashcone.cone import neg_adjugate, neg_inverse
 from oracles import (
     all_orders_fundamental_cycles,
     clear_denominators,
+    divisor_multiple,
+    divisor_sum,
     laufer_with_order,
     strict_interior_divisor,
 )
@@ -31,16 +33,13 @@ from oracles import (
 
 def test_divisor_basics():
     d = Divisor((1, 2))
-    assert d.n == 2 and len(d) == 2 and d[1] == 2 and list(d) == [1, 2]
-    assert (d + Divisor((1, 1))).coeffs == (2, 3)
-    assert (3 * d).coeffs == (3, 6)
+    assert d.n == 2 and d[1] == 2 and list(d) == [1, 2]
+    assert divisor_multiple(3, d).coeffs == (3, 6)
     assert Divisor((0, 0)).is_zero()
     assert Divisor((1, 0)).is_effective()
     assert not Divisor((-1, 2)).is_effective()
     with pytest.raises(ValueError):
         Divisor(())
-    with pytest.raises(ValueError):
-        Divisor((1,)) + Divisor((1, 2))
 
 
 def test_pair_known_values(a2, star3_5):
@@ -246,5 +245,5 @@ def test_pair_is_bilinear_and_symmetric(x, y, z, m):
     M = make_family("an", 3).intersection_matrix()
     dx, dy, dz = Divisor(tuple(x)), Divisor(tuple(y)), Divisor(tuple(z))
     assert pair(dx, dy, M) == pair(dy, dx, M)
-    assert pair(dx + dy, dz, M) == pair(dx, dz, M) + pair(dy, dz, M)
-    assert pair(m * dx, dy, M) == m * pair(dx, dy, M)
+    assert pair(divisor_sum(dx, dy), dz, M) == pair(dx, dz, M) + pair(dy, dz, M)
+    assert pair(divisor_multiple(m, dx), dy, M) == m * pair(dx, dy, M)

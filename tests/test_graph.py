@@ -262,6 +262,11 @@ def test_intersection_matrix_accepts_list_rows():
                            ).intersection_matrix().entries == ((-2, 1), (1, -2))
 
 
+def test_empty_intersection_matrix_is_built():
+    M = IntersectionMatrix(())
+    assert M.n == 0 and M.mulvec(()) == () and M._edges == ()
+
+
 def test_mulvec_dimension_mismatch():
     with pytest.raises(ValueError, match="^dimension mismatch$"):
         IntersectionMatrix(((-2, 1), (1, -2))).mulvec((1, 1, 1))
@@ -326,6 +331,20 @@ def _multiplicity_tables(draw):
 @given(_multiplicity_tables())
 def test_is_connected_matches_the_union_of_edge_ends(mult):
     assert is_connected(mult) is connected_by_union(mult)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_matrix_connectivity_matches_the_union_of_edge_ends(data):
+    # the matrix computes its connectivity from its entries, diagonal and
+    # all, and validation reads it; the tables include disconnected ones
+    mult = data.draw(_multiplicity_tables())
+    n = len(mult)
+    weights = data.draw(st.lists(st.integers(-6, -1), min_size=n, max_size=n))
+    entries = tuple((*row[:i], w, *row[i + 1:]) for i, (w, row) in enumerate(zip(weights, mult)))
+    expected = connected_by_union(mult)
+    assert IntersectionMatrix(entries)._connected is expected
+    assert validate(ResolutionGraph(tuple(weights), (0,) * n, mult)).connected is expected
 
 
 @settings(max_examples=300, deadline=None)

@@ -17,6 +17,7 @@ from oracles import (
     NoMultiplierGuarantee,
     clear_denominators,
     criterion_values_by_definition,
+    divisor_multiple,
     min_realizing_multiple,
 )
 
@@ -92,7 +93,7 @@ def test_min_multiple_requires_strict(a3):
 def _naive_min_multiple(g, D):
     m = 1
     while True:
-        if realization_criterion(g, m * D).satisfied:
+        if realization_criterion(g, divisor_multiple(m, D)).satisfied:
             return m
         m += 1
 
@@ -124,9 +125,9 @@ def test_realization_monotone_in_multiplier(g2w1, star3_5):
     for g, D in [(g2w1, Divisor((1,))), (star3_5, Divisor((11, 11, 11, 20)))]:
         m0 = min_realizing_multiple(g, D)
         for m in range(m0, m0 + 5):
-            assert realization_criterion(g, m * D).satisfied
+            assert realization_criterion(g, divisor_multiple(m, D)).satisfied
         for m in range(1, m0):
-            assert not realization_criterion(g, m * D).satisfied
+            assert not realization_criterion(g, divisor_multiple(m, D)).satisfied
 
 
 _BIG = 10 ** 400
