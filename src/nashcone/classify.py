@@ -9,11 +9,12 @@ enumerator grows structures vertex by vertex and keeps only those whose
 matrix is negative definite with every weight at the lower bound, the
 only ones that carry a negative-definite weighting. It marks the orbit of
 each class it keeps in a byte table, so it relabels once per kept class,
-and it grows weight tuples vertex by vertex, cutting a prefix whose
-leading minor already rules out negative definiteness. A structure's
-automorphisms other than the identity become itemgetter moves once, and
-the same moves test its weight tuples and their genus tuples. Its table
-is capped at ENCODING_TABLE_CAP bytes, which limits the bounds it accepts.
+and it grows weight tuples vertex by vertex, cutting a prefix as soon as
+a pivot of -M is not positive; both tests run graph._bareiss_column, as
+validation does. A structure's automorphisms other than the identity
+become itemgetter moves once, and the same moves test its weight tuples
+and their genus tuples. Its table is capped at ENCODING_TABLE_CAP bytes,
+which limits the bounds it accepts.
 
 Conditions (**) and (*), with the verified (*) witnesses, the
 fundamental cycle Z and Z.Z depend on the intersection matrix alone, and
@@ -46,9 +47,11 @@ from .conditions import StarCertificate, StarStarReport, check_star, check_star_
 from .errors import InternalInvariantError
 from .graph import (
     MAX_VERTICES,
+    _bareiss_column,
     _build_graph,
     _genus_variant,
     _kept,
+    _neg_factor,
     _nonminimal,
     ResolutionGraph,
     ValidationReport,
@@ -311,7 +314,8 @@ def _structures(max_vertices: int, base: int, min_weight: int):
     a class one vertex smaller, which passes the same test, with a vertex
     attached last: one whose removal leaves the graph connected. So level n
     grows from the least encodings of level n - 1, each kept with its
-    elimination, which leaves one column and one minor to test per child.
+    factor of -M (graph._neg_factor), so a child costs one column of
+    _bareiss_column and the test that its pivot is positive.
     An encoding lists mult[i][j] for i < j in row order, read as a base
     ``base`` number. A byte table marks the orbit of each class found, so a
     marked child is dropped untested and each class is relabeled n! times
@@ -322,12 +326,8 @@ def _structures(max_vertices: int, base: int, min_weight: int):
     edge there, so a level that keeps few classes builds little of them.
     """
 
-    def parent(mult):  # mult with its elimination at weights min_weight
-        urows, minors = [], [1]
-        for k in range(len(mult)):
-            urows.append(_bareiss_column([mult[i][k] for i in range(k)] + [0], urows, minors))
-            minors.append(minors[k] * min_weight + urows[k][k])
-        return mult, urows, minors
+    def parent(mult):  # mult with the factor of -M at weights min_weight
+        return mult, _neg_factor([(*r[:i], min_weight, *r[i + 1:]) for i, r in enumerate(mult)])
 
     one = ((0,),)
     yield one, [(0,)]
@@ -359,16 +359,15 @@ def _structures(max_vertices: int, base: int, min_weight: int):
         attach_index = [sum(map(mul, a, place[last])) for a in attach]
         seen = bytearray(base ** (n * last // 2))
         found = []
-        for mult, urows, minors in parents:
+        for mult, F in parents:
             # each edge once per unit of its multiplicity
             units = [(i, j) for i in range(last) for j in range(i + 1, last) for _ in range(mult[i][j])]
             index = sum(place[i][j] for i, j in units)
             for a, a_index in zip(attach, attach_index):
                 if seen[index + a_index]:
                     continue
-                beta = _bareiss_column(list(a) + [0], urows, minors)[last]
-                # the leading minor of size n must have the sign of (-1)^n
-                if (-1) ** n * (minors[last] * min_weight + beta) <= 0:
+                # the child's column of -M at weight min_weight
+                if _bareiss_column([-m for m in a] + [-min_weight], F.columns, F.minors)[last] <= 0:
                     continue
                 if perms is None:
                     perms = list(permutations(range(n)))
@@ -400,58 +399,38 @@ def _structures(max_vertices: int, base: int, min_weight: int):
             parents.append(parent(mult))
 
 
-def _bareiss_column(col: list[int], urows: list[list[int]], minors: list[int]) -> list[int]:
-    """Column k = len(urows) of a symmetric matrix, its entries above the
-    diagonal followed by 0, brought through the k fraction-free (Bareiss)
-    elimination steps that turned columns 0..k-1 into urows, with leading
-    minors minors[1..k]. urows[c][t] is row t of column c after t steps.
-    The last entry is then beta: with weight w at vertex k, the leading
-    minor of size k + 1 is minors[k] * w + beta."""
-    k = len(urows)
-    prev = 1
-    for t in range(k):
-        p, ct = minors[t + 1], col[t]
-        for i in range(t + 1, k):
-            col[i] = (p * col[i] - urows[i][t] * ct) // prev
-        col[k] = (p * col[k] - ct * ct) // prev
-        prev = p
-    return col
-
-
 def _negdef_weights(mult, weight_range: range):
     """Weight tuples over weight_range, in product order, that make the
     matrix with off-diagonal ``mult`` negative definite.
 
     A depth-first search over prefixes: every leading principal submatrix
-    of a negative-definite matrix is negative definite, so a prefix whose
-    leading minor has the wrong sign is cut with all its extensions. The
-    minors come from fraction-free elimination extended by one column per
-    vertex (_bareiss_column); the matrix is symmetric, so only column k is
-    new. With w_k set to 0 that column gives beta, and the k-th minor is
-    D_k(w) = D_{k-1} * w + beta by expansion along row k. The sign test
-    (-1)^(k+1) * D_k(w) > 0 fails from some w on, so the scan stops there.
+    of a negative-definite matrix is negative definite, so a prefix at
+    which a pivot of -M is not positive is cut with all its extensions.
+    The factor of -M grows by one column per vertex (_bareiss_column).
+    With 0 on the diagonal, column k ends in beta, and the pivot at weight
+    w is beta - minors[k] * w: it falls as w rises, so the scan stops at
+    the first w where it is not positive.
     """
     n = len(mult)
     weights = [0] * n
-    urows = []  # urows[c][t]: row t of column c after t elimination steps
-    minors = [1]  # minors[k] is D_{k-1}, the leading k x k minor
+    columns = []  # columns[c][t] = U[t][c]; the diagonal entry is not read
+    minors = [1]  # minors[k]: the leading k x k minor of -M
 
     def extend(k: int):
         if k == n:
             yield tuple(weights)
             return
-        col = _bareiss_column([mult[i][k] for i in range(k)] + [0], urows, minors)
-        urows.append(col)
-        sign = -1 if k % 2 == 0 else 1
+        col = _bareiss_column([-mult[i][k] for i in range(k)] + [0], columns, minors)
+        columns.append(col)
         for w in weight_range:
-            minor = minors[k] * w + col[k]
-            if sign * minor <= 0:
+            pivot = col[k] - minors[k] * w
+            if pivot <= 0:
                 break
             weights[k] = w
-            minors.append(minor)
+            minors.append(pivot)
             yield from extend(k + 1)
             minors.pop()
-        urows.pop()
+        columns.pop()
 
     return extend(0)
 
@@ -498,8 +477,7 @@ def enumerate_graphs(max_vertices: int, min_weight: int, max_genus: int, max_mul
     weighting within the bounds. A byte table marks the orbit of each kept
     class, so its n! relabelings run once, and those that map it to its
     least encoding give its automorphisms. Weights come from a depth-first
-    search that cuts a prefix as soon as a leading minor shows the matrix
-    cannot be negative definite.
+    search that cuts a prefix as soon as a pivot of -M is not positive.
 
     The table has (max_mult + 1) ** (n(n-1)/2) bytes at n vertices. Bounds
     whose largest table exceeds ENCODING_TABLE_CAP (16 MiB) raise

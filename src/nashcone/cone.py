@@ -13,6 +13,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 
 from .graph import IntersectionMatrix, ResolutionGraph
 
@@ -80,8 +81,11 @@ def neg_adjugate(M: IntersectionMatrix) -> tuple[tuple[tuple[int, ...], ...], in
     F = M.neg_factor()
     if F is None:
         raise ValueError("intersection matrix is not negative definite")
-    minors, upper = F.minors, F.upper
-    n = len(upper)
+    minors, n = F.minors, len(F.columns)
+    upper = [[] for _ in range(n)]  # row i of U: the nonzero (l, U[i][l]), l > i
+    for l, col in enumerate(F.columns):
+        for i in compress(range(l), col):
+            upper[i].append((l, col[i]))
     d = minors[-1]
     X = [[0] * n for _ in range(n)]
     for i in reversed(range(n)):

@@ -18,10 +18,12 @@ matrix computes from its own entries, once, its edge list (which
 ``edges()`` returns) and its connectivity (which validation reads).
 Negative definiteness is read from one fraction-free factor of -M, the
 forward Bareiss pass of ``NegFactor``: its pivots are the leading
-principal minors of -M. The matrix keeps the factor once built, so each
-graph is eliminated once; cone.neg_adjugate continues the same factor, by
-one back-substitution, to the integer adjugate that every cone
-computation reads. ``_genus_variant`` builds a graph that differs from
+principal minors of -M. It grows a column at a time by
+``_bareiss_column``, the one elimination kernel, which the enumerator's
+structure and weight tests run too. The matrix keeps the factor once
+built, so each graph is eliminated once; cone.neg_adjugate continues the
+same factor, by one back-substitution, to the integer adjugate that every
+cone computation reads. ``_genus_variant`` builds a graph that differs from
 another only in its genera: it checks just the genera and shares the
 other graph's weights, mult, labels and matrix object (the enumerator
 builds every genus variant of a weight tuple so).
@@ -225,63 +227,65 @@ class IntersectionMatrix:
 class NegFactor:
     """Fraction-free LU factor of -M for a negative-definite M.
 
-    Forward Bareiss elimination on -M (Bareiss, Math. Comp. 22, 1968) that
-    keeps row k as it stands at step k, when it becomes the pivot row: this
-    is U in -M = U^T D^-1 U with D = diag(p_(k-1) p_k), the fraction-free LU
-    factorization of Nakos, Turner & Williams (ACM SIGSAM Bull. 31(3), 1997)
-    and Zhou & Jeffrey (Front. Comput. Sci. China 2(1), 2008); -M is
-    symmetric, so the lower factor is U^T. ``minors[k]`` is the k-th leading
+    Forward Bareiss elimination on -M (Bareiss, Math. Comp. 22, 1968), a
+    column at a time: ``columns[k][t]`` is U[t][k], row t of column k at
+    step t. This is U in -M = U^T D^-1 U with D = diag(p_(k-1) p_k), the
+    fraction-free LU factorization of Nakos, Turner & Williams (ACM SIGSAM
+    Bull. 31(3), 1997) and Zhou & Jeffrey (Front. Comput. Sci. China 2(1),
+    2008); -M is symmetric, so the lower factor is U^T. ``minors[k]`` is
+    the k-th leading
     principal minor p_(k-1) of -M (``minors[0]`` = 1), so U[k][k] =
-    ``minors[k + 1]`` and det(-M) = ``minors[-1]``. ``upper[k]`` lists the
-    nonzero U[k][j], j > k, as (j, U[k][j]); dual graphs are sparse, and a
-    chain or a suitably ordered tree has no fill-in at all.
+    ``columns[k][k]`` = ``minors[k + 1]`` and det(-M) = ``minors[-1]``.
     """
 
     minors: tuple[int, ...]
-    upper: tuple[tuple[tuple[int, int], ...], ...]
+    columns: tuple[list[int], ...]
+
+
+def _bareiss_column(col: list[int], columns, minors) -> list[int]:
+    """Column k = len(columns) of a symmetric matrix, rows 0..k, brought in
+    place through the k fraction-free (Bareiss) steps that made ``columns``
+    of the columns before it, with leading minors ``minors[1..k]``. Entry t
+    becomes U[t][k]; the last is the next pivot, the leading minor of size
+    k + 1, which is linear in the diagonal entry, with slope ``minors[k]``.
+
+    A step t with col[t] = 0 only rescales the entries below t, by
+    minors[t + 1] / minors[t]. Such rescales telescope, so the step is
+    skipped and its rescale folded into the next exact division: a chain
+    has no fill-in, and its columns take one step each.
+    """
+    k = len(columns)
+    r = 1  # col[t:] holds the entries of the step whose pivot was r
+    for t in range(k):
+        f = col[t]
+        if not f:
+            continue
+        q, p = minors[t], minors[t + 1]
+        if r != q:
+            col[t:] = [x * q // r for x in col[t:]]
+            f = col[t]
+        for i in range(t + 1, k):
+            col[i] = (p * col[i] - columns[i][t] * f) // q
+        col[k] = (p * col[k] - f * f) // q
+        r = p
+    if r != minors[k]:
+        col[k] = col[k] * minors[k] // r
+    return col
 
 
 def _neg_factor(entries) -> NegFactor | None:
-    """The forward pass behind NegFactor; None at the first pivot <= 0.
-
-    By Sylvester's criterion M is negative definite exactly when every
-    pivot, a leading principal minor of -M, is positive; no row exchange
-    is then needed. A step with pivot p and previous pivot q only rescales
-    a row whose entry in the pivot column is zero, by p / q. Such rescales
-    telescope, so a row records the step its entries belong to and is
-    brought up to date, with one exact division, when a pivot row next
-    touches it: a step costs the nonzeros of its pivot row, not the entire
-    trailing block.
-    """
-    n = len(entries)
-    a = [[-x for x in row] for row in entries]
-    step = [0] * n  # row i holds the entries of elimination step step[i]
-    minors = [1]
-    upper = []
-    for k in range(n):
-        q = minors[k]
-        row = a[k]
-        if step[k] != k:
-            r = minors[step[k]]
-            for j in range(k, n):
-                row[j] = row[j] * q // r
-        p = row[k]
-        if p <= 0:
+    """The factor of -M for the rows ``entries`` of M; None at the first
+    pivot <= 0. By Sylvester's criterion M is negative definite exactly when
+    every pivot, a leading principal minor of -M, is positive; no row
+    exchange is then needed."""
+    columns, minors = [], [1]
+    for k, row in enumerate(entries):  # M is symmetric: row k is column k
+        col = _bareiss_column([-x for x in row[:k + 1]], columns, minors)
+        if col[k] <= 0:
             return None
-        nonzero = tuple([(j, row[j]) for j in range(k + 1, n) if row[j]])
-        for i, f in nonzero:  # f is also the pivot-column entry of row i, by symmetry
-            ai = a[i]
-            if step[i] != k:
-                r = minors[step[i]]
-                for j in range(k + 1, n):
-                    ai[j] = (p * (ai[j] * q // r) - f * row[j]) // q
-            else:
-                for j in range(k + 1, n):
-                    ai[j] = (p * ai[j] - f * row[j]) // q
-            step[i] = k + 1
-        minors.append(p)
-        upper.append(nonzero)
-    return NegFactor(tuple(minors), tuple(upper))
+        columns.append(col)
+        minors.append(col[k])
+    return NegFactor(tuple(minors), tuple(columns))
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,4 @@
-from itertools import islice
+from itertools import islice, product
 from unittest import mock
 
 import pytest
@@ -21,7 +21,7 @@ from nashcone import (
     structural_rationality,
     validate,
 )
-from nashcone.classify import _structures
+from nashcone.classify import _negdef_weights, _structures
 from nashcone.cli import report_to_dict
 from nashcone.graph import ResolutionGraph, _genus_variant, is_connected, render_json
 
@@ -133,6 +133,20 @@ def test_check_star_runs_once_per_enumerated_matrix(bounds, graphs, matrices):
     assert counting.call_count == matrices
     assert len({id(r.graph.intersection_matrix()) for r in reports}) == matrices
     assert len({id(r.star) for r in reports}) == matrices
+
+
+@pytest.mark.parametrize("bounds,matrices", [((4, -4, 1, 1), 357), ((3, -3, 1, 2), 35)])
+def test_star_star_report_is_built_once_per_enumerated_matrix(bounds, matrices):
+    # the matrix keeps its (**) report, which the structural check reads for
+    # every new genus key
+    import nashcone.conditions as conditions_mod
+
+    with mock.patch.object(
+        conditions_mod, "StarStarReport", wraps=conditions_mod.StarStarReport
+    ) as counting:
+        reports = [nash_verdict(g) for g in enumerate_graphs(*bounds)]
+    assert counting.call_count == matrices
+    assert all(r.structural.iii_holds == r.star_star.holds for r in reports)
 
 
 def test_check_star_runs_once_per_family_graph(star3_5):
@@ -501,6 +515,31 @@ def test_structures_are_the_orbit_walk_classes_negative_definite_at_min_weight(
             )
         ]
         assert list(_structures(max_vertices, max_mult + 1, min_weight)) == kept
+
+
+@st.composite
+def _off_diagonal_tables(draw):
+    # multiplicities 0..3, so some tables are disconnected or empty
+    n = draw(st.integers(1, 4))
+    mult = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            mult[i][j] = mult[j][i] = draw(st.integers(0, 3))
+    return tuple(map(tuple, mult))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_off_diagonal_tables(), st.integers(-6, -1))
+def test_negdef_weights_are_the_product_tuples_sylvester_accepts(mult, min_weight):
+    weight_range = range(min_weight, 0)
+    accepted = [
+        weights for weights in product(weight_range, repeat=len(mult))
+        if _leading_minors_negdef([
+            [w if i == j else m for j, m in enumerate(row)]
+            for i, (w, row) in enumerate(zip(weights, mult))
+        ])
+    ]
+    assert list(_negdef_weights(mult, weight_range)) == accepted
 
 
 @pytest.mark.parametrize(

@@ -339,6 +339,9 @@ def test_enumerate_stdout_digest_of_genus_variants_is_pinned(capsys):
          "e0f042f8cc90db1aaccac8a75585d7fef215743b308499fe210afbced7fcd737"),
         (["6", "-2", "0", "2"], 16, 18774,
          "9b06d3e99d0350129cb5525d542f6928fba779162c0644879df68ca03921a7da"),
+        # pinned from the output at commit 4767dd0, not from the orbit walk
+        (["6", "-3", "0", "1"], 1654, 3072580,
+         "83e931b6e9c853f4c51b1a920d4811d9228aca3adea08bfe15382a1cdf835858"),
     ],
 )
 def test_enumerate_stdout_digest_is_pinned_past_the_oracle(bounds, lines, size, digest, capsys):
