@@ -19,7 +19,8 @@ which limits the bounds it accepts.
 Conditions (**) and (*), with the verified (*) witnesses, the
 fundamental cycle Z and Z.Z depend on the intersection matrix alone, and
 so do the tree and (iii) flags of the structural check, read from the
-matrix's connectivity and edges and from (**); genera enter only the
+connectivity, edges and row sums E.E_i that the matrix computes once, as
+(**) and Laufer's sequence read those row sums; genera enter only the
 canonical pairing K.Z, p_a, minimality, the genus flag and the notes.
 The enumerator builds the first graph of each weight tuple with every
 check, and each further genus variant from it: only the genera are
@@ -91,7 +92,7 @@ class StructuralReport:
     gamma_i is the number of edge-ends at vertex i, i.e. the sum of the
     off-diagonal intersection numbers in row i; iii_holds means
     |weights[i]| > gamma_i everywhere. As E.E_i = weights[i] + gamma_i,
-    that is condition (**), and iii_holds is read from check_star_star.
+    that is condition (**), read from the row sums the matrix keeps.
     """
 
     tree: bool
@@ -164,12 +165,13 @@ def structural_rationality(g: ResolutionGraph) -> StructuralReport:
     multiplicities over pairs add up to n - 1: the tree flag reads the
     connectivity and the edge list the intersection matrix computed when it
     was built. (iii) is condition (**), since E.E_i = E_i^2 + gamma(E_i),
-    and is read from check_star_star. Only the genus flag reads the genera.
+    and is read from the row sums the matrix kept then. Only the genus flag
+    reads the genera.
     """
     M = g.intersection_matrix()
     tree = M._connected and sum([m for _, _, m in M._edges]) == g.n - 1
     all_genus_zero = not any(g.genera)
-    iii = check_star_star(g).holds
+    iii = max(M._row_sums) < 0
     return StructuralReport(
         tree=tree,
         all_genus_zero=all_genus_zero,
@@ -313,8 +315,8 @@ def _structures(max_vertices: int, base: int, min_weight: int):
     classes with a negative-definite weighting in [min_weight, -1]. Each is
     a class one vertex smaller, which passes the same test, with a vertex
     attached last: one whose removal leaves the graph connected. So level n
-    grows from the least encodings of level n - 1, each kept with its
-    factor of -M (graph._neg_factor), so a child costs one column of
+    grows from the least encodings of level n - 1, each factored then (the
+    factor of -M, graph._neg_factor), so a child costs one column of
     _bareiss_column and the test that its pivot is positive.
     An encoding lists mult[i][j] for i < j in row order, read as a base
     ``base`` number. A byte table marks the orbit of each class found, so a
@@ -331,7 +333,7 @@ def _structures(max_vertices: int, base: int, min_weight: int):
 
     one = ((0,),)
     yield one, [(0,)]
-    parents = [parent(one)]
+    parents = [one]
     for n in range(2, max_vertices + 1):
         if not parents:
             return
@@ -359,7 +361,7 @@ def _structures(max_vertices: int, base: int, min_weight: int):
         attach_index = [sum(map(mul, a, place[last])) for a in attach]
         seen = bytearray(base ** (n * last // 2))
         found = []
-        for mult, F in parents:
+        for mult, F in map(parent, parents):
             # each edge once per unit of its multiplicity
             units = [(i, j) for i in range(last) for j in range(i + 1, last) for _ in range(mult[i][j])]
             index = sum(place[i][j] for i, j in units)
@@ -396,7 +398,7 @@ def _structures(max_vertices: int, base: int, min_weight: int):
                 aut.append(tuple(t0[inverse[i]] for i in range(n)))
             aut.sort()
             yield mult, aut
-            parents.append(parent(mult))
+            parents.append(mult)
 
 
 def _negdef_weights(mult, weight_range: range):

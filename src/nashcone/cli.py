@@ -6,9 +6,9 @@ enumerate (stream reports for all small graphs as JSON lines), check
 (run one vanishing criterion on a given divisor).
 
 Data goes to stdout, diagnostics to stderr. Exit codes: 0 the analysis
-ran (whatever it concluded), 1 invalid input, 2 internal invariant
-violation. Vertex indices are 1-based on the command line and in JSON
-output; text output uses vertex labels.
+ran (whatever it concluded), 1 invalid input or memory exhausted, 2
+internal invariant violation. Vertex indices are 1-based on the command
+line and in JSON output; text output uses vertex labels.
 """
 
 from __future__ import annotations
@@ -441,6 +441,9 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except (NashconeError, ValueError, OSError) as exc:
         click.echo(f"error: {exc}", file=_stderr())
+        return 1
+    except MemoryError:  # a last resort: no input budget bounds the arithmetic yet
+        click.echo("error: out of memory", file=_stderr())
         return 1
     return code or 0
 

@@ -131,21 +131,21 @@ def lipman_status(D: Divisor, M: IntersectionMatrix) -> ConeStatus:
 
 def fundamental_cycle(g: ResolutionGraph) -> Divisor:
     """Smallest nonzero anti-nef cycle, by Laufer's computation sequence:
-    start at the reduced cycle and add the lowest component E_i that still
-    pairs positively. Adding E_i lowers Z.E_i by -M_ii >= 1, so it may be
-    added k = ceil(Z.E_i / -M_ii) times in a row, each addition a legal
-    step; the k steps are taken at once, so a coefficient that needs a
-    long run of additions to one component costs one pass, not one per
-    unit. Terminates because the form is negative definite; on any other
-    form it need not stop, so a matrix that is not negative definite is
-    refused with ValueError. The result is independent of the tie-break
-    (property-tested).
+    start at the reduced cycle, whose pairings are the row sums the matrix
+    keeps, and add the lowest E_i that still pairs positively. Adding E_i
+    lowers Z.E_i by -M_ii >= 1, so it may be added k = ceil(Z.E_i / -M_ii)
+    times in a row, each addition a legal step; the k steps are taken at
+    once, so a coefficient that needs a long run of additions to one
+    component costs one pass, not one per unit. Terminates because the
+    form is negative definite; on any other form it need not stop, so a
+    matrix that is not negative definite is refused with ValueError. The
+    result is independent of the tie-break (property-tested).
     """
     M = g.intersection_matrix()
     if M.neg_factor() is None:
         raise ValueError("intersection matrix is not negative definite")
     z = [1] * g.n
-    s = list(M.mulvec(z))
+    s = list(M._row_sums)
     while True:
         bad = next((i for i in range(g.n) if s[i] > 0), None)
         if bad is None:

@@ -15,7 +15,8 @@ refuses a larger count before it allocates the n x n multiplicity table.
 
 A graph builds its intersection matrix once, after its checks, and the
 matrix computes from its own entries, once, its edge list (which
-``edges()`` returns) and its connectivity (which validation reads).
+``edges()`` returns), its connectivity (which validation reads) and its
+row sums E.E_i, which (**), (iii) and Laufer's sequence start from.
 Negative definiteness is read from one fraction-free factor of -M, the
 forward Bareiss pass of ``NegFactor``: its pivots are the leading
 principal minors of -M. It grows a column at a time by
@@ -93,19 +94,19 @@ class ResolutionGraph:
             raise ValueError("weights and genera must be integers")
         if any(len(row) != n for row in self.mult):
             raise ValueError("mult must be a square matrix")
-        if any(type(m) is not int for row in self.mult for m in row):
+        if not set(map(type, chain.from_iterable(self.mult))) <= {int}:
             raise ValueError("intersection multiplicities must be integers")
         if max(self.weights) > -1:
             raise _FieldError("weights", f"weight {max(self.weights)} must be <= -1")
         _check_genera(self.genera, n)
-        for i, row in enumerate(self.mult):
-            if row[i] != 0:
+        # row against column; the first faulty row, then its first faulty entry, decides
+        for i, (row, col) in enumerate(zip(self.mult, zip(*self.mult))):
+            if row[i]:
                 raise ValueError("mult diagonal must be zero")
-            for j, m in enumerate(row):
-                if m < 0:
-                    raise ValueError("intersection multiplicities must be >= 0")
-                if m != self.mult[j][i]:
-                    raise ValueError("mult must be symmetric")
+            if tuple(row) != col or min(row) < 0:
+                m = next(m for m, c in zip(row, col) if m < 0 or m != c)
+                raise ValueError("intersection multiplicities must be >= 0" if m < 0 else
+                                 "mult must be symmetric")
         if self.labels is not None:
             if len(self.labels) != n:
                 raise _FieldError("labels", "labels must name every vertex")
@@ -199,6 +200,8 @@ class IntersectionMatrix:
         ]))
         # a nonzero diagonal entry links a vertex to itself only
         object.__setattr__(self, "_connected", is_connected(self.entries))
+        # E.E_i = M.(1,...,1): condition (**), (iii) and Laufer's start read it
+        object.__setattr__(self, "_row_sums", self.mulvec((1,) * n))
 
     @property
     def n(self) -> int:
@@ -514,21 +517,18 @@ def render_json(obj, compact: bool = False) -> str:
     encoder does not take ``indent``, so ``json.dumps`` with it is slower.
 
     A bool or None is written as its literal, any other value by
-    ``json.dumps``. The text is gathered in pieces and joined once. A list
-    of integers is rendered once per level it occurs at: the memo of one
-    call is keyed on the list's identity and its indentation, as the same
-    list is indented differently at another depth (compact text has one
-    indentation, the empty one). A ``_Table`` is rendered from the columns
-    it holds, as the list of records it stands for, by one row template
-    filled once per row; a list of integers in it, such as a shared witness
-    divisor, goes through the same memo.
+    ``json.dumps``. The text is gathered in pieces and joined once; a list
+    of integers is joined in one piece. A ``_Table`` is rendered from the
+    columns it holds, as the list of records it stands for, by one row
+    template filled once per row; a ``lists`` column renders each distinct
+    list once, such as a witness divisor that several pairs share.
     """
     out: list[str] = []
-    _render(obj, "" if compact else "\n", "" if compact else "  ", out, {})
+    _render(obj, "" if compact else "\n", "" if compact else "  ", out)
     return "".join(out)
 
 
-def _render(obj, newline: str, step: str, out: list[str], memo: dict) -> None:
+def _render(obj, newline: str, step: str, out: list[str]) -> None:
     """Append the pieces of the text of ``obj`` to ``out``; see render_json.
     ``newline`` is the line break plus the indentation of the current level,
     and ``step`` one level of indentation; compact text has neither."""
@@ -537,14 +537,14 @@ def _render(obj, newline: str, step: str, out: list[str], memo: dict) -> None:
         if not obj:
             out.append("[]")
             return
-        text = _int_list_text(obj, newline, step, memo)
+        text = _int_list_text(obj, newline, step)
         if text is not None:
             out.append(text)
             return
         sep, comma = "[" + inner, "," + inner
         for x in obj:
             out.append(sep)
-            _render(x, inner, step, out, memo)
+            _render(x, inner, step, out)
             sep = comma
         out.append(newline + "]")
     elif isinstance(obj, dict):
@@ -554,7 +554,7 @@ def _render(obj, newline: str, step: str, out: list[str], memo: dict) -> None:
         sep, comma, colon = "{" + inner, "," + inner, ": " if step else ":"
         for k, v in obj.items():
             out.append(sep + encode_basestring_ascii(k) + colon)
-            _render(v, inner, step, out, memo)
+            _render(v, inner, step, out)
             sep = comma
         out.append(newline + "}")
     elif isinstance(obj, str):
@@ -564,22 +564,18 @@ def _render(obj, newline: str, step: str, out: list[str], memo: dict) -> None:
     elif type(obj) is bool or obj is None:
         out.append("null" if obj is None else "true" if obj else "false")
     elif type(obj) is _Table:
-        _render_columns(obj, newline, step, out, memo)
+        _render_columns(obj, newline, step, out)
     else:
         out.append(json.dumps(obj))
 
 
-def _int_list_text(xs: list, newline: str, step: str, memo: dict) -> str | None:
+def _int_list_text(xs: list, newline: str, step: str) -> str | None:
     """The text of the non-empty list ``xs`` at ``newline`` if it holds only
-    ints, else None. The text is kept in ``memo`` under the list's identity
-    and ``newline``: ``xs`` lives as long as the render_json call, so its id
-    is its own."""
-    key = (id(xs), newline)
-    text = memo.get(key)
-    if text is None and set(map(type, xs)) == {int}:
-        inner = newline + step
-        text = memo[key] = "[" + inner + ("," + inner).join(map(str, xs)) + newline + "]"
-    return text
+    ints, else None."""
+    if set(map(type, xs)) != {int}:
+        return None
+    inner = newline + step
+    return "[" + inner + ("," + inner).join(map(str, xs)) + newline + "]"
 
 
 @dataclass(frozen=True)
@@ -596,7 +592,7 @@ class _Table:
     n: int
 
 
-def _render_columns(table: _Table, newline: str, step: str, out: list[str], memo: dict) -> None:
+def _render_columns(table: _Table, newline: str, step: str, out: list[str]) -> None:
     """Append the text of ``table``; raise ValueError if a list of a
     ``lists`` field is empty or holds anything but ints.
 
@@ -628,7 +624,7 @@ def _render_columns(table: _Table, newline: str, step: str, out: list[str], memo
             slots.extend(col)
         else:
             lists = dict(zip(map(id, col), col))
-            texts = {i: _int_list_text(x, cell, step, memo) for i, x in lists.items()}
+            texts = {i: _int_list_text(x, cell, step) for i, x in lists.items()}
             if None in texts.values():
                 raise ValueError("a table column of lists must hold non-empty lists of ints")
             cuts += [_fill(template, slots, n), map(texts.__getitem__, map(id, col))]

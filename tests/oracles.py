@@ -35,7 +35,12 @@ adjugate; and the closed-form least realizing multiple
 anti-nef with NoMultiplierGuarantee), against iterating
 realization_criterion. The plain per-pair report and criterion dicts
 that the column tables of the CLI replaced stay as the references whose
-``json.dumps`` text the rendered reports must equal.
+``json.dumps`` text the rendered reports must equal. The entry-by-entry
+scan of the multiplicity table that ResolutionGraph made before it
+checked a row at a time is the reference for its messages
+(mult_error_by_scan). verify_report checks a whole JSON report against
+the graph in its own ``graph`` key, from the definitions alone: it is
+the one function here that uses no code of the package.
 """
 
 from fractions import Fraction
@@ -706,3 +711,117 @@ def criterion_dict_plain(name: str, res) -> dict:
             for key in sorted(res.values)
         ],
     }
+
+
+def mult_error_by_scan(mult) -> str | None:
+    """The message ResolutionGraph gives for the square table ``mult``, with
+    valid weights and genera, by the scan of every entry it made before it
+    checked a row at a time: the entry types over the whole table, then row
+    by row the diagonal entry and each entry in turn, negative before
+    asymmetric. None for a table it accepts."""
+    if any(type(m) is not int for row in mult for m in row):
+        return "intersection multiplicities must be integers"
+    for i, row in enumerate(mult):
+        if row[i] != 0:
+            return "mult diagonal must be zero"
+        for j, m in enumerate(row):
+            if m < 0:
+                return "intersection multiplicities must be >= 0"
+            if m != mult[j][i]:
+                return "mult must be symmetric"
+    return None
+
+
+def verify_report(doc: dict) -> None:
+    """Check one JSON report (``analyze --json``, or a line of ``enumerate``,
+    after json.loads) against the graph in its own ``graph`` key, from the
+    definitions and with no code of the package. M is rebuilt from the
+    weights and edges and -M^-1 computed in Fractions by Gauss-Jordan
+    without row exchanges, whose pivots are all positive exactly when M is
+    negative definite (Sylvester). Then: the validation flags and warnings;
+    the (**) violations from the row sums E.E_i, and (iii) from
+    |w_i| > gamma_i, equal to (**); the tree and genus flags; each witness
+    strictly anti-nef with a_i < a_j; each failing pair with no column k of
+    -M^-1 where C[i][k] < C[j][k], and every ordered pair listed once; Z by
+    Laufer's sequence from the reduced cycle, one unit step at a time; p_a
+    and ``artin_rational``; the verdict rule and the number of notes.
+    Raises AssertionError at the first disagreement."""
+    g = doc["graph"]
+    n, weights, genera, labels = g["vertices"], g["weights"], g["genera"], g["labels"]
+    assert len(weights) == len(genera) == len(labels) == n, "graph"
+    M = [[weights[i] if i == j else 0 for j in range(n)] for i in range(n)]
+    for i, j, m in g["edges"]:
+        M[i - 1][j - 1] = M[j - 1][i - 1] = m
+
+    def mul(v):
+        return [sum(x * y for x, y in zip(row, v)) for row in M]
+
+    # -M | I, eliminated to I | C
+    a = [[Fraction(-x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
+         for i, row in enumerate(M)]
+    for col in range(n):
+        p = a[col][col]
+        assert p > 0, "graph is not negative definite"
+        a[col] = [x / p for x in a[col]]
+        for r in range(n):
+            f = a[r][col]
+            if r != col and f:
+                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
+    C = [row[n:] for row in a]
+
+    seen, stack = {0}, [0]
+    while stack:
+        i = stack.pop()
+        for j in range(n):
+            if j != i and M[i][j] and j not in seen:
+                seen.add(j)
+                stack.append(j)
+    nonminimal = [i for i in range(n) if genera[i] == 0 and weights[i] == -1]
+    warnings = [f"warning: {labels[i]} is a genus-0 (-1)-curve; the graph is not a minimal resolution"
+                for i in nonminimal]
+    assert doc["validation"] == {"negative_definite": True, "connected": len(seen) == n,
+                                 "minimal": not nonminimal, "messages": warnings}, "validation"
+
+    violations = [i + 1 for i in range(n) if sum(M[i]) >= 0]
+    assert doc["star_star"] == {"holds": not violations, "violations": violations}, "star_star"
+    iii = all(-weights[i] > sum(M[i]) - weights[i] for i in range(n))
+    tree = len(seen) == n and len(g["edges"]) == n - 1 and all(m == 1 for *_, m in g["edges"])
+    genus0 = not any(genera)
+    assert iii == (not violations), "(iii) is not (**)"
+    assert doc["structural"] == {"tree": tree, "all_genus_zero": genus0, "iii_holds": iii,
+                                 "verdict": tree and genus0 and iii}, "structural"
+
+    star = doc["star"]
+    pairs = [tuple(x["pair"]) for x in star["witnesses"]]
+    failing = [tuple(x) for x in star["failing_pairs"]]
+    assert pairs == sorted(pairs) and failing == sorted(failing), "pairs out of order"
+    everyone = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1) if i != j]
+    assert sorted(pairs + failing) == everyone, "ordered pairs not listed once each"
+    for x in star["witnesses"]:
+        (i, j), D = x["pair"], x["divisor"]
+        assert len(D) == n and all(type(c) is int for c in D), f"witness {i}<{j} shape"
+        assert max(mul(D)) < 0, f"witness {i}<{j} is not strictly anti-nef"
+        assert D[i - 1] < D[j - 1], f"witness {i}<{j} is out of order"
+    for i, j in failing:
+        Ci, Cj = C[i - 1], C[j - 1]
+        assert all(x >= y for x, y in zip(Ci, Cj)), f"pair {i}<{j} has a witness column"
+    assert star["holds"] == (not failing), "star holds"
+
+    z = [1] * n
+    while True:
+        up = next((i for i, x in enumerate(mul(z)) if x > 0), None)
+        if up is None:
+            break
+        z[up] += 1
+    assert doc["fundamental_cycle"] == z, "fundamental_cycle"
+    K = [2 * p - 2 - w for p, w in zip(genera, weights)]
+    twice = sum(x * y for x, y in zip(z, mul(z))) + sum(x * y for x, y in zip(z, K))
+    assert twice % 2 == 0 and doc["pa_fundamental"] == 1 + twice // 2, "pa_fundamental"
+    assert doc["artin_rational"] == (doc["pa_fundamental"] == 0), "artin_rational"
+
+    verdict = ("BijectiveByStarStar" if not violations else
+               "BijectiveByStar" if not failing else "Inconclusive")
+    assert doc["nash_verdict"] == verdict, "nash_verdict"
+    notes = doc["notes"]
+    assert notes[:len(warnings)] == warnings, "notes"
+    assert len(notes) == len(warnings) + genus0 + (verdict == "Inconclusive"), "notes"

@@ -137,8 +137,9 @@ def test_check_star_runs_once_per_enumerated_matrix(bounds, graphs, matrices):
 
 @pytest.mark.parametrize("bounds,matrices", [((4, -4, 1, 1), 357), ((3, -3, 1, 2), 35)])
 def test_star_star_report_is_built_once_per_enumerated_matrix(bounds, matrices):
-    # the matrix keeps its (**) report, which the structural check reads for
-    # every new genus key
+    # nash_verdict keeps its (**) report in the matrix's record; the
+    # structural check reads (iii) from the matrix's row sums E.E_i for
+    # every new genus key and builds no report
     import nashcone.conditions as conditions_mod
 
     with mock.patch.object(

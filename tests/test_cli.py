@@ -540,6 +540,20 @@ def test_internal_error_maps_to_exit_2(graph_file, capsys, monkeypatch):
     assert "internal error" in capsys.readouterr().err
 
 
+def test_memory_error_maps_to_one_line_and_exit_1(graph_file, capsys, monkeypatch):
+    import nashcone.cli as cli_mod
+
+    def exhausted(_):
+        raise MemoryError
+
+    monkeypatch.setattr(cli_mod, "nash_verdict", exhausted)
+    path = graph_file(make_family("an", 2))
+    assert main(["analyze", path]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: out of memory\n"  # one line, no traceback
+
+
 def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
     assert "analyze" in capsys.readouterr().out

@@ -3,7 +3,7 @@ import re
 import sys
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nashcone import (
@@ -24,7 +24,14 @@ from nashcone.cli import _uncapped_int_str
 from nashcone.cone import ConeStatus, Divisor, lipman_status, neg_adjugate
 from nashcone.graph import MAX_VERTICES, _Table, is_connected, render_json
 
-from oracles import connected_by_union, edges_by_scan, lipman_status_dense, mulvec_dense, negdef_brute
+from oracles import (
+    connected_by_union,
+    edges_by_scan,
+    lipman_status_dense,
+    mulvec_dense,
+    mult_error_by_scan,
+    negdef_brute,
+)
 
 A2_TEXT = """\
 vertices: 2
@@ -253,6 +260,52 @@ def test_ragged_or_asymmetric_matrix_is_refused(rows, matrix_error, mult_error):
             IntersectionMatrix(entries)
     with pytest.raises(ValueError, match=f"^{mult_error}$"):
         ResolutionGraph(weights=(-2,) * len(rows), genera=(0,) * len(rows), mult=_zero_diagonal(rows))
+
+
+@st.composite
+def _faulty_tables(draw):
+    """Square tables on n <= 6 vertices: symmetric, zero diagonal and
+    multiplicities 0..3, then zero to three injected faults, each a nonzero
+    diagonal entry, a negative entry (alone or with its mirror), an
+    asymmetric pair or an entry that is not an int; rows are tuples or lists."""
+    n = draw(st.integers(1, 6))
+    mult = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            mult[i][j] = mult[j][i] = draw(st.integers(0, 3))
+    for _ in range(draw(st.integers(0, 3))):
+        kind = draw(st.sampled_from(["diagonal", "negative", "asymmetric", "type"]))
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        if kind == "diagonal":
+            mult[i][i] = draw(st.sampled_from([-2, -1, 1, 2]))
+        elif kind == "negative":
+            mult[i][j] = draw(st.integers(-3, -1))
+            if draw(st.booleans()):
+                mult[j][i] = mult[i][j]
+        elif kind == "asymmetric":
+            mult[i][j] = draw(st.integers(0, 3).filter(lambda m: m != mult[j][i]))
+        else:
+            mult[i][j] = draw(st.sampled_from([True, False, 1.0, None, "1"]))
+    return tuple(map(draw(st.sampled_from([tuple, list])), mult))
+
+
+@settings(max_examples=500, deadline=None)
+@given(_faulty_tables())
+@example(((0, 1, -1), (1, 0, 0), (2, 0, 0)))  # negative before asymmetric in one entry
+@example(((0, 2, -1), (1, 0, 0), (-1, 0, 0)))  # the first faulty entry of a row decides
+@example(((0, 2, 0), (1, 0, -1), (0, -1, 0)))  # the first faulty row decides
+@example(((0, -1, 3), (-1, 1, 0), (0, 0, 0)))  # a row's entry before a later diagonal
+@example(((0, 1), (1, 5)))
+@example(((0, 1.0), (-1, 0)))  # the entry types before any row
+def test_mult_checks_give_the_entry_scan_message(mult):
+    n = len(mult)
+    expected = mult_error_by_scan(mult)
+    if expected is None:
+        ResolutionGraph(weights=(-2,) * n, genera=(0,) * n, mult=mult)
+        return
+    with pytest.raises(ValueError) as refused:
+        ResolutionGraph(weights=(-2,) * n, genera=(0,) * n, mult=mult)
+    assert str(refused.value) == expected
 
 
 def test_intersection_matrix_accepts_list_rows():
@@ -621,7 +674,7 @@ def test_render_json_compact_matches_stdlib_separators(obj):
 
 
 def test_render_json_renders_a_shared_list_at_each_depth():
-    ints = [1, -2, 3]  # a list of integers: the kind of list the memo keeps
+    ints = [1, -2, 3]  # a list of integers, which render_json joins in one piece
     mixed = [ints, {"k": True}, []]
     docs = [
         [ints, ints, ints],
@@ -630,8 +683,9 @@ def test_render_json_renders_a_shared_list_at_each_depth():
         [mixed, {"m": mixed}, [[mixed]], mixed],
     ]
     for doc in docs:
+        # one list object at several depths is indented for each depth
         assert render_json(doc) == json.dumps(doc, indent=2)
-        # compact text indents every depth alike, so one memo entry serves all
+        # compact text indents every depth alike
         assert render_json(doc, compact=True) == json.dumps(doc, separators=(",", ":"))
 
 
