@@ -189,9 +189,9 @@ _INCONCLUSIVE_NOTE = (
 def nash_verdict(g: ResolutionGraph) -> ClassificationReport:
     """Full report for one graph.
 
-    Raises ValueError when the graph is disconnected or the intersection
-    matrix is not negative definite; a non-minimal graph only produces a
-    warning note and the analysis proceeds.
+    Raises ValueError when the graph is not analyzable (graph._refuse); a
+    non-minimal graph only produces a warning note and the analysis
+    proceeds.
 
     The intersection matrix object keeps one record: (**), (*) with its
     witnesses, Z, Z.Z and the verdict, which depend on the matrix alone,

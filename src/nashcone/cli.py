@@ -5,10 +5,11 @@ half-space witness divisor), family (emit a named example graph),
 enumerate (stream reports for all small graphs as JSON lines), check
 (run one vanishing criterion on a given divisor).
 
-Data goes to stdout, diagnostics to stderr. Exit codes: 0 the analysis
-ran (whatever it concluded), 1 invalid input or memory exhausted, 2
-internal invariant violation. Vertex indices are 1-based on the command
-line and in JSON output; text output uses vertex labels.
+Data goes to stdout, through _write alone, diagnostics to stderr. Exit
+codes: 0 the analysis ran (whatever it concluded), 1 invalid input or
+memory exhausted, 2 internal invariant violation. Vertex indices are
+1-based on the command line and in JSON output; text output uses vertex
+labels.
 """
 
 from __future__ import annotations
@@ -189,41 +190,37 @@ def _text_report(r: ClassificationReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-class _uncapped_int_str:
-    """Lift CPython's cap on the digits of an int turned into a str while
-    output is rendered, and restore it afterwards. A witness can be far
-    longer than any number in its input: three weights of 3,000 digits give
-    witnesses of 6,001. Parsing keeps the cap (graph files, --divisor and
-    click's integer options), so an input literal over it is still refused.
-    A class, not a contextlib generator: enumerate enters it once per line,
-    and this builds no generator to do so."""
-
-    def __enter__(self) -> None:
-        self.cap = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
-        if self.cap:
-            sys.set_int_max_str_digits(0)
-
-    def __exit__(self, *exc) -> None:
-        if self.cap:
-            sys.set_int_max_str_digits(self.cap)
-
-
 def emit_report(r: ClassificationReport, format: str = "text") -> str:
     """Render a report; both formats are byte-deterministic."""
-    with _uncapped_int_str():
-        if format == "json":
-            return render_json(report_to_dict(r)) + "\n"
-        return _text_report(r)
+    if format == "json":
+        return render_json(report_to_dict(r)) + "\n"
+    return _text_report(r)
 
 
 def _stdout():
-    """The stream the commands write their output to: click's text writer
-    for sys.stdout, which rewraps the buffer of an ASCII-encoded stdout as
-    UTF-8. click.echo without a ``file`` keeps this writer in a cache keyed
-    weakly on sys.stdout; for a stream that needs no rewrap the value is the
-    stream itself, so the cache keeps every such stream alive. A command
-    that writes many lines looks the writer up once."""
+    """click's text writer for sys.stdout, which rewraps the buffer of an
+    ASCII-encoded stdout as UTF-8; looked up per call, as the cache of
+    click.echo would keep every stream it sees alive."""
     return click.get_text_stream("stdout")
+
+
+def _write(texts) -> None:
+    """Write each text of ``texts()`` to _stdout() by one write and a flush,
+    unchanged, so a terminal and a pipe get the same bytes. ``texts()``
+    runs while CPython's cap on the digits of an int turned into a str is
+    lifted, as a witness can have twice the digits of its weights. A verb
+    reads its input first, so the cap still guards every input number."""
+    cap = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+    if cap:
+        sys.set_int_max_str_digits(0)
+    try:
+        out = _stdout()
+        for text in texts():
+            out.write(text)
+            out.flush()
+    finally:
+        if cap:
+            sys.set_int_max_str_digits(cap)
 
 
 def _stderr():
@@ -274,9 +271,8 @@ def cli() -> None:
 @click.option("--json", "as_json", is_flag=True, help="emit the JSON report")
 def analyze(file: str, as_json: bool) -> None:
     """Full classification report for one graph file."""
-    g = _read_graph_file(file)
-    r = nash_verdict(g)
-    click.echo(emit_report(r, "json" if as_json else "text"), file=_stdout(), nl=False)
+    r = nash_verdict(_read_graph_file(file))
+    _write(lambda: [emit_report(r, "json" if as_json else "text")])
 
 
 @cli.command()
@@ -286,15 +282,13 @@ def analyze(file: str, as_json: bool) -> None:
 def witness(file: str, pair: tuple[int, int]) -> None:
     """Print one strictly anti-nef witness divisor for a pair, or "none"."""
     g = _read_graph_file(file)
-    # the anti-nef cone needs a connected negative-definite graph; refuse
-    # here (exit 1) rather than let the kernels fail on it (exit 2)
+    # an unanalyzable graph is refused (exit 1) before the pair is checked
     validate(g).require_analyzable()
     i, j = pair
     if not (1 <= i <= g.n and 1 <= j <= g.n):
         raise ValueError(f"pair indices must be in 1..{g.n}")
     w = star_witness(g, i - 1, j - 1)
-    with _uncapped_int_str():
-        click.echo("none" if w is None else " ".join(str(c) for c in w.coeffs), file=_stdout())
+    _write(lambda: ["none\n" if w is None else " ".join(map(str, w.coeffs)) + "\n"])
 
 
 @cli.command(context_settings={"ignore_unknown_options": True})
@@ -309,7 +303,7 @@ def family(kind: str, params: tuple[str, ...], as_json: bool, output: str | None
     g = make_family(kind, *args)
     text = serialize_graph_json(g) if as_json else serialize_graph(g)
     if output is None:
-        click.echo(text, file=_stdout(), nl=False)
+        _write(lambda: [text])
     else:
         with open(output, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -342,16 +336,15 @@ def _enum_line(g: ResolutionGraph) -> str:
     compact JSON escapes every quote inside a string, so no label can end
     a value early."""
     r = nash_verdict(g)
-    with _uncapped_int_str():
-        head, mid, shared, tails = _kept(g.intersection_matrix(), "_enum_template", lambda: (
-            *_graph_halves(g), render_json(_matrix_dict(r), compact=True)[1:-1], {}))
-        key = (r.validation, r.structural, r.notes, r.artin_rational)
-        texts = tails.get(key)
-        if texts is None:
-            texts = tails[key] = (_compact(_validation_dict(r)), _compact(_tail_dict(r))[1:])
-        genera = ",".join(map(str, g.genera))
-        return (f'{head}{genera}{mid},"validation":{texts[0]},{shared},'
-                f'"pa_fundamental":{r.pa_fundamental},{texts[1]}')
+    head, mid, shared, tails = _kept(g.intersection_matrix(), "_enum_template", lambda: (
+        *_graph_halves(g), render_json(_matrix_dict(r), compact=True)[1:-1], {}))
+    key = (r.validation, r.structural, r.notes, r.artin_rational)
+    texts = tails.get(key)
+    if texts is None:
+        texts = tails[key] = (_compact(_validation_dict(r)), _compact(_tail_dict(r))[1:])
+    genera = ",".join(map(str, g.genera))
+    return (f'{head}{genera}{mid},"validation":{texts[0]},{shared},'
+            f'"pa_fundamental":{r.pa_fundamental},{texts[1]}')
 
 
 def _graph_halves(g: ResolutionGraph) -> tuple[str, str]:
@@ -372,12 +365,8 @@ def _graph_halves(g: ResolutionGraph) -> tuple[str, str]:
 @click.option("--max-mult", type=_Int(), default=1, show_default=True)
 def enumerate(max_vertices: int, min_weight: int, max_genus: int, max_mult: int) -> None:
     """Stream one JSON report line per graph, smallest graphs first."""
-    out = _stdout()
-    # one write and one flush per line, as click.echo does, without its
-    # per-call ANSI-strip probes: json.dumps escapes every control character
-    for g in enumerate_graphs(max_vertices, min_weight, max_genus, max_mult):
-        out.write(_enum_line(g) + "\n")
-        out.flush()
+    graphs = enumerate_graphs(max_vertices, min_weight, max_genus, max_mult)
+    _write(lambda: (_enum_line(g) + "\n" for g in graphs))
 
 
 def _criterion_json(name: str, res: CriterionResult) -> dict:
@@ -412,16 +401,18 @@ def check(file: str, criterion: str, divisor: str, as_json: bool) -> None:
     ))
     fn = realization_criterion if criterion == "realization" else laufer_criterion
     res = fn(g, D)
-    with _uncapped_int_str():
+
+    def texts() -> list[str]:
         if as_json:
-            click.echo(render_json(_criterion_json(criterion, res)), file=_stdout())
-            return
+            return [render_json(_criterion_json(criterion, res)) + "\n"]
         lines = [f"criterion: {criterion}", f"satisfied: {_yn(res.satisfied)}"]
         for key in sorted(res.values):
             spot = ",".join(map(g.label, key))
             flag = "  VIOLATED" if res.values[key] > 0 else ""
             lines.append(f"value({spot}) = {res.values[key]}{flag}")
-        click.echo("\n".join(lines), file=_stdout())
+        return ["\n".join(lines) + "\n"]
+
+    _write(texts)
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -41,7 +41,7 @@ from operator import lt
 
 from .cone import ConeStatus, Divisor, lipman_status, neg_adjugate
 from .errors import InternalInvariantError
-from .graph import IntersectionMatrix, ResolutionGraph
+from .graph import IntersectionMatrix, ResolutionGraph, _problems, _refuse
 
 __all__ = [
     "StarStarReport",
@@ -87,6 +87,7 @@ class _Adjugate:
     verified witness of each class (k, t) built so far."""
 
     def __init__(self, M: IntersectionMatrix):
+        _refuse(_problems(M))  # (*) is stated for one analyzable graph
         self.M = M
         self.A, self.d = neg_adjugate(M)
         self.s = tuple(map(sum, self.A))

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
 
-from .graph import IntersectionMatrix, ResolutionGraph
+from .graph import IntersectionMatrix, ResolutionGraph, _problems, _refuse
 
 __all__ = [
     "Divisor",
@@ -75,12 +75,12 @@ def neg_adjugate(M: IntersectionMatrix) -> tuple[tuple[tuple[int, ...], ...], in
     X[i][j] = (d p_(i-1) [i = j] - sum_(l>i) U[i][l] X[l][j]) / p_i,
     which needs rows l > i only at columns >= i + 1, known by symmetry
     once each row is done. The sum runs over the nonzero U[i][l] only, so
-    a chain costs O(n^2) and a dense matrix O(n^3). A matrix that is not
-    negative definite is refused with ValueError.
+    a chain costs O(n^2) and a dense matrix O(n^3). Only a matrix without
+    a factor is refused (graph._refuse); the formula holds for each block.
     """
     F = M.neg_factor()
     if F is None:
-        raise ValueError("intersection matrix is not negative definite")
+        _refuse(_problems(M))
     minors, n = F.minors, len(F.columns)
     upper = [[] for _ in range(n)]  # row i of U: the nonzero (l, U[i][l]), l > i
     for l, col in enumerate(F.columns):
@@ -137,13 +137,12 @@ def fundamental_cycle(g: ResolutionGraph) -> Divisor:
     times in a row, each addition a legal step; the k steps are taken at
     once, so a coefficient that needs a long run of additions to one
     component costs one pass, not one per unit. Terminates because the
-    form is negative definite; on any other form it need not stop, so a
-    matrix that is not negative definite is refused with ValueError. The
-    result is independent of the tie-break (property-tested).
+    form is negative definite; on any other form it need not stop, so it,
+    and a disconnected graph, are refused (graph._refuse). The result is
+    independent of the tie-break (property-tested).
     """
     M = g.intersection_matrix()
-    if M.neg_factor() is None:
-        raise ValueError("intersection matrix is not negative definite")
+    _refuse(_problems(M))
     z = [1] * g.n
     s = list(M._row_sums)
     while True:

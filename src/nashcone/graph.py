@@ -110,8 +110,9 @@ class ResolutionGraph:
         if self.labels is not None:
             if len(self.labels) != n:
                 raise _FieldError("labels", "labels must name every vertex")
+            # a label prints as itself: no space, control or format character
             for lab in self.labels:
-                if type(lab) is not str or not lab or any(c.isspace() for c in lab) or "#" in lab:
+                if type(lab) is not str or not lab or not lab.isprintable() or " " in lab or "#" in lab:
                     raise _FieldError("labels", f"invalid label {lab!r}")
             if len(set(self.labels)) != n:
                 # a repeated label would make the text report ambiguous
@@ -317,10 +318,8 @@ class ValidationReport:
         return self.problems + self.warnings
 
     def require_analyzable(self) -> None:
-        """Refuse a graph the cone computations cannot run on: disconnected,
-        or with an intersection matrix that is not negative definite."""
-        if not self.analyzable:
-            raise ValueError("; ".join(self.problems))
+        """Raise ValueError naming the problems, if any (see _refuse)."""
+        _refuse(self.problems)
 
 
 # ---------------------------------------------------------------------------
@@ -699,22 +698,28 @@ def is_connected(mult) -> bool:
     return len(seen) == n
 
 
+def _problems(M: IntersectionMatrix) -> tuple[str, ...]:
+    """Why the cone computations cannot run on M, in validate's words."""
+    negdef = () if M.neg_factor() is not None else ("intersection matrix is not negative definite",)
+    return negdef + (() if M._connected else ("dual graph is disconnected",))
+
+
+def _refuse(problems: tuple[str, ...]) -> None:
+    """ValueError naming ``problems``, if any: the one refusal of a graph
+    the cone computations cannot run on, in the library and the CLI."""
+    if problems:
+        raise ValueError("; ".join(problems))
+
+
 def validate(g: ResolutionGraph) -> ValidationReport:
     """Check the contractibility constraints; failures land in the report."""
     M = g.intersection_matrix()
-    negdef = M.neg_factor() is not None
-    connected = M._connected
     nonminimal = _nonminimal(g)
-    problems = []
-    if not negdef:
-        problems.append("intersection matrix is not negative definite")
-    if not connected:
-        problems.append("dual graph is disconnected")
     return ValidationReport(
-        negative_definite=negdef,
-        connected=connected,
+        negative_definite=M.neg_factor() is not None,
+        connected=M._connected,
         minimal=not nonminimal,
-        problems=tuple(problems),
+        problems=_problems(M),
         warnings=tuple(
             f"warning: {g.label(i)} is a genus-0 (-1)-curve; "
             "the graph is not a minimal resolution"

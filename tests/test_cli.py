@@ -632,7 +632,8 @@ def test_output_integers_may_exceed_the_int_str_digit_cap(tmp_path, capsys):
     for extra in ([], ["--json"]):
         assert main(["check", str(path), "--criterion", "realization", "--divisor", f"{d},{d},{d}", *extra]) == 0
         assert capsys.readouterr().err == ""
-    line = cli_module._enum_line(g)
+    with _no_int_str_cap():  # outside main the caller lifts the cap, as _write does
+        line = cli_module._enum_line(g)
     assert sys.get_int_max_str_digits() == cap
     assert text.err == report.err == ""
     with _no_int_str_cap():
@@ -1034,3 +1035,63 @@ def test_ascii_stdout_is_rewrapped_as_utf8(tmp_path):
     assert proc.returncode == 0 and proc.stderr == b""
     assert proc.stdout == emit_report(nash_verdict(g)).encode("utf-8")
     assert b"\n  \303\251: weight -2, genus 0\n" in proc.stdout
+
+
+def _cli_stdout(argv, env, on_pty: bool) -> bytes:
+    """The stdout of the CLI run in a fresh process with ``argv``, on a pipe
+    or on a pseudo-terminal, with the terminal's \\r\\n mapped back to \\n;
+    the run must exit 0 with nothing on stderr."""
+    cmd = [sys.executable, "-c", "from nashcone.cli import entry; entry()", *argv]
+    if not on_pty:
+        proc = subprocess.run(cmd, capture_output=True, env=env, timeout=120)
+        assert proc.returncode == 0 and proc.stderr == b""
+        return proc.stdout
+    import pty
+
+    master, slave = pty.openpty()
+    chunks = []
+    try:
+        proc = subprocess.Popen(cmd, stdout=slave, stderr=subprocess.PIPE, env=env)
+        os.close(slave)
+        while True:
+            try:
+                chunk = os.read(master, 1 << 16)
+            except OSError:  # EIO once the child has closed the terminal
+                break
+            if not chunk:
+                break
+            chunks.append(chunk)
+        _, err = proc.communicate(timeout=120)
+        assert proc.returncode == 0 and err == b""
+    finally:
+        os.close(master)
+    return b"".join(chunks).replace(b"\r\n", b"\n")
+
+
+def test_a_terminal_and_a_pipe_get_the_same_bytes(tmp_path):
+    # click.echo strips ANSI sequences on a pipe but not on a terminal; no
+    # verb writes stdout through it, and no label holds such a sequence
+    pytest.importorskip("pty")
+    import nashcone
+
+    try:
+        for fd in os.openpty():
+            os.close(fd)
+    except OSError:
+        pytest.skip("no pseudo-terminal")
+    g = ResolutionGraph((-2, -3, -2), (1, 0, 0), ((0, 1, 0), (1, 0, 2), (0, 2, 0)), ("é", "λ", "☃"))
+    path = tmp_path / "labels.graph"
+    path.write_text(serialize_graph(g), encoding="utf-8")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(nashcone.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    check = ["check", str(path), "--criterion", "realization", "--divisor", "3,2,4"]
+    runs = [
+        ["analyze", str(path)], ["analyze", str(path), "--json"],
+        ["witness", str(path), "--pair", "1", "3"], check, [*check, "--json"], ["family", "dn", "5"],
+        ["enumerate", "--max-vertices", "2", "--min-weight", "-2", "--max-genus", "1"],
+    ]
+    for argv in runs:
+        piped = _cli_stdout(argv, env, on_pty=False)
+        assert piped and b"\r" not in piped
+        assert _cli_stdout(argv, env, on_pty=True) == piped, argv

@@ -12,12 +12,16 @@ from nashcone import (
     Divisor,
     IntersectionMatrix,
     ResolutionGraph,
+    check_star,
     enumerate_graphs,
     fundamental_cycle,
     is_rational_artin,
     lipman_status,
     make_family,
+    nash_verdict,
     pair,
+    star_witness,
+    validate,
 )
 from nashcone.cone import neg_adjugate, neg_inverse
 
@@ -190,6 +194,32 @@ def test_fundamental_cycle_large_coefficients():
 
 def _over_budget(signum, frame):
     raise TimeoutError("over the 1 s budget")
+
+
+@pytest.mark.parametrize("weights,mult,message", [
+    # two disjoint -2 curves: negative definite, but two singularities
+    ((-2, -2), ((0, 0), (0, 0)), "dual graph is disconnected"),
+    # a -1 pair meeting twice, and a third curve apart from it
+    ((-1, -1, -2), ((0, 2, 0), (2, 0, 0), (0, 0, 0)),
+     "intersection matrix is not negative definite; dual graph is disconnected"),
+])
+def test_library_refuses_what_validate_calls_unanalyzable(weights, mult, message):
+    # the cone computations refuse such a graph in validate's words, as
+    # nash_verdict and the CLI do, instead of answering for it
+    g = ResolutionGraph(weights=weights, genera=(0,) * len(weights), mult=mult)
+    report = validate(g)
+    assert "; ".join(report.problems) == message
+    M = g.intersection_matrix()
+    calls = [lambda: fundamental_cycle(g), lambda: is_rational_artin(g), lambda: check_star(g),
+             lambda: star_witness(g, 0, 1), lambda: nash_verdict(g), report.require_analyzable]
+    if report.negative_definite:  # adj(-M) of a block matrix is the blocks' adjugates
+        assert neg_adjugate(M) == (((2, 0), (0, 2)), 4)
+    else:
+        calls += [lambda: neg_adjugate(M), lambda: neg_inverse(M)]
+    for call in calls:
+        with pytest.raises(ValueError) as exc:
+            call()
+        assert str(exc.value) == message
 
 
 @pytest.mark.parametrize("m", [1, 2])

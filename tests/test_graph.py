@@ -1,3 +1,4 @@
+import contextlib
 import json
 import re
 import sys
@@ -20,7 +21,6 @@ from nashcone import (
     serialize_graph_json,
     validate,
 )
-from nashcone.cli import _uncapped_int_str
 from nashcone.cone import ConeStatus, Divisor, lipman_status, neg_adjugate
 from nashcone.graph import MAX_VERTICES, _Table, is_connected, render_json
 
@@ -539,6 +539,31 @@ def _graph_text(d: dict) -> str:
 _A2_DATA = {"vertices": 2, "weights": [-2, -2], "genera": [0, 0], "edges": [[1, 2, 1]]}
 
 
+@pytest.mark.parametrize("label", ["a\x1b[31mb", "a\x7fb", "a\u200bb", "\x1b", "a\tb"])
+def test_labels_that_do_not_print_as_themselves_are_refused(label):
+    # an escape sequence or an invisible character would make two labels
+    # look alike in a report, and its bytes depend on where they are shown
+    data = dict(_A2_DATA, labels=[label, "ab"])
+    texts = [json.dumps(data)]
+    if not any(c.isspace() for c in label):  # the text format splits labels there
+        texts.append(_graph_text(data))
+    for text in texts:
+        with pytest.raises(GraphFormatError) as exc:
+            load_graph(text)
+        assert str(exc.value).endswith(f"invalid label {label!r}")
+
+
+def test_every_whitespace_character_is_refused_in_a_label():
+    spaces = [c for c in map(chr, range(sys.maxunicode + 1)) if c.isspace()]
+    assert " " in spaces and "\u3000" in spaces
+    for c in spaces:
+        with pytest.raises(ValueError, match="invalid label"):
+            ResolutionGraph((-2,), (0,), ((0,),), (f"a{c}b",))
+    # printable labels outside ASCII stay valid
+    g = ResolutionGraph((-2, -2), (0, 0), ((0, 1), (1, 0)), ("é", "λ☃"))
+    assert load_graph(serialize_graph(g)) == load_graph(serialize_graph_json(g)) == g
+
+
 @pytest.mark.parametrize(
     "change,fragment",
     [
@@ -760,6 +785,16 @@ def test_render_json_refuses_a_column_table_of_other_lists(column):
         render_json([_Table(("divisor",), (("lists", column),), 2)])
 
 
+@contextlib.contextmanager
+def _no_int_str_cap():
+    cap = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(cap)
+
+
 @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int digit cap")
 def test_render_json_table_obeys_the_int_digit_cap():
     big = -(10 ** 4400)
@@ -786,7 +821,7 @@ def test_render_json_table_obeys_the_int_digit_cap():
                 with pytest.raises(ValueError) as stdlib:
                     json.dumps(plain, **options)
                 assert str(ours.value) == str(stdlib.value)
-                with _uncapped_int_str():
+                with _no_int_str_cap():
                     assert render_json(doc, compact) == json.dumps(plain, **options)
     finally:
         sys.set_int_max_str_digits(cap)
