@@ -27,13 +27,12 @@ check, and each further genus variant from it: only the genera are
 checked, and the variant shares the first graph's weights, mult and
 matrix object. nash_verdict keeps one record on the matrix, so an
 ``enumerate`` run checks a whole graph, tests connectivity and computes
-the matrix-only results once per distinct intersection matrix (357 times
-for the 4,467 graphs of enumerate_graphs(4, -4, 1, 1)), and validates
-once per matrix and genus key (887 times). Per graph there
-remain the genus checks, the key, one dot product with K for p_a and the
-report. The ``enumerate`` command keeps its line template on the matrix
-as well (see cli._enum_line), so per graph it writes only the genera and
-p_a and looks up the texts of the rest.
+the matrix-only results once per distinct intersection matrix, and
+validates once per matrix and genus key. Per graph there remain the genus
+checks, the key, the genus part of p_a and the report. The ``enumerate``
+command keeps its line template on the matrix as well (see
+cli._enum_line), so per graph it writes only the genera and p_a and
+looks up the texts of the rest.
 """
 
 from __future__ import annotations
@@ -54,9 +53,11 @@ from .graph import (
     _kept,
     _neg_factor,
     _nonminimal,
+    _problems,
+    _refuse,
+    IntersectionMatrix,
     ResolutionGraph,
     ValidationReport,
-    canonical_intersections,
     validate,
 )
 
@@ -139,14 +140,22 @@ def arithmetic_genus(g: ResolutionGraph, D: Divisor) -> int:
         raise ValueError(f"divisor has {D.n} coefficients, graph has {g.n} vertices")
     if D.is_zero():
         raise ValueError("arithmetic genus of the zero divisor is undefined here")
-    return _genus(g, D, pair(D, D, g.intersection_matrix()))
+    return _genus(g, D, _genus_free(D, g.intersection_matrix()))
 
 
-def _genus(g: ResolutionGraph, D: Divisor, dd: int) -> int:
-    """p_a(D) from dd = D.D, which depends on the matrix alone; K.D brings in
-    the genera. Adjunction makes D.D + K.D even for every integral cycle; a
-    failed parity check means corrupted inputs, not a domain condition."""
-    total = dd + sum(map(mul, D.coeffs, canonical_intersections(g)))
+def _genus_free(D: Divisor, M: IntersectionMatrix) -> int:
+    """D.D + sum D_i (-2 - w_i): the part of D.D + K.D that depends on the
+    matrix alone. By adjunction K.E_i = 2 g_i - 2 - w_i, so the genera add
+    2 sum D_i g_i to it (_genus)."""
+    return pair(D, D, M) - 2 * sum(D.coeffs) - sum(map(mul, D.coeffs, M._diag))
+
+
+def _genus(g: ResolutionGraph, D: Divisor, free: int) -> int:
+    """p_a(D) from ``free``, the part of D.D + K.D that _genus_free reads
+    from the matrix, and the genera of g. Adjunction makes D.D + K.D even
+    for every integral cycle; a failed parity check means corrupted inputs,
+    not a domain condition."""
+    total = free + 2 * sum(map(mul, D.coeffs, g.genera))
     if total % 2 != 0:
         raise InternalInvariantError(f"D.D + K.D = {total} is odd; adjunction parity broken")
     return 1 + total // 2
@@ -160,16 +169,18 @@ def is_rational_artin(g: ResolutionGraph) -> bool:
 def structural_rationality(g: ResolutionGraph) -> StructuralReport:
     """Check tree shape, vanishing genera, and |E_i^2| > gamma(E_i).
 
-    A connected graph on n vertices has at least n - 1 edges, each of
-    multiplicity >= 1, so it is a tree with simple edges exactly when its
-    multiplicities over pairs add up to n - 1: the tree flag reads the
-    connectivity and the edge list the intersection matrix computed when it
+    A graph that validate calls unanalyzable is refused (graph._refuse), so
+    the graph is connected. A connected graph on n vertices has at least
+    n - 1 edges, each of multiplicity >= 1, so it is a tree with simple
+    edges exactly when its multiplicities over pairs add up to n - 1: the
+    tree flag reads the edge list the intersection matrix computed when it
     was built. (iii) is condition (**), since E.E_i = E_i^2 + gamma(E_i),
     and is read from the row sums the matrix kept then. Only the genus flag
     reads the genera.
     """
     M = g.intersection_matrix()
-    tree = M._connected and sum([m for _, _, m in M._edges]) == g.n - 1
+    _refuse(_problems(M))
+    tree = sum([m for _, _, m in M._edges]) == g.n - 1
     all_genus_zero = not any(g.genera)
     iii = max(M._row_sums) < 0
     return StructuralReport(
@@ -200,10 +211,11 @@ def nash_verdict(g: ResolutionGraph) -> ClassificationReport:
     validate and structural_rationality fill for a new key. The key decides
     all three: graphs that share a matrix object are one graph and its
     genus variants (graph._genus_variant), which hold the same weights,
-    mult and labels. Per graph there remain the key, one lookup, p_a (Z.Z plus one
-    dot product with K) and the report, which shares the kept objects (see
-    ClassificationReport). The record lives and dies with the matrix: a
-    graph built afresh is analyzed afresh.
+    mult and labels. Per graph there remain the key, one lookup, p_a (the
+    kept part of Z.Z + K.Z plus 2 sum Z_i g_i) and the report, which shares
+    the kept objects (see ClassificationReport) and is filled in as
+    graph._genus_variant fills a graph. The record lives and dies with the
+    matrix: a graph built afresh is analyzed afresh.
     """
     M = g.intersection_matrix()
     key = (_nonminimal(g), not any(g.genera))
@@ -220,30 +232,27 @@ def nash_verdict(g: ResolutionGraph) -> ClassificationReport:
         if record[1] is NashVerdict.INCONCLUSIVE:
             notes.append(_INCONCLUSIVE_NOTE)
         parts = record[2][key] = (report, structural, tuple(notes))
-    (star_star, star, Z, zz), verdict, _ = record
+    (star_star, star, Z, free), verdict, _ = record
     validation, structural, notes = parts
-    pa = _genus(g, Z, zz)
-    return ClassificationReport(
-        graph=g,
-        validation=validation,
-        star_star=star_star,
-        star=star,
-        fundamental_cycle=Z,
-        pa_fundamental=pa,
-        artin_rational=pa == 0,
-        structural=structural,
-        nash_verdict=verdict,
+    pa = _genus(g, Z, free)
+    # the fields of a frozen report, set as _genus_variant sets a graph's
+    r = object.__new__(ClassificationReport)
+    r.__dict__.update(
+        graph=g, validation=validation, star_star=star_star, star=star, fundamental_cycle=Z,
+        pa_fundamental=pa, artin_rational=pa == 0, structural=structural, nash_verdict=verdict,
         notes=notes,
     )
+    return r
 
 
 def _record(g: ResolutionGraph) -> tuple[tuple, NashVerdict, dict]:
-    """((**), (*), Z, Z.Z), the verdict and an empty ``parts``: the record
-    nash_verdict keeps on the intersection matrix."""
+    """((**), (*), Z, the part of Z.Z + K.Z that _genus_free reads from the
+    matrix), the verdict and an empty ``parts``: the record nash_verdict
+    keeps on the intersection matrix."""
     star_star, star, Z = check_star_star(g), check_star(g), fundamental_cycle(g)
     verdict = (NashVerdict.BIJECTIVE_BY_STAR_STAR if star_star.holds else
                NashVerdict.BIJECTIVE_BY_STAR if star.holds else NashVerdict.INCONCLUSIVE)
-    return (star_star, star, Z, pair(Z, Z, g.intersection_matrix())), verdict, {}
+    return (star_star, star, Z, _genus_free(Z, g.intersection_matrix())), verdict, {}
 
 
 def make_family(kind: str, *params: int) -> ResolutionGraph:
@@ -486,9 +495,9 @@ def enumerate_graphs(max_vertices: int, min_weight: int, max_genus: int, max_mul
     ValueError before anything is yielded: every n >= 8, n = 7 with
     max_mult >= 2, n = 6 with max_mult >= 3, n = 5 with max_mult >= 5,
     and fewer vertices only with max_mult >= 16. Generation costs grow
-    with the kept classes: structures on up to seven vertices with simple
-    edges take about 0.015 s at min_weight -2 (3 of the 853 connected
-    classes on seven vertices kept) and 1 to 2 s at -6 (852 kept).
+    with the kept classes, each relabeled n! times: with simple edges, 3
+    of the 853 connected classes on seven vertices are kept at min_weight
+    -2 and 852 at -6.
     """
     if max_vertices < 1:
         raise ValueError("max_vertices must be >= 1")

@@ -14,7 +14,6 @@ labels.
 
 from __future__ import annotations
 
-import json
 import sys
 
 import click
@@ -309,14 +308,6 @@ def family(kind: str, params: tuple[str, ...], as_json: bool, output: str | None
             fh.write(text)
 
 
-def _compact(obj) -> str:
-    """Compact JSON of a dict with no graph._Table in it: the graph halves
-    and the validation and tail texts of enumerate, 2,131 of them for the
-    4,467 lines of 4 -4 1 1. On these the C encoder is over twice as fast
-    as render_json (14-16 against 35-39 ms for the 2,131, Python 3.11)."""
-    return json.dumps(obj, separators=(",", ":"))
-
-
 def _enum_line(g: ResolutionGraph) -> str:
     """``render_json(report_to_dict(r), compact=True)``, byte for byte,
     filled into a template kept on g's intersection matrix.
@@ -328,20 +319,21 @@ def _enum_line(g: ResolutionGraph) -> str:
     ``validation`` and of the keys after ``pa_fundamental``; the verdict in
     the latter depends on the matrix alone. Per graph there remain the
     genera, p_a and one lookup in that dict; nash_verdict still gives every
-    value, and genus variants with equal parts share those objects, so the
-    lookup hashes them but compares by identity. The split is safe because
-    graphs that share a matrix object are the genus variants of one graph
-    (graph._genus_variant), which share its weights, mult and labels, and
-    ``genera`` is the first key of the graph's text after ints only;
-    compact JSON escapes every quote inside a string, so no label can end
-    a value early."""
+    value. The dict is keyed on the ids of the shared parts: nash_verdict
+    keeps them on the same matrix as the dict, so no id is reused while
+    the dict is held. The split is safe because graphs that share a matrix
+    object are the genus variants of one graph (graph._genus_variant),
+    which share its weights, mult and labels, and ``genera`` is the first
+    key of the graph's text after ints only; compact JSON escapes every
+    quote inside a string, so no label can end a value early."""
     r = nash_verdict(g)
     head, mid, shared, tails = _kept(g.intersection_matrix(), "_enum_template", lambda: (
         *_graph_halves(g), render_json(_matrix_dict(r), compact=True)[1:-1], {}))
-    key = (r.validation, r.structural, r.notes, r.artin_rational)
+    key = (id(r.validation), id(r.structural), id(r.notes), r.artin_rational)
     texts = tails.get(key)
     if texts is None:
-        texts = tails[key] = (_compact(_validation_dict(r)), _compact(_tail_dict(r))[1:])
+        texts = tails[key] = (render_json(_validation_dict(r), compact=True),
+                              render_json(_tail_dict(r), compact=True)[1:])
     genera = ",".join(map(str, g.genera))
     return (f'{head}{genera}{mid},"validation":{texts[0]},{shared},'
             f'"pa_fundamental":{r.pa_fundamental},{texts[1]}')
@@ -353,7 +345,7 @@ def _graph_halves(g: ResolutionGraph) -> tuple[str, str]:
     ``],"edges":...}``. Only ints come before ``genera``."""
     graph = _graph_dict(g)
     graph["genera"] = []
-    text = _compact({"graph": graph})
+    text = render_json({"graph": graph}, compact=True)
     cut = text.index('"genera":[') + len('"genera":[')
     return text[:cut], text[cut:-1]
 

@@ -35,9 +35,9 @@ InternalInvariantError instead of a negative answer.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, compress, count
+from itertools import chain, compress, count, repeat
 from math import gcd
-from operator import lt
+from operator import add, lshift, lt
 
 from .cone import ConeStatus, Divisor, lipman_status, neg_adjugate
 from .errors import InternalInvariantError
@@ -77,8 +77,11 @@ class StarCertificate:
 
 def check_star_star(g: ResolutionGraph) -> StarStarReport:
     """Report the components E_i with E.E_i >= 0, read from the row sums
-    M.(1,...,1) that the intersection matrix computed when it was built."""
-    violations = tuple([i for i, x in enumerate(g.intersection_matrix()._row_sums) if x >= 0])
+    M.(1,...,1) that the intersection matrix computed when it was built.
+    A graph that validate calls unanalyzable is refused (graph._refuse)."""
+    M = g.intersection_matrix()
+    _refuse(_problems(M))
+    violations = tuple([i for i, x in enumerate(M._row_sums) if x >= 0])
     return StarStarReport(holds=not violations, violations=violations)
 
 
@@ -122,9 +125,9 @@ class _Adjugate:
             t = (q // (Aj[k] - Ai[k])).bit_length() if q > 0 else 0
             witness = classes.get((k, t))
             if witness is None:
-                w = [(x << t) + y for x, y in zip(A[k], s)]
+                w = list(map(add, map(lshift, A[k], repeat(t)), s))
                 c = gcd(self.d << t, *w)
-                witness = Divisor(tuple(x // c for x in w))
+                witness = Divisor(tuple(w) if c == 1 else tuple([x // c for x in w]))
                 if lipman_status(witness, self.M) is not ConeStatus.STRICT_LIPMAN:
                     raise InternalInvariantError(
                         f"synthesized witness {witness.coeffs} failed re-verification for pair ({i}, {j})"

@@ -15,8 +15,9 @@ refuses a larger count before it allocates the n x n multiplicity table.
 
 A graph builds its intersection matrix once, after its checks, and the
 matrix computes from its own entries, once, its edge list (which
-``edges()`` returns), its connectivity (which validation reads) and its
-row sums E.E_i, which (**), (iii) and Laufer's sequence start from.
+``edges()`` returns), its connectivity (which validation reads), its
+row sums E.E_i, which (**), (iii) and Laufer's sequence start from, and
+its (-1)-curves, among which minimality looks for genus 0.
 Negative definiteness is read from one fraction-free factor of -M, the
 forward Bareiss pass of ``NegFactor``: its pivots are the leading
 principal minors of -M. It grows a column at a time by
@@ -195,6 +196,8 @@ class IntersectionMatrix:
         # dual graphs are sparse: M.v costs O(n + edges), from the diagonal
         # and the nonzeros above it, each edge taken once for both its ends
         object.__setattr__(self, "_diag", tuple(row[i] for i, row in enumerate(self.entries)))
+        # the (-1)-curves, which _nonminimal reads
+        object.__setattr__(self, "_minus_ones", tuple([i for i, w in enumerate(self._diag) if w == -1]))
         cols = range(n)
         object.__setattr__(self, "_edges", tuple([
             (i, j, row[j]) for i, row in enumerate(self.entries) for j in compress(cols, row) if j > i
@@ -511,49 +514,57 @@ def graph_to_json_dict(g: ResolutionGraph) -> dict:
 def render_json(obj, compact: bool = False) -> str:
     """The text ``json.dumps`` gives with ``indent=2``, or with ``compact``
     the text it gives with ``separators=(",", ":")``, byte for byte, for the
-    values a report holds: dicts with str keys, lists, str, int, bool and None.
-    Every indented JSON document the package writes goes through it: the C
-    encoder does not take ``indent``, so ``json.dumps`` with it is slower.
+    values a report holds: dicts with str keys, lists, str, int, bool, None
+    and ``_Table``, written as the list of records it stands for. Every JSON
+    document the package writes goes through it.
 
-    A bool or None is written as its literal, any other value by
-    ``json.dumps``. The text is gathered in pieces and joined once; a list
-    of integers is joined in one piece. A ``_Table`` is rendered from the
-    columns it holds, as the list of records it stands for, by one row
-    template filled once per row; a ``lists`` column renders each distinct
-    list once, such as a witness divisor that several pairs share.
+    Compact text comes from _COMPACT, one stdlib encoder made once; its C
+    path hands a ``_Table`` to the ``default`` hook _records. The C encoder
+    does not take ``indent``, so indented text is built here: a bool or None
+    is written as its literal, any other value by ``json.dumps``; the text
+    is gathered in pieces and joined once, a list of integers in one piece;
+    a ``_Table`` is rendered from its columns by one row template filled
+    once per row, and a ``lists`` column renders each distinct list once,
+    such as a witness divisor that several pairs share.
     """
+    if compact:
+        return _COMPACT.encode(obj)
     out: list[str] = []
-    _render(obj, "" if compact else "\n", "" if compact else "  ", out)
+    _render(obj, "\n", out)
     return "".join(out)
 
 
-def _render(obj, newline: str, step: str, out: list[str]) -> None:
-    """Append the pieces of the text of ``obj`` to ``out``; see render_json.
-    ``newline`` is the line break plus the indentation of the current level,
-    and ``step`` one level of indentation; compact text has neither."""
-    inner = newline + step
+# one level of indentation of render_json's indented text
+_STEP = "  "
+
+
+def _render(obj, newline: str, out: list[str]) -> None:
+    """Append the pieces of the indented text of ``obj`` to ``out``; see
+    render_json. ``newline`` is the line break plus the indentation of the
+    current level."""
+    inner = newline + _STEP
     if isinstance(obj, list):
         if not obj:
             out.append("[]")
             return
-        text = _int_list_text(obj, newline, step)
+        text = _int_list_text(obj, newline)
         if text is not None:
             out.append(text)
             return
         sep, comma = "[" + inner, "," + inner
         for x in obj:
             out.append(sep)
-            _render(x, inner, step, out)
+            _render(x, inner, out)
             sep = comma
         out.append(newline + "]")
     elif isinstance(obj, dict):
         if not obj:
             out.append("{}")
             return
-        sep, comma, colon = "{" + inner, "," + inner, ": " if step else ":"
+        sep, comma = "{" + inner, "," + inner
         for k, v in obj.items():
-            out.append(sep + encode_basestring_ascii(k) + colon)
-            _render(v, inner, step, out)
+            out.append(sep + encode_basestring_ascii(k) + ": ")
+            _render(v, inner, out)
             sep = comma
         out.append(newline + "}")
     elif isinstance(obj, str):
@@ -563,17 +574,17 @@ def _render(obj, newline: str, step: str, out: list[str]) -> None:
     elif type(obj) is bool or obj is None:
         out.append("null" if obj is None else "true" if obj else "false")
     elif type(obj) is _Table:
-        _render_columns(obj, newline, step, out)
+        _render_columns(obj, newline, out)
     else:
         out.append(json.dumps(obj))
 
 
-def _int_list_text(xs: list, newline: str, step: str) -> str | None:
-    """The text of the non-empty list ``xs`` at ``newline`` if it holds only
-    ints, else None."""
+def _int_list_text(xs: list, newline: str) -> str | None:
+    """The indented text of the non-empty list ``xs`` at ``newline`` if it
+    holds only ints, else None."""
     if set(map(type, xs)) != {int}:
         return None
-    inner = newline + step
+    inner = newline + _STEP
     return "[" + inner + ("," + inner).join(map(str, xs)) + newline + "]"
 
 
@@ -591,9 +602,18 @@ class _Table:
     n: int
 
 
-def _render_columns(table: _Table, newline: str, step: str, out: list[str]) -> None:
-    """Append the text of ``table``; raise ValueError if a list of a
-    ``lists`` field is empty or holds anything but ints.
+def _int_lists(col) -> dict:
+    """The distinct lists of the ``lists`` column ``col``, by id; raise
+    ValueError if one is empty or holds anything but ints."""
+    lists = dict(zip(map(id, col), col))
+    if any(set(map(type, x)) != {int} for x in lists.values()):
+        raise ValueError("a table column of lists must hold non-empty lists of ints")
+    return lists
+
+
+def _render_columns(table: _Table, newline: str, out: list[str]) -> None:
+    """Append the indented text of ``table``; see _int_lists for the lists
+    it refuses.
 
     An int fills a ``%d`` slot of one row template. An int list of a
     ``lists`` field is text from _int_list_text, once per list object, and
@@ -607,10 +627,9 @@ def _render_columns(table: _Table, newline: str, step: str, out: list[str]) -> N
     if keys is None:
         heads, bracket = [""] * len(fields), "[]"
     else:
-        colon = ": " if step else ":"
-        heads, bracket = [encode_basestring_ascii(k).replace("%", "%%") + colon for k in keys], "{}"
-    inner = newline + step
-    cell = inner + step  # the newline of a value in a row
+        heads, bracket = [encode_basestring_ascii(k).replace("%", "%%") + ": " for k in keys], "{}"
+    inner = newline + _STEP
+    cell = inner + _STEP  # the newline of a value in a row
     template, slots, cuts = bracket[0], [], []
     for head, (kind, col) in zip(heads, fields):
         template += cell + head
@@ -618,14 +637,11 @@ def _render_columns(table: _Table, newline: str, step: str, out: list[str]) -> N
             template += "%d"
             slots.append(col)
         elif kind == "ints":
-            deeper = cell + step
+            deeper = cell + _STEP
             template += "[" + deeper + ("," + deeper).join(["%d"] * len(col)) + cell + "]"
             slots.extend(col)
         else:
-            lists = dict(zip(map(id, col), col))
-            texts = {i: _int_list_text(x, cell, step) for i, x in lists.items()}
-            if None in texts.values():
-                raise ValueError("a table column of lists must hold non-empty lists of ints")
+            texts = {i: _int_list_text(x, cell) for i, x in _int_lists(col).items()}
             cuts += [_fill(template, slots, n), map(texts.__getitem__, map(id, col))]
             template, slots = "", []
         template += ","
@@ -640,6 +656,28 @@ def _fill(template: str, slots: list, n: int):
     """The ``n`` row texts of ``template`` filled from the columns ``slots``;
     a template without slots still goes through ``%`` to undo its ``%%``."""
     return map(template.__mod__, zip(*slots)) if slots else repeat(template % (), n)
+
+
+def _records(obj):
+    """The ``default`` hook of _COMPACT: a _Table as the list of records it
+    stands for, its ``lists`` fields checked by _int_lists. Any other value
+    is refused as the stdlib refuses it."""
+    if type(obj) is not _Table:
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+    cols = []
+    for kind, col in obj.fields:
+        if kind == "ints":
+            col = list(zip(*col))
+        elif kind == "lists":
+            _int_lists(col)
+        cols.append(col)
+    if obj.keys is None:
+        return list(zip(*cols))
+    return [dict(zip(obj.keys, row)) for row in zip(*cols)]
+
+
+# compact text: the stdlib's C encoder, made once; see render_json
+_COMPACT = json.JSONEncoder(separators=(",", ":"), default=_records)
 
 
 def serialize_graph_json(g: ResolutionGraph) -> str:
@@ -729,8 +767,10 @@ def validate(g: ResolutionGraph) -> ValidationReport:
 
 
 def _nonminimal(g: ResolutionGraph) -> tuple[int, ...]:
-    """The genus-0 (-1)-curves of g, which a minimal resolution lacks."""
-    return tuple([i for i, (p, w) in enumerate(zip(g.genera, g.weights)) if p == 0 and w == -1])
+    """The genus-0 (-1)-curves of g, which a minimal resolution lacks: the
+    (-1)-curves its matrix keeps, less those of positive genus."""
+    genera = g.genera
+    return tuple([i for i in g._matrix._minus_ones if not genera[i]])
 
 
 def canonical_intersections(g: ResolutionGraph) -> tuple[int, ...]:

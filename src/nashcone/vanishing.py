@@ -17,7 +17,7 @@ from itertools import chain, compress, product
 from operator import add
 
 from .cone import Divisor
-from .graph import ResolutionGraph, canonical_intersections
+from .graph import ResolutionGraph, _problems, _refuse, canonical_intersections
 
 __all__ = [
     "CriterionResult",
@@ -42,12 +42,14 @@ class CriterionResult:
 
 
 def _pairings(g: ResolutionGraph, D: Divisor):
-    """M, M.D and the canonical vector k, for an effective nonzero D on g."""
+    """M, M.D and the canonical vector k, for an effective nonzero D on g;
+    a graph that validate calls unanalyzable is refused (graph._refuse)."""
+    M = g.intersection_matrix()
+    _refuse(_problems(M))
     if D.n != g.n:
         raise ValueError(f"divisor has {D.n} coefficients, graph has {g.n} vertices")
     if not D.is_effective() or D.is_zero():
         raise ValueError("divisor must be effective and nonzero")
-    M = g.intersection_matrix()
     return M, M.mulvec(D.coeffs), canonical_intersections(g)
 
 

@@ -639,6 +639,25 @@ def connected_by_union(mult) -> bool:
     return len({root(i) for i in range(len(mult))}) == 1
 
 
+def refusal_by_definition(weights, mult) -> str | None:
+    """The message the library refuses a graph with, or None if the graph is
+    analyzable: negative definiteness by the Sylvester test of
+    _leading_minors_negdef on the matrix written out from the weights and
+    multiplicities, connectivity by connected_by_union, in validate's words."""
+    n = len(weights)
+    rows = [[weights[i] if i == j else mult[i][j] for j in range(n)] for i in range(n)]
+    problems = [] if _leading_minors_negdef(rows) else ["intersection matrix is not negative definite"]
+    if not connected_by_union(mult):
+        problems.append("dual graph is disconnected")
+    return "; ".join(problems) or None
+
+
+def nonminimal_by_scan(genera, weights) -> tuple[int, ...]:
+    """The genus-0 (-1)-curves, by a scan of every vertex: graph._nonminimal
+    before it read the (-1)-curves the intersection matrix keeps."""
+    return tuple([i for i, (p, w) in enumerate(zip(genera, weights)) if p == 0 and w == -1])
+
+
 def iii_by_definition(weights, mult) -> bool:
     """Condition (iii) of the structural check as stated: |w_i| > gamma_i,
     the sum of row i of ``mult``, at every vertex."""

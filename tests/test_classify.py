@@ -1,4 +1,6 @@
+import dataclasses
 from itertools import islice, product
+from operator import mul
 from unittest import mock
 
 import pytest
@@ -21,9 +23,9 @@ from nashcone import (
     structural_rationality,
     validate,
 )
-from nashcone.classify import _negdef_weights, _structures
+from nashcone.classify import ClassificationReport, _negdef_weights, _structures
 from nashcone.cli import report_to_dict
-from nashcone.graph import ResolutionGraph, _genus_variant, is_connected, render_json
+from nashcone.graph import ResolutionGraph, _genus_variant, _nonminimal, is_connected, render_json
 
 from oracles import (
     _leading_minors_negdef,
@@ -32,6 +34,9 @@ from oracles import (
     graphs_isomorphic,
     halfspace_coverage,
     iii_by_definition,
+    mulvec_dense,
+    nonminimal_by_scan,
+    refusal_by_definition,
     structures_by_orbit_marking,
 )
 
@@ -280,6 +285,12 @@ def _graphs(draw):
 @settings(max_examples=300, deadline=None)
 @given(_graphs())
 def test_iii_flag_matches_its_definition(g):
+    refusal = refusal_by_definition(g.weights, g.mult)
+    if refusal is not None:  # the structural check answers for analyzable graphs only
+        with pytest.raises(ValueError) as exc:
+            structural_rationality(g)
+        assert str(exc.value) == refusal
+        return
     assert structural_rationality(g).iii_holds is iii_by_definition(g.weights, g.mult)
 
 
@@ -306,6 +317,10 @@ def test_tree_flag_matches_the_edge_list_definition(two_vertex):
         edges = g.edges()
         connected = is_connected(g.mult)
         tree = connected and all(m == 1 for _, _, m in edges) and len(edges) == g.n - 1
+        if not connected:  # refused, as validate calls it unanalyzable
+            with pytest.raises(ValueError, match="^dual graph is disconnected$"):
+                structural_rationality(g)
+            continue
         assert structural_rationality(g).tree == tree
         trees += tree
     assert 0 < trees < len(graphs)
@@ -313,9 +328,40 @@ def test_tree_flag_matches_the_edge_list_definition(two_vertex):
 
 @pytest.mark.parametrize("bounds", [(3, -3, 1, 2), (4, -4, 1, 1), (3, -2, 1, 1)])
 def test_pa_from_the_kept_self_intersection_matches_arithmetic_genus(bounds):
-    # nash_verdict keeps Z.Z on the shared matrix; K.Z differs per genus variant
+    # nash_verdict keeps the part of Z.Z + K.Z without the genera on the
+    # shared matrix; 2 sum Z_i g_i differs per genus variant
     for g in enumerate_graphs(*bounds):
         assert nash_verdict(g).pa_fundamental == arithmetic_genus(g, fundamental_cycle(g))
+
+
+@pytest.mark.parametrize("bounds", [(4, -4, 1, 1), (3, -3, 1, 2), (5, -3, 1, 1)])
+def test_per_line_shortcuts_match_their_plain_forms(bounds):
+    # every graph, genus variants included: p_a from the kept part, minimality
+    # from the kept (-1)-curves, and the report filled in without __init__
+    names = [f.name for f in dataclasses.fields(ClassificationReport)]
+    variants = nonminimal = 0
+    previous = None
+    for g in enumerate_graphs(*bounds):
+        M = g.intersection_matrix()
+        variants += M is previous  # genus variants come one after another
+        previous = M
+        r = nash_verdict(g)
+        Z = fundamental_cycle(g)
+        # p_a(Z) = 1 + (Z.Z + K.Z)/2, with K.E_i = 2 g_i - 2 - w_i, over the written-out matrix
+        rows = [[w if i == j else m for j, m in enumerate(row)]
+                for i, (w, row) in enumerate(zip(g.weights, g.mult))]
+        total = sum(map(mul, Z.coeffs, mulvec_dense(rows, Z.coeffs)))
+        total += sum(z * (2 * p - 2 - w) for z, p, w in zip(Z.coeffs, g.genera, g.weights))
+        assert r.pa_fundamental == arithmetic_genus(g, Z) == 1 + total // 2
+        assert _nonminimal(g) == nonminimal_by_scan(g.genera, g.weights)
+        fields = {name: getattr(r, name) for name in names}
+        plain = ClassificationReport(**fields)
+        assert r == plain
+        assert vars(r) == vars(plain)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            r.pa_fundamental = 0
+        nonminimal += bool(_nonminimal(g))
+    assert variants and nonminimal
 
 
 def test_nash_verdict_rejects_unanalyzable():

@@ -13,14 +13,18 @@ from nashcone import (
     IntersectionMatrix,
     ResolutionGraph,
     check_star,
+    check_star_star,
     enumerate_graphs,
     fundamental_cycle,
     is_rational_artin,
+    laufer_criterion,
     lipman_status,
     make_family,
     nash_verdict,
     pair,
+    realization_criterion,
     star_witness,
+    structural_rationality,
     validate,
 )
 from nashcone.cone import neg_adjugate, neg_inverse
@@ -217,6 +221,25 @@ def test_library_refuses_what_validate_calls_unanalyzable(weights, mult, message
     else:
         calls += [lambda: neg_adjugate(M), lambda: neg_inverse(M)]
     for call in calls:
+        with pytest.raises(ValueError) as exc:
+            call()
+        assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("weights,mult,message", [
+    # two disjoint -2 curves: negative definite, but two singularities
+    ((-2, -2), ((0, 0), (0, 0)), "dual graph is disconnected"),
+    # two -1 curves meeting twice: det(-M) = -3
+    ((-1, -1), ((0, 2), (2, 0)), "intersection matrix is not negative definite"),
+])
+def test_criteria_and_flags_refuse_what_validate_calls_unanalyzable(weights, mult, message):
+    # (**), the structural check and both vanishing criteria refuse such a
+    # graph in validate's words, as the (*) and Z paths do
+    g = ResolutionGraph(weights=weights, genera=(0, 0), mult=mult)
+    assert "; ".join(validate(g).problems) == message
+    D = Divisor((1, 1))
+    for call in (lambda: check_star_star(g), lambda: structural_rationality(g),
+                 lambda: realization_criterion(g, D), lambda: laufer_criterion(g, D)):
         with pytest.raises(ValueError) as exc:
             call()
         assert str(exc.value) == message

@@ -785,6 +785,19 @@ def test_render_json_refuses_a_column_table_of_other_lists(column):
         render_json([_Table(("divisor",), (("lists", column),), 2)])
 
 
+@pytest.mark.parametrize("column", [[[1], []], [[1], [1, True]], [[1], ["1"]]])
+def test_render_json_compact_refuses_a_column_table_of_other_lists(column):
+    # the compact writer expands a table into its records and checks its
+    # lists as the indented writer does
+    table = _Table(("divisor",), (("lists", column),), 2)
+    with pytest.raises(ValueError) as indented:
+        render_json([table])
+    with pytest.raises(ValueError) as compact:
+        render_json([table], compact=True)
+    assert str(compact.value) == str(indented.value)
+    assert str(compact.value) == "a table column of lists must hold non-empty lists of ints"
+
+
 @contextlib.contextmanager
 def _no_int_str_cap():
     cap = sys.get_int_max_str_digits()
