@@ -23,16 +23,16 @@ connectivity, edges and row sums E.E_i that the matrix computes once, as
 (**) and Laufer's sequence read those row sums; genera enter only the
 canonical pairing K.Z, p_a, minimality, the genus flag and the notes.
 The enumerator builds the first graph of each weight tuple with every
-check, and each further genus variant from it: only the genera are
-checked, and the variant shares the first graph's weights, mult and
-matrix object. nash_verdict keeps one record on the matrix, so an
-``enumerate`` run checks a whole graph, tests connectivity and computes
-the matrix-only results once per distinct intersection matrix, and
-validates once per matrix and genus key. Per graph there remain the genus
-checks, the key, the genus part of p_a and the report. The ``enumerate``
-command keeps its line template on the matrix as well (see
-cli._enum_line), so per graph it writes only the genera and p_a and
-looks up the texts of the rest.
+check, and each further genus variant from it: nothing is checked, as
+_genus_tuples makes only n-tuples of ints in 0..max_genus, and the variant
+shares the first graph's weights, mult and matrix object. nash_verdict
+reads one record kept on the matrix, and validates after it, once per
+matrix and genus key; so an ``enumerate`` run checks a whole graph, tests
+connectivity and computes the matrix-only results once per distinct
+intersection matrix. Per graph there remain the key, the genus part of
+p_a and the report. The ``enumerate`` command keeps its line template on
+the matrix as well (see cli._enum_line), so per graph it writes only the
+genera and p_a and looks up the texts of the rest.
 """
 
 from __future__ import annotations
@@ -54,6 +54,7 @@ from .graph import (
     _neg_factor,
     _nonminimal,
     _problems,
+    _quote,
     _refuse,
     IntersectionMatrix,
     ResolutionGraph,
@@ -157,7 +158,7 @@ def _genus(g: ResolutionGraph, D: Divisor, free: int) -> int:
     not a domain condition."""
     total = free + 2 * sum(map(mul, D.coeffs, g.genera))
     if total % 2 != 0:
-        raise InternalInvariantError(f"D.D + K.D = {total} is odd; adjunction parity broken")
+        raise InternalInvariantError(f"D.D + K.D of {total.bit_length()} bits is odd; adjunction broken")
     return 1 + total // 2
 
 
@@ -200,39 +201,35 @@ _INCONCLUSIVE_NOTE = (
 def nash_verdict(g: ResolutionGraph) -> ClassificationReport:
     """Full report for one graph.
 
-    Raises ValueError when the graph is not analyzable (graph._refuse); a
-    non-minimal graph only produces a warning note and the analysis
-    proceeds.
+    Raises ValueError, in validate's words, when the graph is not
+    analyzable (check_star_star, which _record runs first); a non-minimal
+    graph only produces a warning note and the analysis proceeds.
 
     The intersection matrix object keeps one record: (**), (*) with its
     witnesses, Z, Z.Z and the verdict, which depend on the matrix alone,
     and ``parts``, a dict from the key (genus-0 (-1)-curves, all genera
     zero) to the validation and structural reports and the notes, which
-    validate and structural_rationality fill for a new key. The key decides
-    all three: graphs that share a matrix object are one graph and its
-    genus variants (graph._genus_variant), which hold the same weights,
-    mult and labels. Per graph there remain the key, one lookup, p_a (the
-    kept part of Z.Z + K.Z plus 2 sum Z_i g_i) and the report, which shares
-    the kept objects (see ClassificationReport) and is filled in as
-    graph._genus_variant fills a graph. The record lives and dies with the
-    matrix: a graph built afresh is analyzed afresh.
+    validate and structural_rationality fill, after the record, for a new
+    key. The key decides all three: graphs that share a matrix object are
+    one graph and its genus variants (graph._genus_variant), which hold the
+    same weights, mult and labels. Per graph there remain the key, one
+    lookup, p_a (the kept part of Z.Z + K.Z plus 2 sum Z_i g_i) and the
+    report, which shares the kept objects (see ClassificationReport) and is
+    filled in as graph._genus_variant fills a graph. The record lives and
+    dies with the matrix: a graph built afresh is analyzed afresh.
     """
-    M = g.intersection_matrix()
+    (star_star, star, Z, free), verdict, kept = _kept(g.intersection_matrix(), "_verdict", lambda: _record(g))
     key = (_nonminimal(g), not any(g.genera))
-    record = M.__dict__.get("_verdict")
-    parts = None if record is None else record[2].get(key)
+    parts = kept.get(key)
     if parts is None:
         report = validate(g)
-        report.require_analyzable()
-        record = _kept(M, "_verdict", lambda: _record(g))
         structural = structural_rationality(g)
         notes = list(report.warnings)
         if structural.all_genus_zero:
             notes.append(_GENUS_NOTE)
-        if record[1] is NashVerdict.INCONCLUSIVE:
+        if verdict is NashVerdict.INCONCLUSIVE:
             notes.append(_INCONCLUSIVE_NOTE)
-        parts = record[2][key] = (report, structural, tuple(notes))
-    (star_star, star, Z, free), verdict, _ = record
+        parts = kept[key] = (report, structural, tuple(notes))
     validation, structural, notes = parts
     pa = _genus(g, Z, free)
     # the fields of a frozen report, set as _genus_variant sets a graph's
@@ -268,11 +265,11 @@ def make_family(kind: str, *params: int) -> ResolutionGraph:
     """
     arity = {"an": 1, "dn": 1, "star3": 1, "vertex": 2, "cycle": 2}
     if kind not in arity:
-        raise ValueError(f"unknown family kind: {kind!r}")
+        raise ValueError(f"unknown family kind: {_quote(kind)}")
     if len(params) != arity[kind]:
         raise ValueError(f"family {kind!r} takes {arity[kind]} parameter(s), got {len(params)}")
     if kind in ("an", "dn", "cycle") and params[0] > MAX_VERTICES:
-        raise ValueError(f"{kind}: vertex count {params[0]} exceeds the cap of {MAX_VERTICES}")
+        raise ValueError(f"{kind}: vertex count {_quote(params[0])} exceeds the cap of {MAX_VERTICES}")
     genera = None
     if kind == "an":
         (n,) = params
@@ -447,8 +444,8 @@ def _negdef_weights(mult, weight_range: range):
 
 
 def _genus_tuples(max_genus: int, n: int):
-    """The n-tuples over 0..max_genus in product order, made one at a time:
-    itertools.product would first build a pool of max_genus + 1 values."""
+    """The n-tuples of ints over 0..max_genus that graph._genus_variant
+    trusts, in product order, one at a time (itertools.product pools first)."""
     genera = [0] * n
     while True:
         yield tuple(genera)
@@ -477,9 +474,9 @@ def enumerate_graphs(max_vertices: int, min_weight: int, max_genus: int, max_mul
     genera, each in increasing product order. The
     first graph of a weight tuple is built with every ResolutionGraph
     check; each further one is its genus variant (graph._genus_variant),
-    which checks only its genera and holds the first graph's weights, mult
-    and intersection matrix object, and with it what validate and
-    nash_verdict keep on the matrix.
+    which checks nothing, as _genus_tuples makes its genera, and holds the
+    first graph's weights, mult and intersection matrix object, and with it
+    what validate and nash_verdict keep on the matrix.
 
     Structures are grown one vertex at a time from the classes one vertex
     smaller, and only those whose matrix is negative definite with every
@@ -512,8 +509,8 @@ def enumerate_graphs(max_vertices: int, min_weight: int, max_genus: int, max_mul
     # base >= 2, so a long exponent alone settles it, before any huge power
     if pairs >= ENCODING_TABLE_CAP.bit_length() or base ** pairs > ENCODING_TABLE_CAP:
         raise ValueError(
-            f"{max_vertices} vertices with edge multiplicities up to {max_mult} exceed the "
-            f"enumeration table cap of {ENCODING_TABLE_CAP} bytes"
+            f"{_quote(max_vertices)} vertices with edge multiplicities up to {_quote(max_mult)} "
+            f"exceed the enumeration table cap of {ENCODING_TABLE_CAP} bytes"
         )
 
     weight_range = range(min_weight, 0)

@@ -106,14 +106,13 @@ def _matrix_dict(r: ClassificationReport) -> dict:
     """The report keys ``star_star``, ``star`` and ``fundamental_cycle``,
     which depend on the intersection matrix alone.
 
-    The witnesses and the failing pairs are graph._Table values, which only
-    render_json reads: two int columns for the pairs and, for the
-    witnesses, a column of the divisors' coefficient tuples. Pairs that
-    share a witness ``Divisor`` share its tuple, so render_json writes its
-    text once. No dict or list is built per pair.
+    The witnesses and the failing pairs, in check_star's order, are
+    graph._Table values, which only render_json reads: two int columns for
+    the pairs and, for the witnesses, a column of the divisors' coefficient
+    tuples. Pairs that share a witness ``Divisor`` share its tuple, so
+    render_json writes its text once. No dict or list is built per pair.
     """
     found = r.star.witnesses
-    pairs = sorted(found)
     return {
         "star_star": {
             "holds": r.star_star.holds,
@@ -122,9 +121,9 @@ def _matrix_dict(r: ClassificationReport) -> dict:
         "star": {
             "holds": r.star.holds,
             "witnesses": _Table(("pair", "divisor"), (
-                ("ints", _one_based(pairs)), ("lists", [found[p].coeffs for p in pairs]),
-            ), len(pairs)),
-            "failing_pairs": _index_table(sorted(r.star.failing_pairs)),
+                ("ints", _one_based(found)), ("lists", [w.coeffs for w in found.values()]),
+            ), len(found)),
+            "failing_pairs": _index_table(r.star.failing_pairs),
         },
         "fundamental_cycle": list(r.fundamental_cycle.coeffs),
     }
@@ -166,10 +165,10 @@ def _text_report(r: ClassificationReport) -> str:
     if r.star.holds:
         lines.append("star: holds")
     else:
-        pairs = " ".join(f"({lab(i)},{lab(j)})" for i, j in sorted(r.star.failing_pairs))
+        pairs = " ".join(f"({lab(i)},{lab(j)})" for i, j in r.star.failing_pairs)
         lines.append(f"star: fails (failing pairs: {pairs})")
     texts: dict[int, str] = {}  # id of a witness Divisor -> its coefficients, joined once
-    for (i, j), w in sorted(r.star.witnesses.items()):
+    for (i, j), w in r.star.witnesses.items():
         text = texts.get(id(w))
         if text is None:
             text = texts[id(w)] = " ".join(map(str, w.coeffs))

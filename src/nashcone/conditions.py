@@ -68,6 +68,8 @@ class StarCertificate:
     strictly smaller coefficient at i than at j; it exists for every
     ordered pair exactly when the condition holds. ``failing_pairs`` lists
     the pairs whose half-space misses the entire cone. 0-based indices.
+    check_star fills both in lexicographic pair order, i ascending, then j
+    ascending, and the reports keep it.
     """
 
     holds: bool
@@ -129,15 +131,11 @@ class _Adjugate:
                 c = gcd(self.d << t, *w)
                 witness = Divisor(tuple(w) if c == 1 else tuple([x // c for x in w]))
                 if lipman_status(witness, self.M) is not ConeStatus.STRICT_LIPMAN:
-                    raise InternalInvariantError(
-                        f"synthesized witness {witness.coeffs} failed re-verification for pair ({i}, {j})"
-                    )
+                    raise _unverified(witness, k, t, i, j)
                 classes[(k, t)] = witness
             coeffs = witness.coeffs
             if not coeffs[i] < coeffs[j]:
-                raise InternalInvariantError(
-                    f"synthesized witness {coeffs} failed re-verification for pair ({i}, {j})"
-                )
+                raise _unverified(witness, k, t, i, j)
             witnesses[(i, j)] = witness
 
     def witness(self, i: int, j: int) -> Divisor | None:
@@ -154,6 +152,14 @@ class _Adjugate:
             v = M.mulvec(A[r])
             if not (d > 0 and v[r] == -d and v.count(0) == len(v) - 1):
                 raise InternalInvariantError(f"row {r} of adj(-M) failed re-verification against M")
+
+
+def _unverified(witness: Divisor, k: int, t: int, i: int, j: int) -> InternalInvariantError:
+    """The error for a witness of class (k, t) that failed for the pair (i, j),
+    sized in bits: it is raised before cli._write lifts the cap on int text."""
+    return InternalInvariantError(f"synthesized witness of class (k, t) = ({k}, {t}), of up to "
+                                  f"{max(map(int.bit_length, witness.coeffs))} bits, "
+                                  f"failed re-verification for pair ({i}, {j})")
 
 
 def check_star(g: ResolutionGraph) -> StarCertificate:

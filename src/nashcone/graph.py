@@ -26,9 +26,9 @@ structure and weight tests run too. The matrix keeps the factor once
 built, so each graph is eliminated once; cone.neg_adjugate continues the
 same factor, by one back-substitution, to the integer adjugate that every
 cone computation reads. ``_genus_variant`` builds a graph that differs from
-another only in its genera: it checks just the genera and shares the
-other graph's weights, mult, labels and matrix object (the enumerator
-builds every genus variant of a weight tuple so).
+another only in its genera: it checks nothing, as its one caller, the
+enumerator, makes every genus tuple itself (n ints in 0..max_genus), and
+shares the other graph's weights, mult, labels and matrix object.
 """
 
 from __future__ import annotations
@@ -98,8 +98,13 @@ class ResolutionGraph:
         if not set(map(type, chain.from_iterable(self.mult))) <= {int}:
             raise ValueError("intersection multiplicities must be integers")
         if max(self.weights) > -1:
-            raise _FieldError("weights", f"weight {max(self.weights)} must be <= -1")
-        _check_genera(self.genera, n)
+            raise _FieldError("weights", f"weight {_quote(max(self.weights))} must be <= -1")
+        if len(self.genera) != n:
+            raise ValueError("weights, genera and mult must have matching size")
+        if any(type(x) is not int for x in self.genera):
+            raise ValueError("weights and genera must be integers")
+        if min(self.genera) < 0:
+            raise _FieldError("genera", f"genus {_quote(min(self.genera))} must be >= 0")
         # row against column; the first faulty row, then its first faulty entry, decides
         for i, (row, col) in enumerate(zip(self.mult, zip(*self.mult))):
             if row[i]:
@@ -114,11 +119,11 @@ class ResolutionGraph:
             # a label prints as itself: no space, control or format character
             for lab in self.labels:
                 if type(lab) is not str or not lab or not lab.isprintable() or " " in lab or "#" in lab:
-                    raise _FieldError("labels", f"invalid label {lab!r}")
+                    raise _FieldError("labels", f"invalid label {_quote(lab)}")
             if len(set(self.labels)) != n:
                 # a repeated label would make the text report ambiguous
                 lab = next(lab for k, lab in enumerate(self.labels) if lab in self.labels[:k])
-                raise _FieldError("labels", f"duplicate label {lab!r}")
+                raise _FieldError("labels", f"duplicate label {_quote(lab)}")
         object.__setattr__(self, "_matrix", IntersectionMatrix(tuple([
             (*row[:i], w, *row[i + 1:]) for i, (w, row) in enumerate(zip(self.weights, self.mult))
         ])))
@@ -154,24 +159,13 @@ def _kept(obj, key: str, build):
         return obj.__dict__[key]
 
 
-def _check_genera(genera, n: int) -> None:
-    """The checks ResolutionGraph makes on its genera: n of them, each an
-    int (not a bool) and >= 0."""
-    if len(genera) != n:
-        raise ValueError("weights, genera and mult must have matching size")
-    if any(type(x) is not int for x in genera):
-        raise ValueError("weights and genera must be integers")
-    if min(genera) < 0:
-        raise _FieldError("genera", f"genus {min(genera)} must be >= 0")
-
-
 def _genus_variant(source: ResolutionGraph, genera) -> ResolutionGraph:
     """``source`` with ``genera`` in place of its own. The variant holds the
     very ``weights``, ``mult`` and ``labels`` objects that source's
     __post_init__ checked, and source's intersection matrix object, with
-    what the matrix computed and what is kept on it; only the genera are
-    checked, by the checks ResolutionGraph makes on them."""
-    _check_genera(genera, source.n)
+    what the matrix computed and what is kept on it. Nothing is checked:
+    ``genera`` must be a tuple of source.n ints >= 0, as every tuple that
+    classify._genus_tuples makes for the enumerator is."""
     g = object.__new__(ResolutionGraph)
     g.__dict__.update(
         weights=source.weights, genera=genera, mult=source.mult, labels=source.labels,
@@ -353,7 +347,7 @@ def _build_graph(data: dict, lines: dict[str, int]) -> ResolutionGraph:
         raise GraphFormatError("vertex count must be a positive integer", lines.get("vertices"))
     if n > MAX_VERTICES:
         raise GraphFormatError(
-            f"vertex count {n} exceeds the cap of {MAX_VERTICES}", lines.get("vertices")
+            f"vertex count {_quote(n)} exceeds the cap of {MAX_VERTICES}", lines.get("vertices")
         )
     for key in _FIELDS[1:]:
         value = data.get(key)
@@ -370,12 +364,12 @@ def _build_graph(data: dict, lines: dict[str, int]) -> ResolutionGraph:
     for entry in data["edges"]:
         if not (isinstance(entry, list) and len(entry) == 3
                 and all(type(x) is int for x in entry)):
-            raise GraphFormatError(f"edge entry {entry!r} must be [i, j, m] with integer entries")
+            raise GraphFormatError(f"edge entry {_quote(entry)} must be [i, j, m] with integer entries")
         i, j, m = entry
         if not (1 <= i < j <= n):
-            raise GraphFormatError(f"edge {i}-{j} needs 1 <= i < j <= {n}", line)
+            raise GraphFormatError(f"edge {_quote(i)}-{_quote(j)} needs 1 <= i < j <= {n}", line)
         if m < 1:
-            raise GraphFormatError(f"edge multiplicity {m} must be >= 1", line)
+            raise GraphFormatError(f"edge multiplicity {_quote(m)} must be >= 1", line)
         if mult[i - 1][j - 1] != 0:
             raise GraphFormatError(f"duplicate edge {i}-{j}", line)
         mult[i - 1][j - 1] = mult[j - 1][i - 1] = m
@@ -401,9 +395,7 @@ def _input_int(tok: str, expected: str, line: int | None = None) -> int:
     A token ``int`` refuses raises GraphFormatError, with ``line`` if given.
     An integer literal refused only for having more digits than CPython's
     int/str conversion limit allows is reported as such; the limit stays in
-    force for input. Any other token reads "{expected}, got '...'", with a
-    long token cut to a prefix and its length stated, so that one bad token
-    cannot flood stderr.
+    force for input. Any other token reads "{expected}, got" and _quote(tok).
     """
     try:
         return int(tok)
@@ -412,12 +404,17 @@ def _input_int(tok: str, expected: str, line: int | None = None) -> int:
     cap = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
     digits = sum(map(str.isdecimal, tok))
     if cap and digits > cap and re.fullmatch(r"\s*[+-]?\d+(?:_\d+)*\s*", tok):
-        message = f"integer literal has {digits} digits; the limit is {cap}"
-    elif len(tok) <= _QUOTE_CHARS:
-        message = f"{expected}, got {tok!r}"
-    else:
-        message = f"{expected}, got {tok[:_QUOTE_CHARS]!r}... ({len(tok)} characters)"
-    raise GraphFormatError(message, line)
+        raise GraphFormatError(f"integer literal has {digits} digits; the limit is {cap}", line)
+    raise GraphFormatError(f"{expected}, got {_quote(tok)}", line)
+
+
+def _quote(value) -> str:
+    """``repr(value)`` in an input error; if the text (a str, else its repr)
+    is longer than _QUOTE_CHARS characters, only so many and its length."""
+    text, show = (value, repr) if type(value) is str else (repr(value), str)
+    if len(text) <= _QUOTE_CHARS:
+        return show(text)
+    return f"{show(text[:_QUOTE_CHARS])}... ({len(text)} characters)"
 
 
 def _json_loads(text: str):
@@ -457,7 +454,7 @@ def parse_graph(text: str) -> ResolutionGraph:
         key, sep, value = line.partition(":")
         key = key.strip().lower()
         if not sep or key not in _FIELDS:
-            raise GraphFormatError(f"unrecognized line {raw.strip()!r}", lineno)
+            raise GraphFormatError(f"unrecognized line {_quote(raw.strip())}", lineno)
         if key in fields:
             raise GraphFormatError(f"duplicate '{key}' line", lineno)
         fields[key] = (value.strip(), lineno)
@@ -478,7 +475,7 @@ def parse_graph(text: str) -> ResolutionGraph:
         head, sep, mstr = tok.partition(":")
         istr, sep2, jstr = head.partition("-")
         if not sep or not sep2:
-            raise GraphFormatError(f"malformed edge {tok!r} (want i-j:m)", lineno)
+            raise GraphFormatError(f"malformed edge {_quote(tok)} (want i-j:m)", lineno)
         data["edges"].append([
             _input_int(istr, "expected integer edge endpoint", lineno),
             _input_int(jstr, "expected integer edge endpoint", lineno),

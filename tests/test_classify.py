@@ -23,9 +23,9 @@ from nashcone import (
     structural_rationality,
     validate,
 )
-from nashcone.classify import ClassificationReport, _negdef_weights, _structures
+from nashcone.classify import ClassificationReport, _genus_tuples, _negdef_weights, _structures
 from nashcone.cli import report_to_dict
-from nashcone.graph import ResolutionGraph, _genus_variant, _nonminimal, is_connected, render_json
+from nashcone.graph import ResolutionGraph, _nonminimal, is_connected, render_json
 
 from oracles import (
     _leading_minors_negdef,
@@ -208,18 +208,14 @@ def test_genus_variants_match_fresh_graphs(bounds):
     assert 0 < variants < sum(1 for _ in enumerate_graphs(*bounds))
 
 
-@pytest.mark.parametrize("genera", [
-    (0, 0), (0, 0, 0, 0), (0, True, 0), (0, 1.0, 0), (0, "1", 0), (0, None, 0), (0, -1, 0), (-2, 0, -1),
-])
-def test_genus_variant_refuses_what_the_constructor_refuses(genera):
-    source = ResolutionGraph((-2, -3, -2), (0, 1, 0), ((0, 1, 0), (1, 0, 2), (0, 2, 0)), ("a", "b", "c"))
-    with pytest.raises(Exception) as built:
-        ResolutionGraph(source.weights, genera, source.mult, source.labels)
-    with pytest.raises(Exception) as varied:
-        _genus_variant(source, genera)
-    assert type(varied.value) is type(built.value)
-    assert str(varied.value) == str(built.value)
-    assert isinstance(built.value, ValueError)
+@pytest.mark.parametrize("max_genus,n", [(0, 1), (0, 4), (1, 1), (1, 3), (2, 2), (3, 4), (5, 1)])
+def test_genus_tuples_are_the_product_of_int_ranges(max_genus, n):
+    # graph._genus_variant checks no genera: it relies on every tuple the
+    # enumerator makes being n ints in 0..max_genus
+    tuples = list(_genus_tuples(max_genus, n))
+    assert tuples == list(product(range(max_genus + 1), repeat=n))
+    assert len(tuples) == (max_genus + 1) ** n
+    assert all(type(t) is tuple and len(t) == n and {type(x) for x in t} == {int} for t in tuples)
 
 
 @pytest.mark.parametrize("bounds", [(3, -3, 1, 2), (4, -4, 1, 1)])

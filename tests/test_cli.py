@@ -697,6 +697,72 @@ def test_huge_input_tokens_give_one_short_error_line(case, tmp_path, capsys):
         assert "(3000 characters)" in err
 
 
+_LONG = 100_000  # characters of a long string token
+_WIDE = int("9" * 4300)  # the widest int input may hold, at the digit cap
+_AN2 = {"vertices": 2, "weights": [-2, -2], "genera": [0, 0], "edges": [[1, 2, 1]]}
+
+# message -> the fields of an otherwise valid two-vertex graph that trigger
+# it, and the file formats in which it can occur
+_LONG_VALUE_CASES = {
+    "weight": ({"weights": [_WIDE, -2]}, ("text", "json")),
+    "genus": ({"genera": [-_WIDE, 0]}, ("text", "json")),
+    "vertex-count": ({"vertices": _WIDE}, ("text", "json")),
+    "edge-endpoints": ({"edges": [[_WIDE, _WIDE, 1]]}, ("text", "json")),
+    "edge-multiplicity": ({"edges": [[1, 2, -_WIDE]]}, ("text", "json")),
+    "invalid-label": ({"labels": ["x" * _LONG + "\x01", "b"]}, ("text", "json")),
+    "invalid-label-value": ({"labels": [[1] * _LONG, "b"]}, ("json",)),
+    "duplicate-label": ({"labels": ["x" * _LONG] * 2}, ("text", "json")),
+    "edge-entry": ({"edges": [[1] * _LONG]}, ("json",)),
+    "integer-token": ({"weights": ["x" * _LONG, "-2"]}, ("text",)),
+    "unrecognized-line": ({"z" * _LONG: ""}, ("text",)),
+    "malformed-edge": ({"edges": ["1" * _LONG]}, ("text",)),
+}
+
+
+def _graph_file_text(data: dict, fmt: str) -> str:
+    """``data`` as a graph file of format ``fmt``; a text-format edge given
+    as a str is written as it is."""
+    if fmt == "json":
+        return json.dumps(data)
+    lines = []
+    for key, value in data.items():
+        if key == "edges":
+            value = [e if isinstance(e, str) else "%d-%d:%d" % tuple(e) for e in value]
+        if isinstance(value, list):
+            value = " ".join(map(str, value))
+        lines.append(f"{key}: {value}" if value != "" else key)
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("case,fmt", [
+    (case, fmt) for case, (_, formats) in _LONG_VALUE_CASES.items() for fmt in formats
+])
+def test_long_values_in_graph_files_are_quoted_by_their_first_40_characters(case, fmt, tmp_path, capsys):
+    fields, _ = _LONG_VALUE_CASES[case]
+    path = tmp_path / f"g.{fmt}"
+    path.write_text(_graph_file_text({**_AN2, **fields}, fmt), encoding="utf-8")
+    assert main(["analyze", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and _one_error_line(err)
+    assert len(err) <= 200
+    assert "characters)" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["family", "k" * _LONG, "3"],
+    ["family", "an", str(_WIDE)],
+    ["enumerate", "--max-vertices", str(_WIDE), "--min-weight", "-2", "--max-genus", "0"],
+    ["enumerate", "--max-vertices", "2", "--min-weight", "-2", "--max-genus", "0",
+     "--max-mult", str(_WIDE)],
+], ids=["family-kind", "family-vertex-count", "enumerate-vertices", "enumerate-mult"])
+def test_long_values_in_arguments_are_quoted_by_their_first_40_characters(argv, capsys):
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and _one_error_line(err)
+    assert len(err) <= 200
+    assert "characters)" in err
+
+
 @pytest.mark.parametrize("kind", ["literal", "junk"])
 @pytest.mark.parametrize("option", ["--max-vertices", "--max-mult", "--pair"])
 def test_huge_integer_options_give_a_short_error(option, kind, graph_file, capsys):

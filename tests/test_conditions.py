@@ -1,3 +1,4 @@
+import contextlib
 import re
 import time
 from unittest import mock
@@ -17,7 +18,7 @@ from nashcone import (
     make_family,
     star_witness,
 )
-from nashcone import conditions
+from nashcone import classify, conditions
 from nashcone.cli import main
 from nashcone.cone import neg_inverse
 from nashcone.graph import serialize_graph
@@ -250,6 +251,57 @@ def test_failed_strictness_check_is_an_internal_error(tmp_path, capsys):
             check_star(make_family("an", 3))
         assert main(["analyze", str(path)]) == 2
     assert "internal error" in capsys.readouterr().err
+
+
+# the benchmark's analyze families
+_BENCH_FAMILIES = [(kind, n) for kind in ("an", "dn") for n in (10, 20, 30)] + [
+    ("cycle", n, -3) for n in (10, 20, 30)] + [("star3", 5)]
+
+
+def test_check_star_fills_its_pairs_in_lexicographic_order():
+    # the reports write witnesses and failing pairs in this order, unsorted
+    several_failing = 0
+    for g in [make_family(*f) for f in _BENCH_FAMILIES] + list(enumerate_graphs(4, -4, 1, 1)):
+        c = check_star(g)
+        assert list(c.witnesses) == sorted(c.witnesses)
+        assert list(c.failing_pairs) == sorted(c.failing_pairs)
+        several_failing += len(c.failing_pairs) > 1
+    assert several_failing
+
+
+_BIG = 10 ** 4200  # under the 4,300-digit cap on input, so a graph file may hold it
+
+
+@pytest.mark.parametrize("weights", [(-(_BIG + 1), -(_BIG + 3), -(_BIG + 7)), (-(_BIG - 1),) * 3])
+@pytest.mark.parametrize("verb,fault", [
+    ("analyze", "strictness"), ("analyze", "ordering"), ("analyze", "parity"),
+    ("witness", "strictness"), ("witness", "ordering"),
+])
+def test_internal_faults_on_huge_weights_give_one_short_line(verb, fault, weights, tmp_path, capsys):
+    # an internal error is raised before the digit cap on int text is
+    # lifted for output, so its message must not write out a witness or
+    # an intersection number of thousands of digits
+    path = tmp_path / "chain.graph"
+    path.write_text("vertices: 3\nweights: %d %d %d\ngenera: %d 0 0\nedges: 1-2:1 2-3:1\n"
+                    % (*weights, _BIG))  # the genus makes D.D + K.D = 2 p_a(Z) - 2 huge too
+    argv = ["analyze", str(path)] if verb == "analyze" else ["witness", str(path), "--pair", "1", "3"]
+    with contextlib.ExitStack() as stack:
+        if fault == "parity":
+            free = classify._genus_free
+            stack.enter_context(mock.patch.object(classify, "_genus_free",
+                                                  lambda D, M: free(D, M) + 1))
+        else:
+            status = ConeStatus.NOT_IN_CONE if fault == "strictness" else ConeStatus.STRICT_LIPMAN
+            stack.enter_context(mock.patch.object(conditions, "lipman_status", return_value=status))
+        if fault == "ordering":  # every synthesized witness reversed, so w[i] < w[j] fails
+            stack.enter_context(mock.patch.object(
+                conditions, "Divisor", lambda coeffs: Divisor(tuple([-x for x in coeffs]))))
+        assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("internal error: ") and err.count("\n") == 1
+    assert len(err) <= 200
+    assert ("odd" if fault == "parity" else "class (k, t)") in err
 
 
 def test_ordering_checked_for_every_pair_of_a_class():

@@ -22,7 +22,7 @@ from nashcone import (
     validate,
 )
 from nashcone.cone import ConeStatus, Divisor, lipman_status, neg_adjugate
-from nashcone.graph import MAX_VERTICES, _Table, is_connected, render_json
+from nashcone.graph import MAX_VERTICES, _quote, _Table, is_connected, render_json
 
 from oracles import (
     connected_by_union,
@@ -591,6 +591,21 @@ def test_value_errors_read_the_same_in_both_formats(change, fragment):
     line = ("vertices", "weights", "genera", "edges", "labels").index(key) + 1
     assert raw[0] == f"line {line}: {messages[0]}"
     assert raw[1] == messages[1]
+
+
+@pytest.mark.parametrize("value,quoted", [
+    # a token of at most 40 characters is quoted whole, as its repr
+    ("ab", "'ab'"), ("x" * 40, repr("x" * 40)), (-3, "-3"), (10 ** 39, str(10 ** 39)),
+    ([1, 2], "[1, 2]"), (None, "None"), ("a\x1bb", repr("a\x1bb")),
+    # a longer one by its first 40 characters and its length
+    ("x" * 41, repr("x" * 40) + "... (41 characters)"),
+    (-10 ** 40, "-1" + "0" * 38 + "... (42 characters)"),
+    ([7] * 20, "[7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, ... (60 characters)"),
+    # an escaped character still counts as one
+    ("\x01" * 50, repr("\x01" * 40) + "... (50 characters)"),
+])
+def test_quote_keeps_short_values_and_cuts_long_ones(value, quoted):
+    assert _quote(value) == quoted
 
 
 def test_vertex_cap_boundary():

@@ -64,7 +64,9 @@ def test_analyze_json_of_a_labelled_graph_agrees_with_its_graph(tmp_path, capsys
 
 def _mutants(doc):
     """The report with one (**) violation dropped, with one failing pair
-    dropped, and with Z one higher at its first vertex."""
+    dropped, with Z one higher at its first vertex, with its last note
+    dropped, with its first two notes swapped, and with one word of its
+    last note changed."""
     dropped = copy.deepcopy(doc)
     dropped["star_star"]["violations"].pop()
     yield dropped
@@ -74,6 +76,15 @@ def _mutants(doc):
     raised = copy.deepcopy(doc)
     raised["fundamental_cycle"][0] += 1
     yield raised
+    dropped = copy.deepcopy(doc)
+    dropped["notes"].pop()
+    yield dropped
+    swapped = copy.deepcopy(doc)
+    swapped["notes"][:2] = swapped["notes"][1::-1]
+    yield swapped
+    changed = copy.deepcopy(doc)
+    changed["notes"][-1] = changed["notes"][-1].replace(" only ", " alone ")
+    yield changed
 
 
 def test_verify_report_refuses_a_changed_report(tmp_path, capsys):
@@ -81,6 +92,7 @@ def test_verify_report_refuses_a_changed_report(tmp_path, capsys):
     path.write_text(_LABELLED)
     doc = json.loads(_stdout_of(capsys, ["analyze", "--json", str(path)]))
     assert doc["star_star"]["violations"] and doc["star"]["failing_pairs"]
+    assert len(doc["notes"]) == 2 and " only " in doc["notes"][-1]
     for mutant in _mutants(doc):
         with pytest.raises(AssertionError):
             verify_report(mutant)
