@@ -288,7 +288,7 @@ def make_family(kind: str, *params: int) -> ResolutionGraph:
             raise ValueError("star3: n must be >= 5")
         weights, edges = [-n, -n, -n, -2], [(1, 4), (2, 4), (3, 4)]
     elif kind == "vertex":
-        genus, weight = params  # ResolutionGraph checks their ranges
+        genus, weight = params  # _build_graph checks their ranges
         weights, genera, edges = [weight], [genus], []
     else:  # cycle
         m, weight = params

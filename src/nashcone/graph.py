@@ -6,18 +6,25 @@ downstream (cone membership, condition checks, classification) is a pure
 function of this data.
 
 Both file formats, the line-oriented text and its JSON mirror, are read
-into the same JSON-shaped dict and sent through one builder, which makes
-every count, list, edge and multiplicity check once; ResolutionGraph
-itself checks weight, genus and label ranges. A value error therefore
-reads the same in both formats, apart from the text format's ``line N:``
+into the same JSON-shaped dict and sent through one builder, which
+make_family uses too. It checks the vertex count, the lists and each edge
+entry, then the weights, genera and labels by _check_fields, and makes
+the graph and its matrix from the checked edge list, running no check
+twice: a file costs O(n + edges) Python steps plus the two n x n tuples,
+mult and the matrix entries. ResolutionGraph checks its table a row at a
+time and then calls _check_fields, so a field error reads the same on
+both routes, and in both formats apart from the text format's ``line N:``
 prefix. A file may declare at most MAX_VERTICES vertices: the builder
 refuses a larger count before it allocates the n x n multiplicity table.
 
-A graph builds its intersection matrix once, after its checks, and the
-matrix computes from its own entries, once, its edge list (which
-``edges()`` returns), its connectivity (which validation reads), its
-row sums E.E_i, which (**), (iii) and Laufer's sequence start from, and
-its (-1)-curves, among which minimality looks for genus 0.
+A graph builds its intersection matrix once, with itself. _facts
+computes what the matrix keeps, once, from its diagonal and its sorted
+edge list (the builder's checked edges, or the nonzeros above the
+diagonal of a table that ResolutionGraph or IntersectionMatrix checked):
+the edge list (which ``edges()`` returns), its connectivity (which
+validation reads), its row sums E.E_i, which (**), (iii) and Laufer's
+sequence start from, and its (-1)-curves, among which minimality looks
+for genus 0.
 Negative definiteness is read from one fraction-free factor of -M, the
 forward Bareiss pass of ``NegFactor``: its pivots are the leading
 principal minors of -M. It grows a column at a time by
@@ -38,7 +45,7 @@ import re
 import sys
 from dataclasses import dataclass
 from itertools import chain, compress, repeat
-from json.encoder import encode_basestring_ascii
+from json.encoder import c_make_encoder, encode_basestring_ascii
 from operator import mul
 
 from .errors import GraphFormatError
@@ -89,22 +96,10 @@ class ResolutionGraph:
             raise ValueError("graph needs at least one vertex")
         if len(self.mult) != n:
             raise ValueError("weights, genera and mult must have matching size")
-        # exact integers only: a float would leak into every sign decision,
-        # and bool is an int subclass that no graph file means as a number
-        if any(type(x) is not int for x in self.weights):
-            raise ValueError("weights and genera must be integers")
         if any(len(row) != n for row in self.mult):
             raise ValueError("mult must be a square matrix")
         if not set(map(type, chain.from_iterable(self.mult))) <= {int}:
             raise ValueError("intersection multiplicities must be integers")
-        if max(self.weights) > -1:
-            raise _FieldError("weights", f"weight {_quote(max(self.weights))} must be <= -1")
-        if len(self.genera) != n:
-            raise ValueError("weights, genera and mult must have matching size")
-        if any(type(x) is not int for x in self.genera):
-            raise ValueError("weights and genera must be integers")
-        if min(self.genera) < 0:
-            raise _FieldError("genera", f"genus {_quote(min(self.genera))} must be >= 0")
         # row against column; the first faulty row, then its first faulty entry, decides
         for i, (row, col) in enumerate(zip(self.mult, zip(*self.mult))):
             if row[i]:
@@ -113,20 +108,13 @@ class ResolutionGraph:
                 m = next(m for m, c in zip(row, col) if m < 0 or m != c)
                 raise ValueError("intersection multiplicities must be >= 0" if m < 0 else
                                  "mult must be symmetric")
-        if self.labels is not None:
-            if len(self.labels) != n:
-                raise _FieldError("labels", "labels must name every vertex")
-            # a label prints as itself: no space, control or format character
-            for lab in self.labels:
-                if type(lab) is not str or not lab or not lab.isprintable() or " " in lab or "#" in lab:
-                    raise _FieldError("labels", f"invalid label {_quote(lab)}")
-            if len(set(self.labels)) != n:
-                # a repeated label would make the text report ambiguous
-                lab = next(lab for k, lab in enumerate(self.labels) if lab in self.labels[:k])
-                raise _FieldError("labels", f"duplicate label {_quote(lab)}")
-        object.__setattr__(self, "_matrix", IntersectionMatrix(tuple([
+        _check_fields(self.weights, self.genera, self.labels, n)
+        entries = tuple([
             (*row[:i], w, *row[i + 1:]) for i, (w, row) in enumerate(zip(self.weights, self.mult))
-        ])))
+        ])
+        object.__setattr__(self, "_matrix", _facts(
+            object.__new__(IntersectionMatrix), entries, self.weights, _edges_above_diagonal(entries)
+        ))
 
     @property
     def n(self) -> int:
@@ -174,6 +162,36 @@ def _genus_variant(source: ResolutionGraph, genera) -> ResolutionGraph:
     return g
 
 
+def _check_fields(weights, genera, labels, n: int) -> None:
+    """The checks of the weights, genera and labels of a graph on n vertices,
+    in this order: ResolutionGraph runs them after its table checks, and
+    the file builder after its edge checks. A value out of range raises
+    _FieldError naming its file key."""
+    # exact integers only: a float would leak into every sign decision,
+    # and bool is an int subclass that no graph file means as a number
+    if any(type(x) is not int for x in weights):
+        raise ValueError("weights and genera must be integers")
+    if max(weights) > -1:
+        raise _FieldError("weights", f"weight {_quote(max(weights))} must be <= -1")
+    if len(genera) != n:
+        raise ValueError("weights, genera and mult must have matching size")
+    if any(type(x) is not int for x in genera):
+        raise ValueError("weights and genera must be integers")
+    if min(genera) < 0:
+        raise _FieldError("genera", f"genus {_quote(min(genera))} must be >= 0")
+    if labels is not None:
+        if len(labels) != n:
+            raise _FieldError("labels", "labels must name every vertex")
+        # a label prints as itself: no space, control or format character
+        for lab in labels:
+            if type(lab) is not str or not lab or not lab.isprintable() or " " in lab or "#" in lab:
+                raise _FieldError("labels", f"invalid label {_quote(lab)}")
+        if len(set(labels)) != n:
+            # a repeated label would make the text report ambiguous
+            lab = next(lab for k, lab in enumerate(labels) if lab in labels[:k])
+            raise _FieldError("labels", f"duplicate label {_quote(lab)}")
+
+
 @dataclass(frozen=True)
 class IntersectionMatrix:
     """Symmetric integer matrix of pairwise intersection numbers."""
@@ -187,19 +205,8 @@ class IntersectionMatrix:
         # compare each row with the matching column, a row at a time
         if any(tuple(row) != col for row, col in zip(self.entries, zip(*self.entries))):
             raise ValueError("intersection matrix must be symmetric")
-        # dual graphs are sparse: M.v costs O(n + edges), from the diagonal
-        # and the nonzeros above it, each edge taken once for both its ends
-        object.__setattr__(self, "_diag", tuple(row[i] for i, row in enumerate(self.entries)))
-        # the (-1)-curves, which _nonminimal reads
-        object.__setattr__(self, "_minus_ones", tuple([i for i, w in enumerate(self._diag) if w == -1]))
-        cols = range(n)
-        object.__setattr__(self, "_edges", tuple([
-            (i, j, row[j]) for i, row in enumerate(self.entries) for j in compress(cols, row) if j > i
-        ]))
-        # a nonzero diagonal entry links a vertex to itself only
-        object.__setattr__(self, "_connected", is_connected(self.entries))
-        # E.E_i = M.(1,...,1): condition (**), (iii) and Laufer's start read it
-        object.__setattr__(self, "_row_sums", self.mulvec((1,) * n))
+        _facts(self, self.entries, [row[i] for i, row in enumerate(self.entries)],
+               _edges_above_diagonal(self.entries))
 
     @property
     def n(self) -> int:
@@ -222,6 +229,38 @@ class IntersectionMatrix:
         """The fraction-free factor of -M, or None if M is not negative
         definite; built on the first call and kept."""
         return _kept(self, "_factor", lambda: _neg_factor(self.entries))
+
+
+def _facts(M: IntersectionMatrix, entries, diag, edges) -> IntersectionMatrix:
+    """``M`` with ``entries`` and the facts kept on it, computed from the
+    diagonal ``diag`` and ``edges``, the sorted (i, j, m) with i < j of the
+    nonzeros above it. Nothing is checked: every caller has checked the
+    table, or built it from checked edges."""
+    diag = tuple(diag)
+    # E.E_i = M.(1,...,1): condition (**), (iii) and Laufer's start read it
+    sums = list(diag)
+    for i, j, x in edges:
+        sums[i] += x
+        sums[j] += x
+    M.__dict__.update(
+        entries=entries,
+        # dual graphs are sparse: M.v costs O(n + edges), from the diagonal
+        # and the nonzeros above it, each edge taken once for both its ends
+        _diag=diag,
+        _edges=tuple(edges),
+        # the (-1)-curves, which _nonminimal reads
+        _minus_ones=tuple([i for i, w in enumerate(diag) if w == -1]),
+        # a nonzero diagonal entry links a vertex to itself only
+        _connected=is_connected(entries),
+        _row_sums=tuple(sums),
+    )
+    return M
+
+
+def _edges_above_diagonal(rows) -> list[tuple[int, int, int]]:
+    """The (i, j, rows[i][j]) with i < j and a nonzero entry, in row order."""
+    cols = range(len(rows))
+    return [(i, j, row[j]) for i, row in enumerate(rows) for j in compress(cols, row) if j > i]
 
 
 @dataclass(frozen=True)
@@ -339,8 +378,9 @@ def _build_graph(data: dict, lines: dict[str, int]) -> ResolutionGraph:
     ``edges`` as [i, j, m] lists with 1-based i < j, optional ``labels``.
     ``lines`` maps a key to the line it came from (text format only), so a
     value error reads the same in both formats apart from the line prefix.
-    Weight, genus and label ranges are left to ResolutionGraph, whose
-    errors name their field, so they get the same line prefix.
+    _check_fields' errors name their field, so they get the same line
+    prefix. The graph and its matrix are made as _genus_variant makes a
+    variant, with no check of their constructors run again.
     """
     n = data["vertices"]
     if type(n) is not int or n < 1:
@@ -361,9 +401,10 @@ def _build_graph(data: dict, lines: dict[str, int]) -> ResolutionGraph:
             )
     line = lines.get("edges")
     mult = [[0] * n for _ in range(n)]
+    edges = []
     for entry in data["edges"]:
         if not (isinstance(entry, list) and len(entry) == 3
-                and all(type(x) is int for x in entry)):
+                and type(entry[0]) is type(entry[1]) is type(entry[2]) is int):
             raise GraphFormatError(f"edge entry {_quote(entry)} must be [i, j, m] with integer entries")
         i, j, m = entry
         if not (1 <= i < j <= n):
@@ -373,16 +414,22 @@ def _build_graph(data: dict, lines: dict[str, int]) -> ResolutionGraph:
         if mult[i - 1][j - 1] != 0:
             raise GraphFormatError(f"duplicate edge {i}-{j}", line)
         mult[i - 1][j - 1] = mult[j - 1][i - 1] = m
-    labels = data.get("labels")
+        edges.append((i - 1, j - 1, m))
+    weights, genera = tuple(data["weights"]), tuple(data["genera"])
+    labels = None if data.get("labels") is None else tuple(data["labels"])
     try:
-        return ResolutionGraph(
-            weights=tuple(data["weights"]),
-            genera=tuple(data["genera"]),
-            mult=tuple(map(tuple, mult)),
-            labels=tuple(labels) if labels is not None else None,
-        )
-    except (TypeError, ValueError) as exc:
+        _check_fields(weights, genera, labels, n)
+    except ValueError as exc:
         raise GraphFormatError(str(exc), lines.get(getattr(exc, "key", None))) from exc
+    edges.sort()
+    g = object.__new__(ResolutionGraph)
+    g.__dict__.update(weights=weights, genera=genera, mult=tuple(map(tuple, mult)), labels=labels)
+    for i, row in enumerate(mult):
+        row[i] = weights[i]
+    g.__dict__["_matrix"] = _facts(
+        object.__new__(IntersectionMatrix), tuple(map(tuple, mult)), weights, edges
+    )
+    return g
 
 
 # An input error quotes at most this many characters of the token it refuses.
@@ -409,12 +456,21 @@ def _input_int(tok: str, expected: str, line: int | None = None) -> int:
 
 
 def _quote(value) -> str:
-    """``repr(value)`` in an input error; if the text (a str, else its repr)
-    is longer than _QUOTE_CHARS characters, only so many and its length."""
-    text, show = (value, repr) if type(value) is str else (repr(value), str)
-    if len(text) <= _QUOTE_CHARS:
-        return show(text)
-    return f"{show(text[:_QUOTE_CHARS])}... ({len(text)} characters)"
+    """``repr(value)`` in an input error; if it is longer than _QUOTE_CHARS
+    characters (a str's quotes aside), only that many and the length of the
+    value: for a str, the repr of its longest prefix that fits, so an
+    escaped character counts by its shown length."""
+    if type(value) is not str:
+        text = repr(value)
+        if len(text) <= _QUOTE_CHARS:
+            return text
+        return f"{text[:_QUOTE_CHARS]}... ({len(text)} characters)"
+    k = min(len(value), _QUOTE_CHARS)
+    while len(repr(value[:k])) > _QUOTE_CHARS + 2:
+        k -= 1
+    if k == len(value):
+        return repr(value)
+    return f"{repr(value[:k])}... ({len(value)} characters)"
 
 
 def _json_loads(text: str):
@@ -466,21 +522,30 @@ def parse_graph(text: str) -> ResolutionGraph:
     lines = {key: lineno for key, (_, lineno) in fields.items()}
     value, lineno = fields["vertices"]
     data: dict = {"vertices": _input_int(value, "expected integer vertex count", lineno)}
+    # one int pass per field and per edge; only a pass that fails goes
+    # token by token through _input_int, which names the first bad token
     for key, what in (("weights", "weight"), ("genera", "genus")):
         value, lineno = fields[key]
-        data[key] = [_input_int(t, f"expected integer {what}", lineno) for t in value.split()]
+        toks = value.split()
+        try:
+            data[key] = list(map(int, toks))
+        except ValueError:
+            data[key] = [_input_int(t, f"expected integer {what}", lineno) for t in toks]
     value, lineno = fields["edges"]
-    data["edges"] = []
+    data["edges"] = edges = []
     for tok in value.split():
         head, sep, mstr = tok.partition(":")
         istr, sep2, jstr = head.partition("-")
         if not sep or not sep2:
             raise GraphFormatError(f"malformed edge {_quote(tok)} (want i-j:m)", lineno)
-        data["edges"].append([
-            _input_int(istr, "expected integer edge endpoint", lineno),
-            _input_int(jstr, "expected integer edge endpoint", lineno),
-            _input_int(mstr, "expected integer edge multiplicity", lineno),
-        ])
+        try:
+            edges.append([int(istr), int(jstr), int(mstr)])
+        except ValueError:
+            edges.append([
+                _input_int(istr, "expected integer edge endpoint", lineno),
+                _input_int(jstr, "expected integer edge endpoint", lineno),
+                _input_int(mstr, "expected integer edge multiplicity", lineno),
+            ])
     if "labels" in fields:
         data["labels"] = fields["labels"][0].split()
     return _build_graph(data, lines)
@@ -515,8 +580,9 @@ def render_json(obj, compact: bool = False) -> str:
     and ``_Table``, written as the list of records it stands for. Every JSON
     document the package writes goes through it.
 
-    Compact text comes from _COMPACT, one stdlib encoder made once; its C
-    path hands a ``_Table`` to the ``default`` hook _records. The C encoder
+    Compact text comes from _compact, the stdlib's C encoder made once
+    (where the C accelerator is absent, one stdlib encoder made once); it
+    hands a ``_Table`` to the ``default`` hook _records. The C encoder
     does not take ``indent``, so indented text is built here: a bool or None
     is written as its literal, any other value by ``json.dumps``; the text
     is gathered in pieces and joined once, a list of integers in one piece;
@@ -525,7 +591,7 @@ def render_json(obj, compact: bool = False) -> str:
     such as a witness divisor that several pairs share.
     """
     if compact:
-        return _COMPACT.encode(obj)
+        return "".join(_compact(obj, 0))
     out: list[str] = []
     _render(obj, "\n", out)
     return "".join(out)
@@ -656,7 +722,7 @@ def _fill(template: str, slots: list, n: int):
 
 
 def _records(obj):
-    """The ``default`` hook of _COMPACT: a _Table as the list of records it
+    """The ``default`` hook of _compact: a _Table as the list of records it
     stands for, its ``lists`` fields checked by _int_lists. Any other value
     is refused as the stdlib refuses it."""
     if type(obj) is not _Table:
@@ -673,8 +739,16 @@ def _records(obj):
     return [dict(zip(obj.keys, row)) for row in zip(*cols)]
 
 
-# compact text: the stdlib's C encoder, made once; see render_json
-_COMPACT = json.JSONEncoder(separators=(",", ":"), default=_records)
+# compact text, see render_json: the stdlib's C encoder, made once with the
+# arguments json.JSONEncoder.iterencode gives it but no markers, as a report
+# is a tree. Called as (obj, 0) it returns the text in chunks, as does the
+# fallback, iterencode(obj, _one_shot=0), the pure-Python encoder
+if c_make_encoder is None:
+    _compact = json.JSONEncoder(separators=(",", ":"), default=_records).iterencode
+else:
+    _compact = c_make_encoder(
+        None, _records, encode_basestring_ascii, None, ":", ",", False, False, True
+    )
 
 
 def serialize_graph_json(g: ResolutionGraph) -> str:

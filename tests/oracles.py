@@ -38,7 +38,11 @@ that the column tables of the CLI replaced stay as the references whose
 ``json.dumps`` text the rendered reports must equal. The entry-by-entry
 scan of the multiplicity table that ResolutionGraph made before it
 checked a row at a time is the reference for its messages
-(mult_error_by_scan). verify_report checks a whole JSON report against
+(mult_error_by_scan). The file builder's route before it made the graph
+from its checked edge list, filling the n x n table and handing it to
+ResolutionGraph, and the text parser's token-by-token reading are kept
+as the slow oracle of both parsers (build_graph_by_table,
+parse_graph_by_table, parse_graph_json_by_table). verify_report checks a whole JSON report against
 the graph in its own ``graph`` key, from the definitions alone: it is
 the one function here that uses no code of the package.
 """
@@ -749,6 +753,118 @@ def mult_error_by_scan(mult) -> str | None:
             if m != mult[j][i]:
                 return "mult must be symmetric"
     return None
+
+
+def build_graph_by_table(data: dict, lines: dict):
+    """The graph, or the GraphFormatError, of the JSON-shaped ``data`` by the
+    file builder's old route: check the count, the lists and every edge
+    while filling the n x n table, then hand the table to ResolutionGraph,
+    whose checks of weights, genera and labels name their field."""
+    from nashcone.errors import GraphFormatError
+    from nashcone.graph import _FIELDS, MAX_VERTICES, ResolutionGraph, _quote
+
+    n = data["vertices"]
+    if type(n) is not int or n < 1:
+        raise GraphFormatError("vertex count must be a positive integer", lines.get("vertices"))
+    if n > MAX_VERTICES:
+        raise GraphFormatError(
+            f"vertex count {_quote(n)} exceeds the cap of {MAX_VERTICES}", lines.get("vertices")
+        )
+    for key in _FIELDS[1:]:
+        value = data.get(key)
+        if key == "labels" and value is None:
+            continue
+        if not isinstance(value, list):
+            raise GraphFormatError(f"'{key}' must be a list")
+        if key != "edges" and len(value) != n:
+            raise GraphFormatError(
+                f"expected {n} {key}, got a list of length {len(value)}", lines.get(key)
+            )
+    line = lines.get("edges")
+    mult = [[0] * n for _ in range(n)]
+    for entry in data["edges"]:
+        if not (isinstance(entry, list) and len(entry) == 3
+                and all(type(x) is int for x in entry)):
+            raise GraphFormatError(f"edge entry {_quote(entry)} must be [i, j, m] with integer entries")
+        i, j, m = entry
+        if not (1 <= i < j <= n):
+            raise GraphFormatError(f"edge {_quote(i)}-{_quote(j)} needs 1 <= i < j <= {n}", line)
+        if m < 1:
+            raise GraphFormatError(f"edge multiplicity {_quote(m)} must be >= 1", line)
+        if mult[i - 1][j - 1] != 0:
+            raise GraphFormatError(f"duplicate edge {i}-{j}", line)
+        mult[i - 1][j - 1] = mult[j - 1][i - 1] = m
+    labels = data.get("labels")
+    try:
+        return ResolutionGraph(
+            weights=tuple(data["weights"]),
+            genera=tuple(data["genera"]),
+            mult=tuple(map(tuple, mult)),
+            labels=tuple(labels) if labels is not None else None,
+        )
+    except (TypeError, ValueError) as exc:
+        raise GraphFormatError(str(exc), lines.get(getattr(exc, "key", None))) from exc
+
+
+def parse_graph_by_table(text: str):
+    """parse_graph's old route: every token read by its own _input_int call,
+    then build_graph_by_table."""
+    from nashcone.errors import GraphFormatError
+    from nashcone.graph import _FIELDS, _input_int, _quote
+
+    fields = {}
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        key, sep, value = line.partition(":")
+        key = key.strip().lower()
+        if not sep or key not in _FIELDS:
+            raise GraphFormatError(f"unrecognized line {_quote(raw.strip())}", lineno)
+        if key in fields:
+            raise GraphFormatError(f"duplicate '{key}' line", lineno)
+        fields[key] = (value.strip(), lineno)
+    for key in _FIELDS[:-1]:
+        if key not in fields:
+            raise GraphFormatError(f"missing '{key}' line")
+    lines = {key: lineno for key, (_, lineno) in fields.items()}
+    value, lineno = fields["vertices"]
+    data = {"vertices": _input_int(value, "expected integer vertex count", lineno)}
+    for key, what in (("weights", "weight"), ("genera", "genus")):
+        value, lineno = fields[key]
+        data[key] = [_input_int(t, f"expected integer {what}", lineno) for t in value.split()]
+    value, lineno = fields["edges"]
+    data["edges"] = []
+    for tok in value.split():
+        head, sep, mstr = tok.partition(":")
+        istr, sep2, jstr = head.partition("-")
+        if not sep or not sep2:
+            raise GraphFormatError(f"malformed edge {_quote(tok)} (want i-j:m)", lineno)
+        data["edges"].append([
+            _input_int(istr, "expected integer edge endpoint", lineno),
+            _input_int(jstr, "expected integer edge endpoint", lineno),
+            _input_int(mstr, "expected integer edge multiplicity", lineno),
+        ])
+    if "labels" in fields:
+        data["labels"] = fields["labels"][0].split()
+    return build_graph_by_table(data, lines)
+
+
+def parse_graph_json_by_table(text: str):
+    """parse_graph_json with build_graph_by_table in place of the builder."""
+    from nashcone.errors import GraphFormatError
+    from nashcone.graph import _FIELDS, _json_loads
+
+    try:
+        data = _json_loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise GraphFormatError(f"invalid JSON: {exc}") from exc
+    if not isinstance(data, dict):
+        raise GraphFormatError("JSON graph must be an object")
+    for key in _FIELDS[:-1]:
+        if key not in data:
+            raise GraphFormatError(f"missing JSON key '{key}'")
+    return build_graph_by_table(data, {})
 
 
 def verify_report(doc: dict) -> None:

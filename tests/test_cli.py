@@ -710,6 +710,7 @@ _LONG_VALUE_CASES = {
     "edge-endpoints": ({"edges": [[_WIDE, _WIDE, 1]]}, ("text", "json")),
     "edge-multiplicity": ({"edges": [[1, 2, -_WIDE]]}, ("text", "json")),
     "invalid-label": ({"labels": ["x" * _LONG + "\x01", "b"]}, ("text", "json")),
+    "escaped-label": ({"labels": ["\x01" * _LONG, "b"]}, ("text", "json")),
     "invalid-label-value": ({"labels": [[1] * _LONG, "b"]}, ("json",)),
     "duplicate-label": ({"labels": ["x" * _LONG] * 2}, ("text", "json")),
     "edge-entry": ({"edges": [[1] * _LONG]}, ("json",)),

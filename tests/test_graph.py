@@ -31,6 +31,8 @@ from oracles import (
     mulvec_dense,
     mult_error_by_scan,
     negdef_brute,
+    parse_graph_by_table,
+    parse_graph_json_by_table,
 )
 
 A2_TEXT = """\
@@ -223,6 +225,18 @@ def test_graph_rejects_non_integers(weights, genera, mult):
 def test_graph_refuses_inconsistent_fields(fields, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         ResolutionGraph(**fields)
+
+
+def test_graph_checks_its_table_before_its_weights_genera_and_labels():
+    # the table first, then _check_fields: the order in which the file
+    # builder checks its edge entries, then the weights, genera and labels
+    fields = dict(weights=(0, True), genera=(-1, 0), labels=("a", "a"))
+    for mult, message in ((((0, 1), (2, 0)), "mult must be symmetric"),
+                          (((0, 1.0), (1.0, 0)), "intersection multiplicities must be integers"),
+                          (((0, 1), (1,)), "mult must be a square matrix"),
+                          (((0, 1), (1, 0)), "weights and genera must be integers")):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            ResolutionGraph(mult=mult, **fields)
 
 
 def test_intersection_matrix_is_built_once(a2):
@@ -527,13 +541,15 @@ def test_canonical_intersections_identity(g):
 
 
 def _graph_text(d: dict) -> str:
-    return (
-        f"vertices: {d['vertices']}\n"
-        f"weights: {' '.join(map(str, d['weights']))}\n"
-        f"genera: {' '.join(map(str, d['genera']))}\n"
-        f"edges: {' '.join(f'{i}-{j}:{m}' for i, j, m in d['edges'])}\n"
-        + (f"labels: {' '.join(d['labels'])}\n" if "labels" in d else "")
-    )
+    """``d`` in the text format, each value written by ``str``; an edge entry
+    that is not three values is written joined by '-'."""
+    def edge(e):
+        return f"{e[0]}-{e[1]}:{e[2]}" if isinstance(e, list) and len(e) == 3 else "-".join(map(str, e))
+
+    text = f"vertices: {d['vertices']}\n"
+    text += "".join(f"{key}: {' '.join(map(str, d[key]))}\n" for key in ("weights", "genera"))
+    text += f"edges: {' '.join(map(edge, d['edges']))}\n"
+    return text + (f"labels: {' '.join(map(str, d['labels']))}\n" if "labels" in d else "")
 
 
 _A2_DATA = {"vertices": 2, "weights": [-2, -2], "genera": [0, 0], "edges": [[1, 2, 1]]}
@@ -593,6 +609,95 @@ def test_value_errors_read_the_same_in_both_formats(change, fragment):
     assert raw[1] == messages[1]
 
 
+_HUGE = 10 ** 4200  # within CPython's default cap of 4300 digits
+_OVER_CAP = 10 ** 5000  # beyond it, where the cap is in force
+_LABELS = ("a", "b", "é", "λ☃", "v10", "x_y")
+
+
+@st.composite
+def _graph_dicts(draw):
+    """JSON-shaped graph dicts on 1 to 6 vertices, with or without labels and
+    with edges in any order, carrying zero to three faults: a bad vertex
+    count; a weight or genus that is out of range, a bool, a float, huge or
+    over the digit cap; a list of the wrong length; a bad or repeated
+    label; a bad, reversed, zero-multiplicity or duplicate edge entry."""
+    n = draw(st.integers(1, 6))
+    pairs = [[i, j] for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    d = {
+        "vertices": n,
+        "weights": draw(st.lists(st.integers(-4, -1), min_size=n, max_size=n)),
+        "genera": draw(st.lists(st.integers(0, 2), min_size=n, max_size=n)),
+        "edges": [[i, j, draw(st.integers(1, 3))]
+                  for i, j in draw(st.lists(st.sampled_from(pairs), unique_by=tuple))] if pairs else [],
+    }
+    present = [e[:2] for e in d["edges"]]
+    if draw(st.booleans()):
+        d["labels"] = list(draw(st.permutations(_LABELS))[:n])
+    odd = [True, False, 1.0, -2.5, _HUGE, -_HUGE, _OVER_CAP, -_OVER_CAP]
+    for _ in range(draw(st.integers(0, 3))):
+        kind = draw(st.sampled_from(["vertices", "weights", "genera", "length", "labels", "edges"]))
+        if kind == "vertices":
+            d["vertices"] = draw(st.sampled_from([0, -1, n + 1, max(n - 1, 1), MAX_VERTICES + 1] + odd))
+        elif kind in ("weights", "genera") and d[kind]:
+            bad = [0, 1] if kind == "weights" else [-1]
+            d[kind][draw(st.integers(0, len(d[kind]) - 1))] = draw(st.sampled_from(bad + odd))
+        elif kind == "length":
+            key = draw(st.sampled_from(["weights", "genera"] + ["labels"] * ("labels" in d)))
+            if draw(st.booleans()) or not d[key]:
+                d[key].append(d[key][0] if d[key] else -2)
+            else:
+                d[key].pop()
+        elif kind == "labels" and d.setdefault("labels", list(_LABELS[:n])):
+            labels = d["labels"]
+            k = draw(st.integers(0, len(labels) - 1))
+            labels[k] = draw(st.sampled_from(["", "a b", "a#b", "\x01", "a\x7f", "\u200b", 7, None]
+                                             + labels[:k] + labels[k + 1:]))
+        elif kind == "edges":
+            entry = draw(st.sampled_from(
+                [[1, 1, 1], [2, 1, 1], [1, n + 1, 1], [0, 1, 1], [1, 2, 0], [1, 2, -1],
+                 [1, 2, True], [1.0, 2, 1], [1, 2], [1, 2, 3, 4], "12", [1, 2, _HUGE],
+                 [1, 2, _OVER_CAP], [_OVER_CAP, 2, 1]]
+                + [[i, j, draw(st.integers(1, 3))] for i, j in present]  # duplicates
+            ))
+            d["edges"].insert(draw(st.integers(0, len(d["edges"]))), entry)
+    return d
+
+
+def _outcome(parse, text):
+    """The graph ``parse(text)`` gives, or the type, message and line of the
+    error it raises."""
+    try:
+        return parse(text)
+    except ValueError as exc:
+        return type(exc), str(exc), getattr(exc, "line", None)
+
+
+@settings(max_examples=600, deadline=None)
+@given(_graph_dicts())
+@example({"vertices": 2, "weights": [0, True], "genera": [-1, 0], "edges": []})  # types first
+@example({"vertices": 2, "weights": [0, -2], "genera": [-1, 0], "edges": []})  # weights first
+@example({"vertices": 2, "weights": [0, -2], "genera": [0, 0], "edges": [[1, 2, 1], [1, 2, 1]]})
+@example({"vertices": 2, "weights": [-2, -2], "genera": [-1, 0], "edges": [], "labels": ["a", "a"]})
+@example({"vertices": 2, "weights": [-2, _OVER_CAP], "genera": [0, 0], "edges": ["12"]})
+@example({"vertices": 3, "weights": [-2, -3, -1], "genera": [0, 1, 0],
+          "edges": [[2, 3, 2], [1, 3, 1], [1, 2, 1]], "labels": ["c", "b", "a"]})
+def test_both_parsers_match_the_table_route(d):
+    # the builder makes the graph and its matrix from the checked edge
+    # list; the oracle fills the n x n table and hands it to ResolutionGraph
+    with _no_int_str_cap() if hasattr(sys, "set_int_max_str_digits") else contextlib.nullcontext():
+        text, payload = _graph_text(d), json.dumps(d)
+    for parse, oracle, source in (
+        (parse_graph, parse_graph_by_table, text),
+        (parse_graph_json, parse_graph_json_by_table, payload),
+    ):
+        got, expected = _outcome(parse, source), _outcome(oracle, source)
+        if isinstance(expected, tuple):
+            assert got == expected
+        else:
+            assert got == expected and got.labels == expected.labels
+            assert vars(got.intersection_matrix()) == vars(expected.intersection_matrix())
+
+
 @pytest.mark.parametrize("value,quoted", [
     # a token of at most 40 characters is quoted whole, as its repr
     ("ab", "'ab'"), ("x" * 40, repr("x" * 40)), (-3, "-3"), (10 ** 39, str(10 ** 39)),
@@ -601,8 +706,13 @@ def test_value_errors_read_the_same_in_both_formats(change, fragment):
     ("x" * 41, repr("x" * 40) + "... (41 characters)"),
     (-10 ** 40, "-1" + "0" * 38 + "... (42 characters)"),
     ([7] * 20, "[7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, ... (60 characters)"),
-    # an escaped character still counts as one
-    ("\x01" * 50, repr("\x01" * 40) + "... (50 characters)"),
+    # an escaped character counts by its shown length: the repr of the
+    # prefix stays within 40 characters and its quotes, whatever the length
+    ("\x01" * 50, repr("\x01" * 10) + "... (50 characters)"),
+    ("\x01" * 12, repr("\x01" * 10) + "... (12 characters)"),
+    ("a" * 38 + "\x01", repr("a" * 38) + "... (39 characters)"),
+    ("\U0010ffff" * 3, repr("\U0010ffff" * 3)),
+    ("é" * 41, repr("é" * 40) + "... (41 characters)"),
 ])
 def test_quote_keeps_short_values_and_cuts_long_ones(value, quoted):
     assert _quote(value) == quoted
@@ -811,6 +921,19 @@ def test_render_json_compact_refuses_a_column_table_of_other_lists(column):
         render_json([table], compact=True)
     assert str(compact.value) == str(indented.value)
     assert str(compact.value) == "a table column of lists must hold non-empty lists of ints"
+
+
+def test_render_json_compact_refusal_leaves_the_next_text_unchanged():
+    # the compact encoder is made once and keeps no markers: a value that
+    # _records refuses mid-way leaves nothing behind for the next call
+    doc = {"a": [1, {"b": None}], "t": _Table(None, (("int", [1]), ("int", [2])), 1)}
+    expected = render_json(doc, compact=True)
+    bad_table = _Table(("divisor",), (("lists", [[1], []]),), 2)
+    for bad, error in (({"x": [doc, object()]}, TypeError), ([doc, {"t": bad_table}], ValueError)):
+        with pytest.raises(error):
+            render_json(bad, compact=True)
+        assert render_json(doc, compact=True) == expected
+        assert render_json([doc, doc], compact=True) == "[%s,%s]" % (expected, expected)
 
 
 @contextlib.contextmanager
