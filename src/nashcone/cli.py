@@ -3,20 +3,26 @@
 Five verbs: analyze (full report for one graph file), witness (one
 half-space witness divisor), family (emit a named example graph),
 enumerate (stream reports for all small graphs as JSON lines), check
-(run one vanishing criterion on a given divisor).
+(run one vanishing criterion on a given divisor). VERBS holds each verb's
+function, arguments and options: _run reads the command line by it, and
+_help writes the --help text from it. The package needs nothing
+outside the standard library.
 
-Data goes to stdout, through _write alone, diagnostics to stderr. Exit
-codes: 0 the analysis ran (whatever it concluded), 1 invalid input or
-memory exhausted, 2 internal invariant violation. Vertex indices are
-1-based on the command line and in JSON output; text output uses vertex
-labels.
+Data goes to stdout, through _write alone, diagnostics to stderr, one
+line each. Exit codes: 0 the analysis ran (whatever it concluded), 1
+invalid input, a usage error or memory exhausted, 2 internal invariant
+violation. Vertex indices are 1-based on the command line and in JSON
+output; text output uses vertex labels.
 """
 
 from __future__ import annotations
 
+import codecs
+import os
 import sys
-
-import click
+from functools import partial
+from itertools import islice
+from typing import Callable, NamedTuple
 
 from .classify import (
     ClassificationReport,
@@ -29,6 +35,7 @@ from .errors import InternalInvariantError, NashconeError
 from .graph import (
     _input_int,
     _kept,
+    _quote,
     _Table,
     ResolutionGraph,
     graph_to_json_dict,
@@ -40,22 +47,6 @@ from .graph import (
 )
 from .vanishing import CriterionResult, laufer_criterion, realization_criterion
 from .conditions import star_witness
-
-
-class _Int(click.ParamType):
-    """click's integer option type, read by the same rules as graph files:
-    a literal over CPython's digit cap, or a long bad token, gets a short
-    message. It keeps the name, so help text still reads INTEGER."""
-
-    name = "integer"
-
-    def convert(self, value, param, ctx):
-        if type(value) is int:  # a default
-            return value
-        try:
-            return _input_int(value, "expected an integer")
-        except ValueError as exc:
-            self.fail(str(exc), param, ctx)
 
 
 def report_to_dict(r: ClassificationReport) -> dict:
@@ -195,88 +186,48 @@ def emit_report(r: ClassificationReport, format: str = "text") -> str:
     return _text_report(r)
 
 
-def _stdout():
-    """click's text writer for sys.stdout, which rewraps the buffer of an
-    ASCII-encoded stdout as UTF-8; looked up per call, as the cache of
-    click.echo would keep every stream it sees alive."""
-    return click.get_text_stream("stdout")
-
-
 def _write(texts) -> None:
-    """Write each text of ``texts()`` to _stdout() by one write and a flush,
-    unchanged, so a terminal and a pipe get the same bytes. ``texts()``
-    runs while CPython's cap on the digits of an int turned into a str is
-    lifted, as a witness can have twice the digits of its weights. A verb
-    reads its input first, so the cap still guards every input number."""
+    """Write each text of ``texts()`` to sys.stdout by one write and a
+    flush, unchanged, so a terminal and a pipe get the same bytes. The
+    stream is looked up per call and not kept. An ASCII-encoded stdout
+    gets each text's UTF-8 bytes on its buffer, so a label outside ASCII
+    still comes out. ``texts()`` runs while CPython's cap on the digits of
+    an int turned into a str is lifted, as a witness can have twice the
+    digits of its weights. A verb reads its input first, so the cap still
+    guards every input number."""
     cap = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
     if cap:
         sys.set_int_max_str_digits(0)
     try:
-        out = _stdout()
+        out = sys.stdout
+        encoding = getattr(out, "encoding", None) or "ascii"
+        utf8 = codecs.lookup(encoding).name == "ascii" and hasattr(out, "buffer")
+        if utf8:
+            out.flush()
+            out = out.buffer
         for text in texts():
-            out.write(text)
+            out.write(text.encode("utf-8", "replace") if utf8 else text)
             out.flush()
     finally:
         if cap:
             sys.set_int_max_str_digits(cap)
 
 
-def _stderr():
-    """The stream diagnostics go to, looked up as _stdout looks up stdout:
-    click.echo with ``err=True`` would keep every sys.stderr it sees alive."""
-    return click.get_text_stream("stderr")
-
-
 def _read_graph_file(path: str) -> ResolutionGraph:
-    with open(path, "r", encoding="utf-8") as fh:
-        return load_graph(fh.read())
+    try:  # an OSError's message would hold the whole path; _quote bounds it
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise ValueError(f"Invalid value for 'FILE': {_quote(path)}: {exc.strerror}") from None
+    return load_graph(text)
 
 
-def _stdout_closed() -> click.exceptions.Exit:
-    """Exit 0 for a reader that closed stdout. The unwritten rest stays in
-    stdout's buffer, and the interpreter flushes it again at shutdown; the
-    wrapper keeps that second EPIPE from turning into exit 120 and a
-    traceback on stderr (click's Command.main wraps stdout the same way)."""
-    sys.stdout = click.utils.PacifyFlushWrapper(sys.stdout)
-    return click.exceptions.Exit(0)
-
-
-class _Group(click.Group):
-    """The command group. A closed stdout, from its help or from a command,
-    ends the run with exit code 0: click's Command.main would turn the EPIPE
-    into sys.exit(1), whatever its standalone_mode."""
-
-    def make_context(self, *args, **kwargs):
-        try:
-            return super().make_context(*args, **kwargs)
-        except BrokenPipeError:
-            raise _stdout_closed() from None
-
-    def invoke(self, ctx):
-        try:
-            return super().invoke(ctx)
-        except BrokenPipeError:
-            raise _stdout_closed() from None
-
-
-@click.group(name="nashcone", cls=_Group)
-def cli() -> None:
-    """Decide the anti-nef-cone conditions behind Nash-map bijectivity."""
-
-
-@cli.command()
-@click.argument("file", type=click.Path(exists=True, dir_okay=False))
-@click.option("--json", "as_json", is_flag=True, help="emit the JSON report")
 def analyze(file: str, as_json: bool) -> None:
     """Full classification report for one graph file."""
     r = nash_verdict(_read_graph_file(file))
     _write(lambda: [emit_report(r, "json" if as_json else "text")])
 
 
-@cli.command()
-@click.argument("file", type=click.Path(exists=True, dir_okay=False))
-@click.option("--pair", nargs=2, type=_Int(), required=True, metavar="I J",
-              help="1-based vertex pair; the witness satisfies coeff(I) < coeff(J)")
 def witness(file: str, pair: tuple[int, int]) -> None:
     """Print one strictly anti-nef witness divisor for a pair, or "none"."""
     g = _read_graph_file(file)
@@ -289,13 +240,7 @@ def witness(file: str, pair: tuple[int, int]) -> None:
     _write(lambda: ["none\n" if w is None else " ".join(map(str, w.coeffs)) + "\n"])
 
 
-@cli.command(context_settings={"ignore_unknown_options": True})
-@click.argument("kind")
-@click.argument("params", nargs=-1, type=click.UNPROCESSED)
-@click.option("--json", "as_json", is_flag=True, help="emit the JSON mirror format")
-@click.option("-o", "--output", type=click.Path(dir_okay=False), default=None,
-              help="write to a file instead of stdout")
-def family(kind: str, params: tuple[str, ...], as_json: bool, output: str | None) -> None:
+def family(kind: str, *params: str, as_json: bool, output: str | None) -> None:
     """Emit a named example graph: an N | dn N | star3 N | vertex G W | cycle M W."""
     args = [_input_int(p, "family parameters must be integers") for p in params]
     g = make_family(kind, *args)
@@ -349,11 +294,6 @@ def _graph_halves(g: ResolutionGraph) -> tuple[str, str]:
     return text[:cut], text[cut:-1]
 
 
-@cli.command()
-@click.option("--max-vertices", type=_Int(), required=True)
-@click.option("--min-weight", type=_Int(), required=True, help="most negative weight, e.g. -5")
-@click.option("--max-genus", type=_Int(), required=True)
-@click.option("--max-mult", type=_Int(), default=1, show_default=True)
 def enumerate(max_vertices: int, min_weight: int, max_genus: int, max_mult: int) -> None:
     """Stream one JSON report line per graph, smallest graphs first."""
     graphs = enumerate_graphs(max_vertices, min_weight, max_genus, max_mult)
@@ -377,12 +317,6 @@ def _criterion_json(name: str, res: CriterionResult) -> dict:
     }
 
 
-@cli.command()
-@click.argument("file", type=click.Path(exists=True, dir_okay=False))
-@click.option("--criterion", type=click.Choice(["realization", "laufer"]), required=True)
-@click.option("--divisor", required=True, metavar="A1,A2,...",
-              help="comma-separated coefficients, one per vertex")
-@click.option("--json", "as_json", is_flag=True)
 def check(file: str, criterion: str, divisor: str, as_json: bool) -> None:
     """Run one vanishing criterion on an effective divisor."""
     g = _read_graph_file(file)
@@ -406,28 +340,145 @@ def check(file: str, criterion: str, divisor: str, as_json: bool) -> None:
     _write(texts)
 
 
+class _Opt(NamedTuple):
+    """A verb's option: its spellings, the keyword it fills, one METAVAR
+    word per value it takes (a flag takes none and fills True), the reader
+    of a value's token, its default (``...`` if it must be given), its help."""
+
+    names: str
+    key: str
+    metavar: str = ""
+    read: Callable[[str], object] = str
+    default: object = ...
+    help: str = ""
+
+
+def _criterion(tok: str) -> str:
+    if tok not in ("realization", "laufer"):
+        raise ValueError(f"{_quote(tok)} is not one of 'realization', 'laufer'.")
+    return tok
+
+
+_integer = partial(_input_int, expected="expected an integer")
+_JSON = _Opt("--json", "as_json", default=False)
+# verb -> (its function, given the arguments in order and the options by
+# keyword; its arguments, the last taking all the rest if it ends in "...";
+# its options)
+VERBS = {
+    "analyze": (analyze, "FILE", [_JSON._replace(help="emit the JSON report")]),
+    "witness": (witness, "FILE", [_Opt("--pair", "pair", "I J", _integer, help=(
+        "1-based vertex pair; the witness satisfies coeff(I) < coeff(J)"))]),
+    "family": (family, "KIND [PARAMS]...", [
+        _JSON._replace(help="emit the JSON mirror format"),
+        _Opt("-o, --output", "output", "FILE", default=None, help="write to a file instead of stdout"),
+    ]),
+    "enumerate": (enumerate, "", [
+        _Opt("--max-vertices", "max_vertices", "INTEGER", _integer),
+        _Opt("--min-weight", "min_weight", "INTEGER", _integer, help="most negative weight, e.g. -5"),
+        _Opt("--max-genus", "max_genus", "INTEGER", _integer),
+        _Opt("--max-mult", "max_mult", "INTEGER", _integer, 1),
+    ]),
+    "check": (check, "FILE", [
+        _Opt("--criterion", "criterion", "[realization|laufer]", _criterion),
+        _Opt("--divisor", "divisor", "A1,A2,...", help="comma-separated coefficients, one per vertex"),
+        _JSON,
+    ]),
+}
+
+
+def _run(argv: list[str]) -> int | None:
+    """Run the verb ``argv`` names, or write the help it asks for. An option
+    takes the tokens after it, or one after "=", as its values; "--" ends
+    the options. A verb whose last argument takes all the rest takes any
+    other token as an argument, so ``family cycle 10 -3`` works. A usage
+    error raises ValueError."""
+    name = argv[0] if argv else None
+    if name == "--help":
+        return _write(lambda: [_help()])
+    if name not in VERBS:
+        raise ValueError(f"No such verb {_quote(name)}." if argv
+                         else "Missing verb; see 'nashcone --help'.")
+    run, usage, options = VERBS[name]
+    spelled = {spelling: opt for opt in options for spelling in opt.names.split(", ")}
+    values = {opt.key: opt.default for opt in options}
+    args, tokens, rest = [], iter(argv[1:]), usage.endswith("...")
+    for tok in tokens:
+        spelling, eq, value = tok.partition("=") if tok[:2] == "--" else (tok, "", "")
+        opt = spelled.get(spelling)
+        width = len(opt.metavar.split()) if opt else 0
+        if tok == "--help":
+            return _write(lambda: [_help(name)])
+        if tok == "--":
+            args += tokens
+        elif opt is None and tok[:1] == "-" and not rest:
+            raise ValueError(f"No such option {_quote(spelling)}.")
+        elif opt is None:
+            args.append(tok)
+        elif eq and not width:
+            raise ValueError(f"Option {spelling!r} does not take a value.")
+        else:
+            given = [value, *islice(tokens, width - 1)] if eq else list(islice(tokens, width))
+            if len(given) < width:
+                raise ValueError(f"Option {spelling!r} requires {opt.metavar}.")
+            try:
+                read = tuple(map(opt.read, given))
+            except ValueError as exc:
+                raise ValueError(f"Invalid value for {spelling!r}: {exc}") from None
+            values[opt.key] = read[0] if width == 1 else read if width else True
+    names = usage.split()
+    if len(args) < len(names) - rest:
+        raise ValueError(f"Missing argument {names[len(args)]!r}.")
+    if len(args) > len(names) and not rest:
+        raise ValueError(f"Got unexpected extra argument {_quote(args[len(names)])}.")
+    for opt in options:
+        if values[opt.key] is ...:
+            raise ValueError(f"Missing option {opt.names!r}.")
+    return run(*args, **values)
+
+
+def _help(name: str | None = None) -> str:
+    """The --help text of the verb ``name``, or of the program."""
+    if name is None:
+        head = ("Usage: nashcone VERB [ARGS]...\n\n  Decide the anti-nef-cone conditions"
+                " behind Nash-map bijectivity.\n\nVerbs:\n")
+        rows = [(verb, run.__doc__) for verb, (run, _, _) in VERBS.items()]
+        tail = "\nRun 'nashcone VERB --help' for the options of a verb.\n"
+    else:
+        run, usage, options = VERBS[name]
+        head = f"Usage: nashcone {name} [OPTIONS] {usage}".rstrip()
+        head += f"\n\n  {run.__doc__}\n\nOptions:\n"
+        rows = [(f"{opt.names} {opt.metavar}".rstrip(), f"{opt.help}  " + (
+            "[required]" if opt.default is ... else
+            f"[default: {opt.default}]" if opt.metavar and opt.default is not None else ""
+        )) for opt in options] + [("--help", "Show this message and exit.")]
+        tail = ""
+    width = max(len(left) for left, _ in rows)
+    body = "".join(f"  {left:<{width}}  {right.strip()}".rstrip() + "\n" for left, right in rows)
+    return head + body + tail
+
+
 def main(argv: list[str] | None = None) -> int:
-    """Run the CLI; returns the exit code instead of raising SystemExit."""
+    """Run the CLI on ``argv`` (sys.argv[1:] if None). Returns the exit code
+    instead of raising SystemExit: what the verb returns, 0 for None."""
     try:
-        # without standalone mode, click returns the code of an Exit it
-        # catches, and otherwise what the command returns: None, for every verb
-        code = cli.main(args=argv, prog_name="nashcone", standalone_mode=False)
-    except click.ClickException as exc:
-        exc.show()
-        return 1
-    except click.exceptions.Abort:
-        click.echo("aborted", file=_stderr())
-        return 1
+        return _run(sys.argv[1:] if argv is None else argv) or 0
+    except BrokenPipeError:  # a reader closed stdout: a normal end
+        try:  # the rest of stdout is flushed at exit: into os.devnull, not into exit 120
+            fd = sys.stdout.fileno()
+        except (OSError, ValueError):  # no descriptor: nothing goes to the pipe
+            return 0
+        os.dup2(os.open(os.devnull, os.O_WRONLY), fd)
+        return 0
+    except KeyboardInterrupt:
+        print("aborted", file=sys.stderr, flush=True)
     except InternalInvariantError as exc:
-        click.echo(f"internal error: {exc}", file=_stderr())
+        print(f"internal error: {exc}", file=sys.stderr, flush=True)
         return 2
     except (NashconeError, ValueError, OSError) as exc:
-        click.echo(f"error: {exc}", file=_stderr())
-        return 1
+        print(f"error: {exc}", file=sys.stderr, flush=True)
     except MemoryError:  # a last resort: no input budget bounds the arithmetic yet
-        click.echo("error: out of memory", file=_stderr())
-        return 1
-    return code or 0
+        print("error: out of memory", file=sys.stderr, flush=True)
+    return 1
 
 
 def entry() -> None:

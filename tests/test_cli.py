@@ -12,7 +12,6 @@ import tempfile
 import weakref
 from unittest import mock
 
-import click
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -33,7 +32,7 @@ from nashcone import (
     validate,
 )
 from nashcone import cli as cli_module
-from nashcone.cli import _criterion_json, cli, emit_report, main, report_to_dict
+from nashcone.cli import _criterion_json, emit_report, main, report_to_dict
 from nashcone.graph import _genus_variant, render_json
 from nashcone.vanishing import laufer_criterion, realization_criterion
 
@@ -565,14 +564,80 @@ def test_unknown_verb(capsys):
 
 
 def test_main_returns_the_exit_code_of_a_command(monkeypatch, capsys):
-    @click.command()
-    @click.pass_context
-    def exit3(ctx):
-        ctx.exit(3)
+    def exit3():
+        """End with exit code 3."""
+        return 3
 
-    monkeypatch.setitem(cli.commands, "exit3", exit3)
+    monkeypatch.setitem(cli_module.VERBS, "exit3", (exit3, "", []))
     assert main(["exit3"]) == 3
     assert capsys.readouterr() == ("", "")
+
+
+@pytest.mark.parametrize("verb", ["analyze", "witness", "family", "enumerate", "check"])
+def test_verb_help_goes_to_stdout(verb, capsys):
+    assert main([verb, "--help"]) == 0
+    out, err = capsys.readouterr()
+    assert err == "" and out.startswith(f"Usage: nashcone {verb} [OPTIONS]")
+    for opt in cli_module.VERBS[verb][2]:
+        assert f"\n  {opt.names} {opt.metavar}".rstrip() in out
+
+
+def _usage_error_cases(graph_file) -> dict:
+    path = graph_file(make_family("an", 2))
+    return {
+        "criterion": ["check", path, "--criterion", "x" * 100_000, "--divisor", "1,1"],
+        "verb": ["v" * 100_010],
+        "option": ["analyze", path, "--" + "o" * 100_000],
+        "missing-file": ["analyze", "/" + "m/" * 2499 + "m"],
+    }
+
+
+@pytest.mark.parametrize("case", ["criterion", "verb", "option", "missing-file"])
+def test_usage_errors_give_one_short_error_line(case, graph_file, capsys):
+    argv = _usage_error_cases(graph_file)[case]
+    assert max(map(len, argv)) >= 5_000
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and _one_error_line(err)
+    assert len(err) <= 200
+
+
+@pytest.mark.parametrize("argv,size,digest", [
+    (["enumerate", "--max-vertices", "2", "--min-weight=-2", "--max-genus", "1"],
+     6674, "e8bb6a4191759ad2f5ddb6e209fd04913df8e7fc2c79646ebe59b75497e8b573"),
+    (["enumerate", "--max-vertices", "3", "--min-weight", "-4", "--max-genus", "0", "--max-mult=2"],
+     92507, "bdffb75c900529cc238f49f975bb4e0abb7276a6133cecd419a181ed3a82b52e"),
+    (["family", "cycle", "10", "-3"],
+     149, "1e9ea8d51e1ca6fd6e4b2f613fac7afe3e7abb0b6c0acfd7f904e1138327408b"),
+    (["analyze", "--json", "AN3"],
+     1797, "7a8d7d8727f1599c291b1184644182f629ea1871153d4a91daf0e48a29449aa2"),
+    (["analyze", "AN3", "--json"],
+     1797, "7a8d7d8727f1599c291b1184644182f629ea1871153d4a91daf0e48a29449aa2"),
+], ids=["option=negative", "option-negative", "family-negative", "flag-first", "flag-last"])
+def test_option_spellings_give_the_pinned_bytes(argv, size, digest, graph_file, capsys):
+    path = graph_file(make_family("an", 3))
+    assert main([path if a == "AN3" else a for a in argv]) == 0
+    out = capsys.readouterr().out.encode()
+    assert (len(out), hashlib.sha256(out).hexdigest()) == (size, digest)
+
+
+def test_the_verbs_run_without_click(graph_file, capsys):
+    # click is not a dependency: with its import made to fail before
+    # nashcone.cli is imported, each verb still gives the in-process bytes
+    import nashcone
+
+    path = graph_file(_LABELLED_A3)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(nashcone.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = "import sys; sys.modules['click'] = None; from nashcone.cli import entry; entry()"
+    for argv in (["family", "an", "3"], ["witness", path, "--pair", "1", "3"],
+                 ["check", path, "--criterion", "realization", "--divisor", "1,2,1", "--json"]):
+        assert main(argv) == 0
+        want = capsys.readouterr().out.encode()
+        proc = subprocess.run([sys.executable, "-c", code, *argv],
+                              capture_output=True, env=env, timeout=120)
+        assert (proc.returncode, proc.stderr, proc.stdout) == (0, b"", want), argv
 
 
 def test_keyboard_interrupt_in_a_command_exits_1(monkeypatch, capsys):
@@ -767,7 +832,7 @@ def test_long_values_in_arguments_are_quoted_by_their_first_40_characters(argv, 
 @pytest.mark.parametrize("kind", ["literal", "junk"])
 @pytest.mark.parametrize("option", ["--max-vertices", "--max-mult", "--pair"])
 def test_huge_integer_options_give_a_short_error(option, kind, graph_file, capsys):
-    # click's integer options go through the same reader as graph files
+    # the integer options go through the same reader as graph files
     token = "9" * 5000 if kind == "literal" else "x" * 3000
     if option == "--pair":
         argv = ["witness", graph_file(make_family("an", 2)), "--pair", "1", token]
@@ -1054,8 +1119,8 @@ def test_column_criterion_renders_as_the_plain_one():
 
 
 def test_stdout_stream_is_freed_after_a_call():
-    # click.echo caches the stream it writes to, keyed weakly on the stream
-    # but holding it as the value; the commands' output must not go there
+    # the writer looks sys.stdout up on each call and keeps no reference to
+    # it, so a stream that a caller swapped in is freed after the call
     refs = []
     for _ in range(3):
         out = io.StringIO()
@@ -1069,8 +1134,8 @@ def test_stdout_stream_is_freed_after_a_call():
 
 
 def test_stderr_stream_is_freed_after_an_error(graph_file):
-    # main's own error line goes to the stream itself, not through click's
-    # per-stream cache, which would keep the stream alive as its value
+    # main's error line goes to sys.stderr as it is at the time, and no
+    # reference to that stream is kept
     path = graph_file(make_family("an", 3))
     refs = []
     for _ in range(3):
@@ -1085,8 +1150,8 @@ def test_stderr_stream_is_freed_after_an_error(graph_file):
 
 
 def test_ascii_stdout_is_rewrapped_as_utf8(tmp_path):
-    # with an ASCII-encoded stdout, click writes to its buffer in UTF-8, so a
-    # label outside ASCII comes out as its UTF-8 bytes
+    # with an ASCII-encoded stdout, the writer writes to its buffer in UTF-8,
+    # so a label outside ASCII comes out as its UTF-8 bytes
     import nashcone
 
     g = ResolutionGraph((-2, -2), (0, 0), ((0, 1), (1, 0)), ("é", "b"))
@@ -1136,8 +1201,8 @@ def _cli_stdout(argv, env, on_pty: bool) -> bytes:
 
 
 def test_a_terminal_and_a_pipe_get_the_same_bytes(tmp_path):
-    # click.echo strips ANSI sequences on a pipe but not on a terminal; no
-    # verb writes stdout through it, and no label holds such a sequence
+    # the writer neither strips nor adds anything on either kind of stream,
+    # whatever the labels hold
     pytest.importorskip("pty")
     import nashcone
 

@@ -34,3 +34,14 @@ def test_graph_format_example_is_inconclusive():
     assert r.graph.labels == ("T", "A", "B")
     assert r.nash_verdict.value == "Inconclusive"
     assert r.pa_fundamental == 2
+
+
+def test_help_text_is_the_cli_output(capsys):
+    from nashcone.cli import main
+
+    runs = _block("Command line", "```text").split("$ nashcone ")[1:]
+    assert len(runs) == 2
+    for run in runs:
+        argv, _, shown = run.partition("\n")
+        assert main(argv.split()) == 0
+        assert capsys.readouterr() == (shown, "")
