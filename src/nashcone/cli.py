@@ -248,8 +248,11 @@ def family(kind: str, *params: str, as_json: bool, output: str | None) -> None:
     if output is None:
         _write(lambda: [text])
     else:
-        with open(output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:  # the OSError's text would hold the whole path; a usual one stays whole
+            with open(output, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ValueError(f"[Errno {exc.errno}] {exc.strerror}: {_quote(output, 120)}") from None
 
 
 def _enum_line(g: ResolutionGraph) -> str:

@@ -8,18 +8,22 @@ intersection matrix, and (**) on the row sums E.E_i that it keeps.
 Decision procedure for (*): the closed anti-nef cone is the non-negative
 span of the columns of C = -M^-1 = A/d, with A = adj(-M) and d = det(-M) > 0.
 Both come from the one fraction-free factor of -M that the matrix keeps
-(validation built it), continued by one back-substitution to all of A,
-for the all-pairs sweep and a single pair alike. The adjugate is
-symmetric, so column k is row k. The pair (i, j) admits a witness
-exactly when some column has A[i][k] < A[j][k]. The witness is read off in
-integers: with s = A.(1,...,1) (a strictly anti-nef ray) and the least
-t >= 0 such that 2^t (A[j][k] - A[i][k]) > s[i] - s[j], the vector
-w = 2^t A[:,k] + s is strictly anti-nef with w[i] < w[j], and the witness
-is w / gcd(2^t d, w_1, ..., w_n). The witness depends on (k, t) alone, so
+(validation built it). The all-pairs sweep continues it by one
+back-substitution to all of A; a single pair (i, j) solves against it for
+rows i and j of A and for the one witness vector it prints, each in
+O(n + fill) steps (cone._adjugate_times). The adjugate is symmetric, so
+column k is row k. The pair (i, j) admits a witness exactly when some
+column has A[i][k] < A[j][k]. The witness is read off in integers: with
+s = A.(1,...,1) (a strictly anti-nef ray) and the least t >= 0 such that
+2^t (A[j][k] - A[i][k]) > s[i] - s[j], the vector w = 2^t A[:,k] + s is
+strictly anti-nef with w[i] < w[j], and the witness is
+w / gcd(2^t d, w_1, ..., w_n). The witness depends on (k, t) alone, so
 all pairs of one class (k, t) share one divisor: it is built and its strict
 anti-nefness re-verified once per class, and the ordering w[i] < w[j] is
 re-checked for every pair before the witness is returned. check_star decides
-the pairs one row i at a time, reading A[i] and s[i] once for the row. The
+the pairs one row i at a time, reading A[i] and s[i] once for the row;
+star_witness decides its pair by the same code, with s[i] and s[j] the
+sums of the solved rows and w solved as A.(2^t e_k + 1). The
 generator fact itself is cross-checked against a brute-force box search in
 the test suite rather than assumed.
 
@@ -35,11 +39,12 @@ InternalInvariantError instead of a negative answer.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from itertools import chain, compress, count, repeat
 from math import gcd
 from operator import add, lshift, lt
 
-from .cone import ConeStatus, Divisor, lipman_status, neg_adjugate
+from .cone import ConeStatus, Divisor, _adjugate_times, _upper_rows, lipman_status, neg_adjugate
 from .errors import InternalInvariantError
 from .graph import IntersectionMatrix, ResolutionGraph, _problems, _refuse
 
@@ -98,6 +103,11 @@ class _Adjugate:
         self.s = tuple(map(sum, self.A))
         self.witnesses: dict[tuple[int, int], Divisor] = {}
 
+    def ray(self, k: int, t: int):
+        """w = 2^t A[:,k] + s, the witness of class (k, t) before its gcd
+        with 2^t d is divided out."""
+        return list(map(add, map(lshift, self.A[k], repeat(t)), self.s))
+
     def decide(self, i: int, js, witnesses: dict, failing: list) -> None:
         """Decide the ordered pairs (i, j) for j in ``js``, in that order:
         store the integer witness of a pair in ``witnesses``, or append a
@@ -127,7 +137,7 @@ class _Adjugate:
             t = (q // (Aj[k] - Ai[k])).bit_length() if q > 0 else 0
             witness = classes.get((k, t))
             if witness is None:
-                w = list(map(add, map(lshift, A[k], repeat(t)), s))
+                w = self.ray(k, t)
                 c = gcd(self.d << t, *w)
                 witness = Divisor(tuple(w) if c == 1 else tuple([x // c for x in w]))
                 if lipman_status(witness, self.M) is not ConeStatus.STRICT_LIPMAN:
@@ -138,12 +148,6 @@ class _Adjugate:
                 raise _unverified(witness, k, t, i, j)
             witnesses[(i, j)] = witness
 
-    def witness(self, i: int, j: int) -> Divisor | None:
-        """Integer witness for the ordered pair (i, j), or None if none exists."""
-        found: dict[tuple[int, int], Divisor] = {}
-        self.decide(i, (j,), found, [])
-        return found.get((i, j))
-
     def certify(self, rows) -> None:
         """Check M.A[r] = -d e_r, with d > 0, for each row r in ``rows``: the
         identity that proves a pair (i, j) with A[i] >= A[j] entrywise fails."""
@@ -152,6 +156,27 @@ class _Adjugate:
             v = M.mulvec(A[r])
             if not (d > 0 and v[r] == -d and v.count(0) == len(v) - 1):
                 raise InternalInvariantError(f"row {r} of adj(-M) failed re-verification against M")
+
+
+class _Rows(_Adjugate):
+    """The rows ``rows`` of adj(-M) and their sums, each row solved as
+    A.e_r against M's kept factor, in place of all of A: decide and
+    certify read no other row, and ray solves for its vector."""
+
+    def __init__(self, M: IntersectionMatrix, rows):
+        _refuse(_problems(M))
+        F = M.neg_factor()
+        self.M, self.d = M, F.minors[-1]
+        self.times = partial(_adjugate_times, F, _upper_rows(F))
+        self.A = {r: self.times([0] * r + [1] + [0] * (M.n - r - 1)) for r in rows}
+        self.s = {r: sum(row) for r, row in self.A.items()}
+        self.witnesses: dict[tuple[int, int], Divisor] = {}
+
+    def ray(self, k: int, t: int):
+        """w = A.(2^t e_k + 1), which is 2^t A[:,k] + s."""
+        b = [1] * self.M.n
+        b[k] += 1 << t
+        return self.times(b)
 
 
 def _unverified(witness: Divisor, k: int, t: int, i: int, j: int) -> InternalInvariantError:
@@ -182,13 +207,17 @@ def check_star(g: ResolutionGraph) -> StarCertificate:
 
 
 def star_witness(g: ResolutionGraph, i: int, j: int) -> Divisor | None:
-    """Witness for one ordered pair (0-based), or None if the pair fails."""
+    """Witness for one ordered pair (0-based), or None if the pair fails,
+    decided and checked as check_star decides and checks it, from rows i
+    and j of adj(-M) alone (_Rows)."""
     if i == j:
         raise ValueError("witness pair needs two distinct vertices")
     if not (0 <= i < g.n and 0 <= j < g.n):
         raise ValueError("vertex index out of range")
-    adj = _Adjugate(g.intersection_matrix())
-    w = adj.witness(i, j)
+    rows = _Rows(g.intersection_matrix(), (i, j))
+    found: dict[tuple[int, int], Divisor] = {}
+    rows.decide(i, (j,), found, [])
+    w = found.get((i, j))
     if w is None:
-        adj.certify((i, j))
+        rows.certify((i, j))
     return w

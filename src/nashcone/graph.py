@@ -22,20 +22,22 @@ computes what the matrix keeps, once, from its diagonal and its sorted
 edge list (the builder's checked edges, or the nonzeros above the
 diagonal of a table that ResolutionGraph or IntersectionMatrix checked):
 the edge list (which ``edges()`` returns), its connectivity (which
-validation reads), its row sums E.E_i, which (**), (iii) and Laufer's
-sequence start from, and its (-1)-curves, among which minimality looks
-for genus 0.
+validation reads; union-find over the edges, reading no table row), its
+row sums E.E_i, which (**), (iii) and Laufer's sequence start from, and
+its (-1)-curves, among which minimality looks for genus 0.
 Negative definiteness is read from one fraction-free factor of -M, the
 forward Bareiss pass of ``NegFactor``: its pivots are the leading
 principal minors of -M. It grows a column at a time by
 ``_bareiss_column``, the one elimination kernel, which the enumerator's
 structure and weight tests run too. The matrix keeps the factor once
 built, so each graph is eliminated once; cone.neg_adjugate continues the
-same factor, by one back-substitution, to the integer adjugate that every
-cone computation reads. ``_genus_variant`` builds a graph that differs from
-another only in its genera: it checks nothing, as its one caller, the
-enumerator, makes every genus tuple itself (n ints in 0..max_genus), and
-shares the other graph's weights, mult, labels and matrix object.
+same factor, by one back-substitution, to the integer adjugate that
+check_star reads, and cone._adjugate_times solves against it for the few
+vectors of adj(-M) that star_witness reads. ``_genus_variant`` builds a
+graph that differs from another only in its genera: it checks nothing, as
+its one caller, the enumerator, makes every genus tuple itself (n ints in
+0..max_genus), and shares the other graph's weights, mult, labels and
+matrix object.
 """
 
 from __future__ import annotations
@@ -250,8 +252,7 @@ def _facts(M: IntersectionMatrix, entries, diag, edges) -> IntersectionMatrix:
         _edges=tuple(edges),
         # the (-1)-curves, which _nonminimal reads
         _minus_ones=tuple([i for i, w in enumerate(diag) if w == -1]),
-        # a nonzero diagonal entry links a vertex to itself only
-        _connected=is_connected(entries),
+        _connected=_edges_connect(len(diag), edges),
         _row_sums=tuple(sums),
     )
     return M
@@ -455,18 +456,18 @@ def _input_int(tok: str, expected: str, line: int | None = None) -> int:
     raise GraphFormatError(f"{expected}, got {_quote(tok)}", line)
 
 
-def _quote(value) -> str:
-    """``repr(value)`` in an input error; if it is longer than _QUOTE_CHARS
+def _quote(value, limit: int = _QUOTE_CHARS) -> str:
+    """``repr(value)`` in an input error; if it is longer than ``limit``
     characters (a str's quotes aside), only that many and the length of the
     value: for a str, the repr of its longest prefix that fits, so an
     escaped character counts by its shown length."""
     if type(value) is not str:
         text = repr(value)
-        if len(text) <= _QUOTE_CHARS:
+        if len(text) <= limit:
             return text
-        return f"{text[:_QUOTE_CHARS]}... ({len(text)} characters)"
-    k = min(len(value), _QUOTE_CHARS)
-    while len(repr(value[:k])) > _QUOTE_CHARS + 2:
+        return f"{text[:limit]}... ({len(text)} characters)"
+    k = min(len(value), limit)
+    while len(repr(value[:k])) > limit + 2:
         k -= 1
     if k == len(value):
         return repr(value)
@@ -610,9 +611,8 @@ def _render(obj, newline: str, out: list[str]) -> None:
         if not obj:
             out.append("[]")
             return
-        text = _int_list_text(obj, newline)
-        if text is not None:
-            out.append(text)
+        if set(map(type, obj)) == {int}:
+            out.append(_int_list_text(obj, newline))
             return
         sep, comma = "[" + inner, "," + inner
         for x in obj:
@@ -642,11 +642,9 @@ def _render(obj, newline: str, out: list[str]) -> None:
         out.append(json.dumps(obj))
 
 
-def _int_list_text(xs: list, newline: str) -> str | None:
-    """The indented text of the non-empty list ``xs`` at ``newline`` if it
-    holds only ints, else None."""
-    if set(map(type, xs)) != {int}:
-        return None
+def _int_list_text(xs: list, newline: str) -> str:
+    """The indented text at ``newline`` of ``xs``, a non-empty list that the
+    caller has checked holds only ints."""
     inner = newline + _STEP
     return "[" + inner + ("," + inner).join(map(str, xs)) + newline + "]"
 
@@ -679,9 +677,10 @@ def _render_columns(table: _Table, newline: str, out: list[str]) -> None:
     it refuses.
 
     An int fills a ``%d`` slot of one row template. An int list of a
-    ``lists`` field is text from _int_list_text, once per list object, and
-    the template is cut around it. The row separator ends the last cut, so
-    the rows are emitted without a Python loop per row.
+    ``lists`` field, checked once by _int_lists, is text from
+    _int_list_text, once per list object, and the template is cut around
+    it. The row separator ends the last cut, so the rows are emitted
+    without a Python loop per row.
     """
     keys, fields, n = table.keys, table.fields, table.n
     if not n:
@@ -790,21 +789,21 @@ def load_graph(text: str) -> ResolutionGraph:
 # validation
 
 
-def is_connected(mult) -> bool:
-    """Whether the graph on the rows of the square matrix ``mult``, with an
-    edge wherever an entry off the diagonal is nonzero, is connected. A
-    row's neighbours are read by one pass of ``compress``, so the loop runs
-    per edge, not per entry."""
-    n = len(mult)
-    vertices = range(n)
-    stack = [0] if n else []
-    seen = set(stack)
-    while stack:
-        for j in compress(vertices, mult[stack.pop()]):
-            if j not in seen:
-                seen.add(j)
-                stack.append(j)
-    return len(seen) == n
+def _edges_connect(n: int, edges) -> bool:
+    """Whether the (i, j, m) of ``edges`` connect the n vertices: union-find
+    with path halving, one merge per edge that joins two parts, so the
+    cost is O(n + edges) and no table row is read."""
+    root = list(range(n))
+    parts = n
+    for i, j, _ in edges:
+        while root[i] != i:
+            root[i] = i = root[root[i]]
+        while root[j] != j:
+            root[j] = j = root[root[j]]
+        if i != j:
+            root[i] = j
+            parts -= 1
+    return parts <= 1
 
 
 def _problems(M: IntersectionMatrix) -> tuple[str, ...]:

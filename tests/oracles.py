@@ -20,10 +20,11 @@ det(-M), and the (*) witness synthesis that read the whole adjugate.
 The exceptions to the independence are kept verbatim too: that witness
 synthesis uses the library's divisor type and cone test, and the
 brute-force enumerator that orbit marking replaced uses the library's
-graph type and connectivity test, with the leading-minor elimination
-kept here, and the orbit-marking walk over every edge encoding, which
-growth from negative-definite structures replaced, uses that
-connectivity test.
+graph type, with the leading-minor elimination kept here. It and the
+orbit-marking walk over every edge encoding, which growth from
+negative-definite structures replaced, use the table walk that the
+intersection matrix ran for connectivity before it merged the ends of
+its edge list (is_connected), kept here too.
 
 Three references left the package because no command reads them; each
 checks code that stayed, through the library's types: the classical
@@ -48,7 +49,7 @@ the one function here that uses no code of the package.
 """
 
 from fractions import Fraction
-from itertools import permutations, product
+from itertools import compress, permutations, product
 from math import gcd, lcm
 
 
@@ -403,7 +404,7 @@ def enumerate_graphs_brute(max_vertices: int, min_weight: int, max_genus: int, m
     """The enumerator that orbit marking replaced: every edge encoding is
     tested for connectivity and then against all n! relabelings, and every
     weight tuple by a full leading-minor elimination."""
-    from nashcone.graph import ResolutionGraph, is_connected
+    from nashcone.graph import ResolutionGraph
 
     if max_vertices < 1:
         raise ValueError("max_vertices must be >= 1")
@@ -478,8 +479,6 @@ def structures_by_orbit_marking(n: int, base: int):
     Every encoding is walked in increasing order over a byte table; the
     first unmarked one is the least of its orbit, whose n! images are then
     marked, connected or not."""
-    from nashcone.graph import is_connected
-
     npairs = n * (n - 1) // 2
     perms, cols = _encoding_columns(n, base)
     zero = (0,) * len(perms)
@@ -624,6 +623,24 @@ def criterion_values_by_definition(weights, genera, mult, coeffs, criterion):
         for i in range(n)
         for l in range(n)
     }
+
+
+def is_connected(mult) -> bool:
+    """Whether the graph on the rows of the square matrix ``mult``, with an
+    edge wherever an entry off the diagonal is nonzero, is connected. A
+    row's neighbours are read by one pass of ``compress``, so the loop runs
+    per edge, not per entry. The table walk that the intersection matrix
+    ran before it found connectivity from its edge list."""
+    n = len(mult)
+    vertices = range(n)
+    stack = [0] if n else []
+    seen = set(stack)
+    while stack:
+        for j in compress(vertices, mult[stack.pop()]):
+            if j not in seen:
+                seen.add(j)
+                stack.append(j)
+    return len(seen) == n
 
 
 def connected_by_union(mult) -> bool:

@@ -25,7 +25,7 @@ from nashcone import (
 )
 from nashcone.classify import ClassificationReport, _genus_tuples, _negdef_weights, _structures
 from nashcone.cli import report_to_dict
-from nashcone.graph import ResolutionGraph, _nonminimal, is_connected, render_json
+from nashcone.graph import ResolutionGraph, _nonminimal, render_json
 
 from oracles import (
     _leading_minors_negdef,
@@ -34,6 +34,7 @@ from oracles import (
     graphs_isomorphic,
     halfspace_coverage,
     iii_by_definition,
+    is_connected,
     mulvec_dense,
     nonminimal_by_scan,
     refusal_by_definition,
@@ -183,7 +184,7 @@ def test_genus_variants_skip_the_graph_checks_and_share_connectivity(bounds, gra
         post_init(self)
 
     with mock.patch.object(ResolutionGraph, "__post_init__", counting), \
-            mock.patch.object(graph_mod, "is_connected", wraps=is_connected) as connectivity:
+            mock.patch.object(graph_mod, "_edges_connect", wraps=graph_mod._edges_connect) as connectivity:
         reports = [nash_verdict(g) for g in enumerate_graphs(*bounds)]
     assert len(reports) == graphs
     assert len(checked) == matrices

@@ -83,7 +83,7 @@ def test_analyze_tests_connectivity_once(extra, graph_file, capsys):
     import nashcone.graph as graph_mod
 
     path = graph_file(make_family("dn", 6))
-    with mock.patch.object(graph_mod, "is_connected", wraps=graph_mod.is_connected) as counting:
+    with mock.patch.object(graph_mod, "_edges_connect", wraps=graph_mod._edges_connect) as counting:
         assert main(["analyze", *extra, path]) == 0
     capsys.readouterr()
     assert counting.call_count == 1
@@ -656,6 +656,17 @@ def test_family_output_to_a_missing_directory_exits_1(tmp_path, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert _one_error_line(err) and f"[Errno {errno.ENOENT}]" in err and "x.graph" in err
+
+
+def test_family_output_to_a_long_path_gives_one_short_error_line(tmp_path, capsys):
+    # the OSError's own text would hold all 5,000 characters of the path
+    path = str(tmp_path / ("m/" * 2500))[:5000]
+    assert len(path) == 5000
+    assert main(["family", "an", "3", "-o", path]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and _one_error_line(err)
+    assert len(err) < 250
+    assert err.startswith("error: [Errno ") and "(5000 characters)" in err
 
 
 def _big_graph_text(digits: int) -> str:

@@ -310,13 +310,16 @@ def test_ordering_checked_for_every_pair_of_a_class():
     for p, w in sorted(check_star(g).witnesses.items()):
         pairs_of.setdefault(w.coeffs, []).append(p)
     first, later = next(pairs for pairs in pairs_of.values() if len(pairs) > 1)[:2]
-    adj = conditions._Adjugate(g.intersection_matrix())
-    assert adj.witness(*first) is not None
-    (key,) = adj.witnesses
+    # the rows star_witness solves for, here those of both pairs
+    rows = conditions._Rows(g.intersection_matrix(), {*first, *later})
+    found = {}
+    rows.decide(first[0], (first[1],), found, [])
+    assert found[first] is not None
+    (key,) = rows.witnesses
     # equal coefficients put no vertex strictly below another
-    adj.witnesses[key] = Divisor((1,) * g.n)
+    rows.witnesses[key] = Divisor((1,) * g.n)
     with pytest.raises(InternalInvariantError, match=re.escape(f"pair {later}")):
-        adj.witness(*later)
+        rows.decide(later[0], (later[1],), found, [])
 
 
 def _corrupting(row, col, delta=0, d_delta=0):
@@ -332,6 +335,23 @@ def _corrupting(row, col, delta=0, d_delta=0):
         return tuple(map(tuple, rows)), d + d_delta
 
     return corrupted
+
+
+def _corrupting_rows(row, col, delta=0, d_delta=0):
+    """Patch conditions._Rows, which star_witness reads, to add ``delta`` to
+    the entry A[row][col] of a solved row (its sum follows; its mirror
+    entry and the witness vector solved later stay) and ``d_delta`` to the
+    determinant."""
+    real = conditions._Rows.__init__
+
+    def corrupted(self, M, rows):
+        real(self, M, rows)
+        if row in self.A:
+            self.A[row] = tuple(x + delta * (c == col) for c, x in enumerate(self.A[row]))
+            self.s[row] += delta
+        self.d += d_delta
+
+    return mock.patch.object(conditions._Rows, "__init__", corrupted)
 
 
 def _mutations(g):
@@ -385,7 +405,7 @@ def test_corrupted_adjugate_never_changes_a_witness_answer(family):
              for i in range(g.n) for j in range(g.n) if i != j}
     raised_instead_of_none = 0
     for mutation in _mutations(g):
-        with mock.patch.object(conditions, "neg_adjugate", _corrupting(*mutation)):
+        with _corrupting_rows(*mutation):
             for (i, j), none in truth.items():
                 try:
                     answer = star_witness(g, i, j)
@@ -404,8 +424,8 @@ def test_witness_verb_refuses_a_none_from_a_corrupted_adjugate(tmp_path, capsys)
     path.write_text(serialize_graph(make_family("an", 4)))
     assert main(["witness", str(path), "--pair", "2", "1"]) == 0
     assert capsys.readouterr().out not in ("", "none\n")
-    with mock.patch.object(conditions, "neg_adjugate", _corrupting(1, 0, 1)):
-        with mock.patch.object(conditions._Adjugate, "certify"):
+    with _corrupting_rows(1, 0, 1):
+        with mock.patch.object(conditions._Rows, "certify"):
             assert main(["witness", str(path), "--pair", "2", "1"]) == 0
             assert capsys.readouterr().out == "none\n"
         assert main(["witness", str(path), "--pair", "2", "1"]) == 2

@@ -5,9 +5,11 @@ sweep a Bareiss Gauss-Jordan pass on the same matrix; both live on in
 tests/oracles.py, with the witness synthesis that read the whole
 Gauss-Jordan adjugate. Every quantity the factor now supplies is compared
 with them: definiteness, the pivots as leading minors, det(-M), the
-adjugate its back-substitution gives (which every (*) question reads),
-the strict interior divisor, and every witness of check_star and
-star_witness. The back-substitution must also stay cheap on long chains
+adjugate its back-substitution gives (which check_star reads), the
+products adj(-M).b its solve gives (the rows and the witness vector
+that star_witness reads, without the whole adjugate), the strict
+interior divisor, and every witness of check_star and star_witness.
+The back-substitution must also stay cheap on long chains
 and forks, where a dense elimination costs far more. Lowering a diagonal
 entry of a negative-definite matrix must keep its factor, as the
 enumerator's pruning assumes.
@@ -15,6 +17,7 @@ enumerator's pruning assumes.
 
 import time
 from math import gcd
+from unittest import mock
 
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -27,9 +30,9 @@ from nashcone import (
     serialize_graph,
     star_witness,
 )
-from nashcone import graph
+from nashcone import conditions, cone, graph
 from nashcone.cli import main
-from nashcone.cone import neg_adjugate
+from nashcone.cone import _adjugate_times, _upper_rows, neg_adjugate
 
 from oracles import (
     AdjugateWitnessOracle,
@@ -86,9 +89,95 @@ def test_factor_matches_two_pass_oracle():
     assert checked > 1000
 
 
+def _adjugate_products(M, A, bs):
+    """Check cone._adjugate_times against the rows of A = adj(-M) and
+    against A.b for each b of ``bs``."""
+    F = M.neg_factor()
+    upper = _upper_rows(F)
+    n = M.n
+    for r in range(n):
+        assert _adjugate_times(F, upper, [int(c == r) for c in range(n)]) == A[r], (M, r)
+    for b in bs:
+        assert _adjugate_times(F, upper, b) == tuple(
+            sum(x * y for x, y in zip(row, b)) for row in A), (M, b)
+
+
+def test_adjugate_solve_matches_the_rows_of_neg_adjugate():
+    # the rows star_witness solves for, the row sums s = A.1 and the
+    # witness vectors A.(2^t e_k + 1) = 2^t A[:,k] + s it prints
+    checked = 0
+    for g in _corpus():
+        M = g.intersection_matrix()
+        A, _ = neg_adjugate(M)
+        n = g.n
+        bs = [[1] * n]
+        for k in {0, n // 2, n - 1}:
+            for t in (0, 1, 5, 70):
+                b = [1] * n
+                b[k] += 1 << t
+                bs.append(b)
+        _adjugate_products(M, A, bs)
+        checked += 1
+    assert checked > 1000
+
+
+@st.composite
+def _wide_negdef_matrices(draw):
+    # sparse (most entries off the diagonal 0, some columns with none above
+    # it, so that steps are skipped and their rescales folded) or dense, up
+    # to n = 8, with diagonal entries down to -10^30 below the sum of the
+    # row's other absolute values: negative definite, with wide minors
+    sparse = draw(st.booleans())
+    n = draw(st.integers(1, 8))
+    rows = [[0] * n for _ in range(n)]
+    for j in range(n):
+        if sparse and draw(st.booleans()):
+            continue
+        for i in range(j):
+            if not sparse or draw(st.integers(0, 3)) == 0:
+                rows[i][j] = rows[j][i] = draw(st.integers(-(10 ** 6), 10 ** 6))
+    for i, row in enumerate(rows):
+        row[i] = -sum(map(abs, row)) - draw(st.integers(1, 10 ** 30))
+    return IntersectionMatrix(tuple(map(tuple, rows)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_adjugate_solve_matches_the_gauss_jordan_adjugate(data):
+    M = data.draw(_wide_negdef_matrices())
+    A, d = neg_adjugate_gauss_jordan(M)
+    assert M.neg_factor().minors[-1] == d
+    n = M.n
+    k, t = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, 100))
+    b = [1] * n
+    b[k] += 1 << t
+    wide = st.integers(-(10 ** 30), 10 ** 30)
+    _adjugate_products(M, A, [[1] * n, b, data.draw(st.lists(wide, min_size=n, max_size=n))])
+
+
+def test_witness_never_builds_the_whole_adjugate():
+    # star_witness solves for its two rows and its witness vector; holding
+    # and failing pairs alike, and the none answers certified from the rows
+    graphs = [make_family("an", 12), make_family("dn", 12), make_family("cycle", 12, -3),
+              make_family("star3", 5)]
+    answers = {}
+    with mock.patch.object(conditions, "neg_adjugate", side_effect=AssertionError), \
+            mock.patch.object(cone, "neg_adjugate", side_effect=AssertionError):
+        for g in graphs:
+            for i in range(g.n):
+                for j in range(g.n):
+                    if i != j:
+                        answers[g, i, j] = star_witness(g, i, j)
+    assert None in answers.values()
+    oracles = {g: AdjugateWitnessOracle(g.intersection_matrix()) for g in graphs}
+    for (g, i, j), w in answers.items():
+        assert w == oracles[g].witness(i, j), (g, i, j)
+
+
 def test_star_witness_stays_fast_at_large_n():
-    # each call builds, factors and back-substitutes a fresh graph: about
-    # 0.15 s for the 20 calls, where a dense Gauss-Jordan pass took about 8 s
+    # each call builds and factors a fresh graph and solves for two rows of
+    # adj(-M) and one witness vector, where a dense Gauss-Jordan pass took
+    # about 8 s for the 20 calls
     t0 = time.monotonic()
     for c in range(10):
         for kind in ("an", "dn"):

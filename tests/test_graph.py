@@ -22,11 +22,12 @@ from nashcone import (
     validate,
 )
 from nashcone.cone import ConeStatus, Divisor, lipman_status, neg_adjugate
-from nashcone.graph import MAX_VERTICES, _quote, _Table, is_connected, render_json
+from nashcone.graph import MAX_VERTICES, _edges_connect, _quote, _Table, render_json
 
 from oracles import (
     connected_by_union,
     edges_by_scan,
+    is_connected,
     lipman_status_dense,
     mulvec_dense,
     mult_error_by_scan,
@@ -397,7 +398,10 @@ def _multiplicity_tables(draw):
 @settings(max_examples=300, deadline=None)
 @given(_multiplicity_tables())
 def test_is_connected_matches_the_union_of_edge_ends(mult):
+    # the table walk the matrix ran before, now the oracle, against the
+    # union of edge ends, and the union-find over the edge list it runs now
     assert is_connected(mult) is connected_by_union(mult)
+    assert _edges_connect(len(mult), edges_by_scan(mult)) is connected_by_union(mult)
 
 
 @settings(max_examples=300, deadline=None)
