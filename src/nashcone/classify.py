@@ -10,11 +10,11 @@ matrix is negative definite with every weight at the lower bound, the
 only ones that carry a negative-definite weighting. It marks the orbit of
 each class it keeps in a byte table, so it relabels once per kept class,
 and it grows weight tuples vertex by vertex, cutting a prefix as soon as
-a pivot of -M is not positive; both tests run graph._bareiss_column, as
-validation does. A structure's automorphisms other than the identity
-become itemgetter moves once, and the same moves test its weight tuples
-and their genus tuples. Its table is capped at ENCODING_TABLE_CAP bytes,
-which limits the bounds it accepts.
+a pivot of -M is not positive; both tests run graph._bareiss, the
+elimination that validation runs. A structure's automorphisms other than
+the identity become itemgetter moves once, and the same moves test its
+weight tuples and their genus tuples. Its table is capped at
+ENCODING_TABLE_CAP bytes, which limits the bounds it accepts.
 
 Conditions (**) and (*), with the verified (*) witnesses, the
 fundamental cycle Z and Z.Z depend on the intersection matrix alone, and
@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from itertools import permutations, product
+from itertools import compress, permutations, product
 from operator import getitem, itemgetter, mul
 
 from .cone import Divisor, fundamental_cycle, pair
@@ -47,7 +47,7 @@ from .conditions import StarCertificate, StarStarReport, check_star, check_star_
 from .errors import InternalInvariantError
 from .graph import (
     MAX_VERTICES,
-    _bareiss_column,
+    _bareiss,
     _build_graph,
     _genus_variant,
     _kept,
@@ -322,8 +322,9 @@ def _structures(max_vertices: int, base: int, min_weight: int):
     a class one vertex smaller, which passes the same test, with a vertex
     attached last: one whose removal leaves the graph connected. So level n
     grows from the least encodings of level n - 1, each factored then (the
-    factor of -M, graph._neg_factor), so a child costs one column of
-    _bareiss_column and the test that its pivot is positive.
+    factor of -M, graph._neg_factor), so a child costs one column brought
+    through the parent's rows by graph._bareiss, which leaves them as they
+    are, and the test that its pivot is positive.
     An encoding lists mult[i][j] for i < j in row order, read as a base
     ``base`` number. A byte table marks the orbit of each class found, so a
     marked child is dropped untested and each class is relabeled n! times
@@ -375,7 +376,7 @@ def _structures(max_vertices: int, base: int, min_weight: int):
                 if seen[index + a_index]:
                     continue
                 # the child's column of -M at weight min_weight
-                if _bareiss_column([-m for m in a] + [-min_weight], F.columns, F.minors)[last] <= 0:
+                if _bareiss([-m for m in a] + [-min_weight], F.rows, F.minors)[last] <= 0:
                     continue
                 if perms is None:
                     perms = list(permutations(range(n)))
@@ -414,31 +415,39 @@ def _negdef_weights(mult, weight_range: range):
     A depth-first search over prefixes: every leading principal submatrix
     of a negative-definite matrix is negative definite, so a prefix at
     which a pivot of -M is not positive is cut with all its extensions.
-    The factor of -M grows by one column per vertex (_bareiss_column).
-    With 0 on the diagonal, column k ends in beta, and the pivot at weight
-    w is beta - minors[k] * w: it falls as w rises, so the scan stops at
-    the first w where it is not positive.
+    The factor of -M grows by one column per vertex (graph._bareiss),
+    appended to its rows on descent and removed on backtrack. With 0 on
+    the diagonal, column k ends in beta, and the pivot at weight w is
+    beta - minors[k] * w: it falls as w rises, so the scan stops at the
+    first w where it is not positive.
     """
     n = len(mult)
     weights = [0] * n
-    columns = []  # columns[c][t] = U[t][c]; the diagonal entry is not read
+    rows = []  # rows[t]: the nonzero (l, U[t][l]) of the prefix's factor
     minors = [1]  # minors[k]: the leading k x k minor of -M
 
     def extend(k: int):
-        if k == n:
-            yield tuple(weights)
-            return
-        col = _bareiss_column([-mult[i][k] for i in range(k)] + [0], columns, minors)
-        columns.append(col)
+        y = _bareiss([-mult[i][k] for i in range(k)] + [0], rows, minors)
+        # no deeper level reads the last vertex's column from the rows
+        fill = list(compress(range(k), y)) if k + 1 < n else ()
+        for t in fill:
+            rows[t].append((k, y[t]))
+        rows.append([])
+        beta, slope = y[k], minors[k]
         for w in weight_range:
-            pivot = col[k] - minors[k] * w
+            pivot = beta - slope * w
             if pivot <= 0:
                 break
             weights[k] = w
-            minors.append(pivot)
-            yield from extend(k + 1)
-            minors.pop()
-        columns.pop()
+            if k + 1 == n:
+                yield tuple(weights)
+            else:
+                minors.append(pivot)
+                yield from extend(k + 1)
+                minors.pop()
+        rows.pop()
+        for t in fill:
+            rows[t].pop()
 
     return extend(0)
 

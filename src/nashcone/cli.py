@@ -213,12 +213,17 @@ def _write(texts) -> None:
             sys.set_int_max_str_digits(cap)
 
 
+# An error quotes a path by at most this many characters: an OSError's own
+# message would hold the whole path, and a usual one stays whole.
+_PATH_CHARS = 100
+
+
 def _read_graph_file(path: str) -> ResolutionGraph:
-    try:  # an OSError's message would hold the whole path; _quote bounds it
+    try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
     except OSError as exc:
-        raise ValueError(f"Invalid value for 'FILE': {_quote(path)}: {exc.strerror}") from None
+        raise ValueError(f"Invalid value for 'FILE': {_quote(path, _PATH_CHARS)}: {exc.strerror}") from None
     return load_graph(text)
 
 
@@ -248,11 +253,11 @@ def family(kind: str, *params: str, as_json: bool, output: str | None) -> None:
     if output is None:
         _write(lambda: [text])
     else:
-        try:  # the OSError's text would hold the whole path; a usual one stays whole
+        try:
             with open(output, "w", encoding="utf-8") as fh:
                 fh.write(text)
         except OSError as exc:
-            raise ValueError(f"[Errno {exc.errno}] {exc.strerror}: {_quote(output, 120)}") from None
+            raise ValueError(f"[Errno {exc.errno}] {exc.strerror}: {_quote(output, _PATH_CHARS)}") from None
 
 
 def _enum_line(g: ResolutionGraph) -> str:

@@ -11,9 +11,11 @@ Both come from the one fraction-free factor of -M that the matrix keeps
 (validation built it). The all-pairs sweep continues it by one
 back-substitution to all of A; a single pair (i, j) solves against it for
 rows i and j of A and for the one witness vector it prints, each in
-O(n + fill) steps (cone._adjugate_times). The adjugate is symmetric, so
-column k is row k. The pair (i, j) admits a witness exactly when some
-column has A[i][k] < A[j][k]. The witness is read off in integers: with
+O(n + fill) steps (cone._adjugate_times: graph._bareiss, the forward
+elimination that built the factor, then a back pass over its rows). The
+adjugate is symmetric, so column k is row k. The pair (i, j) admits a
+witness exactly when some column has A[i][k] < A[j][k]. The witness is
+read off in integers: with
 s = A.(1,...,1) (a strictly anti-nef ray) and the least t >= 0 such that
 2^t (A[j][k] - A[i][k]) > s[i] - s[j], the vector w = 2^t A[:,k] + s is
 strictly anti-nef with w[i] < w[j], and the witness is
@@ -44,7 +46,7 @@ from itertools import chain, compress, count, repeat
 from math import gcd
 from operator import add, lshift, lt
 
-from .cone import ConeStatus, Divisor, _adjugate_times, _upper_rows, lipman_status, neg_adjugate
+from .cone import ConeStatus, Divisor, _adjugate_times, lipman_status, neg_adjugate
 from .errors import InternalInvariantError
 from .graph import IntersectionMatrix, ResolutionGraph, _problems, _refuse
 
@@ -167,7 +169,7 @@ class _Rows(_Adjugate):
         _refuse(_problems(M))
         F = M.neg_factor()
         self.M, self.d = M, F.minors[-1]
-        self.times = partial(_adjugate_times, F, _upper_rows(F))
+        self.times = partial(_adjugate_times, F)
         self.A = {r: self.times([0] * r + [1] + [0] * (M.n - r - 1)) for r in rows}
         self.s = {r: sum(row) for r, row in self.A.items()}
         self.witnesses: dict[tuple[int, int], Divisor] = {}

@@ -9,16 +9,16 @@ comes from the one fraction-free factor of -M that the matrix keeps
 neg_adjugate continues it by one back-substitution to all of adj(-M), and
 _adjugate_times solves against it for one product adj(-M).b in
 O(n + fill) steps, for a caller that reads a few rows or vectors of
-adj(-M) only. Both read the nonzeros of the factor by row (_upper_rows)."""
+adj(-M) only: graph._bareiss, the one forward elimination, then its back
+pass. Both read the factor's rows of U, the layout it is kept in."""
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress
 
-from .graph import IntersectionMatrix, NegFactor, ResolutionGraph, _problems, _refuse
+from .graph import IntersectionMatrix, NegFactor, ResolutionGraph, _bareiss, _problems, _refuse
 
 __all__ = [
     "Divisor",
@@ -38,6 +38,9 @@ class Divisor:
     def __post_init__(self):
         if len(self.coeffs) == 0:
             raise ValueError("divisor needs at least one coefficient")
+        # exact integers only, as in a graph: not a float, not a bool
+        if not set(map(type, self.coeffs)) <= {int}:
+            raise ValueError("divisor coefficients must be integers")
 
     @property
     def n(self) -> int:
@@ -69,16 +72,6 @@ def pair(d1: Divisor, d2: Divisor, M: IntersectionMatrix) -> int:
     return sum(d1[i] * Md2[i] for i in range(M.n))
 
 
-def _upper_rows(F: NegFactor) -> list[list[tuple[int, int]]]:
-    """Row i of U, the factor's columns read by row: the nonzero
-    (l, U[i][l]) with l > i, in column order."""
-    upper = [[] for _ in F.columns]
-    for l, col in enumerate(F.columns):
-        for i in compress(range(l), col):
-            upper[i].append((l, col[i]))
-    return upper
-
-
 def neg_adjugate(M: IntersectionMatrix) -> tuple[tuple[tuple[int, ...], ...], int]:
     """(adj(-M), det(-M)) by one back-substitution from M's factor.
 
@@ -94,8 +87,8 @@ def neg_adjugate(M: IntersectionMatrix) -> tuple[tuple[tuple[int, ...], ...], in
     F = M.neg_factor()
     if F is None:
         _refuse(_problems(M))
-    minors, n = F.minors, len(F.columns)
-    upper = _upper_rows(F)
+    minors, upper = F.minors, F.rows
+    n = len(upper)
     d = minors[-1]
     X = [[0] * n for _ in range(n)]
     for i in reversed(range(n)):
@@ -114,42 +107,21 @@ def neg_adjugate(M: IntersectionMatrix) -> tuple[tuple[tuple[int, ...], ...], in
     return tuple(map(tuple, X)), d
 
 
-def _adjugate_times(F: NegFactor, upper, b) -> tuple[int, ...]:
-    """adj(-M).b for the integer vector ``b``, from the factor F of -M and
-    its rows ``upper`` (_upper_rows), in O(n + fill) steps.
+def _adjugate_times(F: NegFactor, b) -> tuple[int, ...]:
+    """adj(-M).b for the integer vector ``b``, from the factor F of -M, in
+    O(n + fill) steps.
 
-    The forward pass eliminates b as one more Bareiss column: step t takes
-    y[i] to (p_t y[i] - U[t][i] y[t]) / p_(t-1) for i > t, and y[t] is
-    final once step t begins. An entry with U[t][i] = 0 is only rescaled
-    by p_t / p_(t-1); such rescales telescope, so each entry keeps the
-    step it was last brought to and is rescaled once, exactly, when next
-    read, and a step whose y[t] is 0 is skipped, as _bareiss_column skips
-    it. U x = y then holds for x = (-M)^-1 b, and X = d x, the product
-    sought, is found from the last row up:
-    X[i] = (d y[i] - sum_(l>i) U[i][l] X[l]) / p_i.
+    The forward pass (graph._bareiss) eliminates b as one more Bareiss
+    column, each y[i] ending at step i. U x = y then holds for
+    x = (-M)^-1 b, and X = d x, the product sought, is found from the last
+    row up: X[i] = (d y[i] - sum_(l>i) U[i][l] X[l]) / p_i.
     """
-    minors = F.minors
-    y = list(b)
-    at = [0] * len(y)  # y[i] holds entry i as of step at[i]
-    for t, row in enumerate(upper):
-        f = y[t]
-        if not f:
-            continue
-        q, p = minors[t], minors[t + 1]
-        if at[t] != t:
-            f = y[t] = f * q // minors[at[t]]
-            at[t] = t
-        for i, u in row:
-            x = y[i]
-            if at[i] != t:
-                x = x * q // minors[at[i]]
-            y[i] = (p * x - u * f) // q
-            at[i] = t + 1
+    minors, rows = F.minors, F.rows
+    X = y = _bareiss(list(b), rows, minors)  # X[i] replaces y[i], which no later row reads
     d = minors[-1]
-    X = y  # X[i] replaces y[i], which no later row reads
     for i in reversed(range(len(y))):
         acc = d * y[i]  # y[i] is 0 or was brought to step i
-        for l, u in upper[i]:
+        for l, u in rows[i]:
             acc -= u * X[l]
         X[i] = acc // minors[i + 1]
     return tuple(X)

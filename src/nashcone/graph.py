@@ -27,17 +27,19 @@ row sums E.E_i, which (**), (iii) and Laufer's sequence start from, and
 its (-1)-curves, among which minimality looks for genus 0.
 Negative definiteness is read from one fraction-free factor of -M, the
 forward Bareiss pass of ``NegFactor``: its pivots are the leading
-principal minors of -M. It grows a column at a time by
-``_bareiss_column``, the one elimination kernel, which the enumerator's
-structure and weight tests run too. The matrix keeps the factor once
-built, so each graph is eliminated once; cone.neg_adjugate continues the
-same factor, by one back-substitution, to the integer adjugate that
-check_star reads, and cone._adjugate_times solves against it for the few
-vectors of adj(-M) that star_witness reads. ``_genus_variant`` builds a
-graph that differs from another only in its genera: it checks nothing, as
-its one caller, the enumerator, makes every genus tuple itself (n ints in
-0..max_genus), and shares the other graph's weights, mult, labels and
-matrix object.
+principal minors of -M, and it keeps U by rows, the nonzeros of each.
+``_bareiss`` is the one forward elimination: it grows the factor a
+column at a time, the enumerator's structure and weight tests run it on
+their columns, and cone._adjugate_times runs it on the right-hand side
+of a solve. The matrix keeps the factor once built, so each graph is
+eliminated once; cone.neg_adjugate continues the same factor, by one
+back-substitution, to the integer adjugate that check_star reads, and
+cone._adjugate_times solves against it for the few vectors of adj(-M)
+that star_witness reads. The matrix accepts exact integer entries only,
+as a graph does. ``_genus_variant`` builds a graph that differs from
+another only in its genera: it checks nothing, as its one caller, the
+enumerator, makes every genus tuple itself (n ints in 0..max_genus), and
+shares the other graph's weights, mult, labels and matrix object.
 """
 
 from __future__ import annotations
@@ -204,6 +206,9 @@ class IntersectionMatrix:
         n = len(self.entries)
         if any(len(row) != n for row in self.entries):
             raise ValueError("intersection matrix must be square")
+        # exact integers only, as in a graph: not a float, not a bool
+        if not set(map(type, chain.from_iterable(self.entries))) <= {int}:
+            raise ValueError("intersection matrix entries must be integers")
         # compare each row with the matching column, a row at a time
         if any(tuple(row) != col for row, col in zip(self.entries, zip(*self.entries))):
             raise ValueError("intersection matrix must be symmetric")
@@ -269,49 +274,64 @@ class NegFactor:
     """Fraction-free LU factor of -M for a negative-definite M.
 
     Forward Bareiss elimination on -M (Bareiss, Math. Comp. 22, 1968), a
-    column at a time: ``columns[k][t]`` is U[t][k], row t of column k at
-    step t. This is U in -M = U^T D^-1 U with D = diag(p_(k-1) p_k), the
+    column at a time: ``rows[t]`` lists the nonzero (l, U[t][l]) with
+    l > t, in column order, U[t][l] being entry t of column l at step t.
+    This is U in -M = U^T D^-1 U with D = diag(p_(k-1) p_k), the
     fraction-free LU factorization of Nakos, Turner & Williams (ACM SIGSAM
     Bull. 31(3), 1997) and Zhou & Jeffrey (Front. Comput. Sci. China 2(1),
     2008); -M is symmetric, so the lower factor is U^T. ``minors[k]`` is
-    the k-th leading
-    principal minor p_(k-1) of -M (``minors[0]`` = 1), so U[k][k] =
-    ``columns[k][k]`` = ``minors[k + 1]`` and det(-M) = ``minors[-1]``.
+    the k-th leading principal minor p_(k-1) of -M (``minors[0]`` = 1), so
+    the diagonal U[k][k] = ``minors[k + 1]``, which ``rows`` leaves out,
+    and det(-M) = ``minors[-1]``.
     """
 
     minors: tuple[int, ...]
-    columns: tuple[list[int], ...]
+    rows: tuple[list[tuple[int, int]], ...]
 
 
-def _bareiss_column(col: list[int], columns, minors) -> list[int]:
-    """Column k = len(columns) of a symmetric matrix, rows 0..k, brought in
-    place through the k fraction-free (Bareiss) steps that made ``columns``
-    of the columns before it, with leading minors ``minors[1..k]``. Entry t
-    becomes U[t][k]; the last is the next pivot, the leading minor of size
-    k + 1, which is linear in the diagonal entry, with slope ``minors[k]``.
+def _bareiss(y: list[int], rows, minors) -> list[int]:
+    """``y`` brought in place through the k = len(rows) fraction-free
+    (Bareiss) steps of the factor with rows ``rows`` and leading minors
+    ``minors[1..k]``; the one forward elimination.
 
-    A step t with col[t] = 0 only rescales the entries below t, by
-    minors[t + 1] / minors[t]. Such rescales telescope, so the step is
-    skipped and its rescale folded into the next exact division: a chain
-    has no fill-in, and its columns take one step each.
+    Step t takes y[i] to (p_t y[i] - U[t][i] y[t]) / p_(t-1) for i > t,
+    and y[t] is final once step t begins. An entry with U[t][i] = 0 is
+    only rescaled by p_t / p_(t-1); such rescales telescope, so each entry
+    keeps the step it was last brought to and is rescaled once, exactly,
+    when next read, and a step whose y[t] is 0 is skipped: a chain has no
+    fill-in, and its columns take one step each. A step changes only
+    entries after its own, so the steps are read off y as it goes.
+
+    With k + 1 entries, y is the next column of a symmetric matrix, rows
+    0..k: entry t < k becomes U[t][k], which is also the multiplier of the
+    last entry at step t, and the last becomes the next pivot, the leading
+    minor of size k + 1, linear in the diagonal entry with slope
+    ``minors[k]``. With k entries, y is the right-hand side of a solve,
+    and each y[i] ends at step i.
     """
-    k = len(columns)
-    r = 1  # col[t:] holds the entries of the step whose pivot was r
-    for t in range(k):
-        f = col[t]
-        if not f:
-            continue
+    k = len(rows)
+    pivot = len(y) > k  # y[k] is the pivot, updated by U[t][k] = y[t]
+    at = [0] * len(y)  # y[i] holds entry i as of step at[i]
+    for t in compress(range(k), y):
         q, p = minors[t], minors[t + 1]
-        if r != q:
-            col[t:] = [x * q // r for x in col[t:]]
-            f = col[t]
-        for i in range(t + 1, k):
-            col[i] = (p * col[i] - columns[i][t] * f) // q
-        col[k] = (p * col[k] - f * f) // q
-        r = p
-    if r != minors[k]:
-        col[k] = col[k] * minors[k] // r
-    return col
+        f = y[t]
+        if at[t] != t:
+            f = y[t] = f * q // minors[at[t]]
+        for i, u in rows[t]:
+            x = y[i]
+            if at[i] != t:
+                x = x * q // minors[at[i]]
+            y[i] = (p * x - u * f) // q
+            at[i] = t + 1
+        if pivot:
+            x = y[k]
+            if at[k] != t:
+                x = x * q // minors[at[k]]
+            y[k] = (p * x - f * f) // q
+            at[k] = t + 1
+    if pivot and at[k] != k:
+        y[k] = y[k] * minors[k] // minors[at[k]]
+    return y
 
 
 def _neg_factor(entries) -> NegFactor | None:
@@ -319,14 +339,16 @@ def _neg_factor(entries) -> NegFactor | None:
     pivot <= 0. By Sylvester's criterion M is negative definite exactly when
     every pivot, a leading principal minor of -M, is positive; no row
     exchange is then needed."""
-    columns, minors = [], [1]
+    rows, minors = [], [1]
     for k, row in enumerate(entries):  # M is symmetric: row k is column k
-        col = _bareiss_column([-x for x in row[:k + 1]], columns, minors)
-        if col[k] <= 0:
+        y = _bareiss([-x for x in row[:k + 1]], rows, minors)
+        if y[k] <= 0:
             return None
-        columns.append(col)
-        minors.append(col[k])
-    return NegFactor(tuple(minors), tuple(columns))
+        for t in compress(range(k), y):
+            rows[t].append((k, y[t]))
+        rows.append([])
+        minors.append(y[k])
+    return NegFactor(tuple(minors), tuple(rows))
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,11 @@ by a scan of every entry above the diagonal.
 The old two-pass integer kernel that the fraction-free factor replaced
 is kept verbatim as a differential oracle: the leading-minor elimination
 that validation ran, the Bareiss Gauss-Jordan pass that gave adj(-M) and
-det(-M), and the (*) witness synthesis that read the whole adjugate.
+det(-M), and the (*) witness synthesis that read the whole adjugate. So
+is the factor's first layout, dense columns grown by their own column
+kernel (bareiss_column, neg_factor_by_columns), which the sparse rows of
+one forward pass replaced; it returns a (minors, columns) pair, as the
+factor type holds rows.
 The exceptions to the independence are kept verbatim too: that witness
 synthesis uses the library's divisor type and cone test, and the
 brute-force enumerator that orbit marking replaced uses the library's
@@ -321,6 +325,53 @@ def neg_adjugate_gauss_jordan(M) -> tuple[tuple[tuple[int, ...], ...], int]:
                 a[i] = [(p * x - f * y) // prev for x, y in zip(a[i], pivot_row)]
         prev = p
     return tuple(tuple(row[n:]) for row in a), prev
+
+
+def bareiss_column(col: list[int], columns, minors) -> list[int]:
+    """Column k = len(columns) of a symmetric matrix, rows 0..k, brought in
+    place through the k fraction-free (Bareiss) steps that made ``columns``
+    of the columns before it, with leading minors ``minors[1..k]``. Entry t
+    becomes U[t][k]; the last is the next pivot, the leading minor of size
+    k + 1, which is linear in the diagonal entry, with slope ``minors[k]``.
+
+    A step t with col[t] = 0 only rescales the entries below t, by
+    minors[t + 1] / minors[t]. Such rescales telescope, so the step is
+    skipped and its rescale folded into the next exact division: a chain
+    has no fill-in, and its columns take one step each.
+    """
+    k = len(columns)
+    r = 1  # col[t:] holds the entries of the step whose pivot was r
+    for t in range(k):
+        f = col[t]
+        if not f:
+            continue
+        q, p = minors[t], minors[t + 1]
+        if r != q:
+            col[t:] = [x * q // r for x in col[t:]]
+            f = col[t]
+        for i in range(t + 1, k):
+            col[i] = (p * col[i] - columns[i][t] * f) // q
+        col[k] = (p * col[k] - f * f) // q
+        r = p
+    if r != minors[k]:
+        col[k] = col[k] * minors[k] // r
+    return col
+
+
+def neg_factor_by_columns(entries):
+    """(minors, columns) of the factor of -M for the rows ``entries`` of M,
+    ``columns[k][t]`` being U[t][k]; None at the first pivot <= 0. By
+    Sylvester's criterion M is negative definite exactly when every pivot,
+    a leading principal minor of -M, is positive; no row exchange is then
+    needed."""
+    columns, minors = [], [1]
+    for k, row in enumerate(entries):  # M is symmetric: row k is column k
+        col = bareiss_column([-x for x in row[:k + 1]], columns, minors)
+        if col[k] <= 0:
+            return None
+        columns.append(col)
+        minors.append(col[k])
+    return tuple(minors), tuple(columns)
 
 
 def leading_minors_fraction(M) -> list[Fraction]:

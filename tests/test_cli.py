@@ -602,6 +602,46 @@ def test_usage_errors_give_one_short_error_line(case, graph_file, capsys):
     assert len(err) <= 200
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["analyze", "G", "--json=1"], "Option '--json' does not take a value."),
+    (["witness", "G", "--pair", "1"], "Option '--pair' requires I J."),
+    (["analyze"], "Missing argument 'FILE'."),
+    (["analyze", "G", "extra"], "Got unexpected extra argument 'extra'."),
+    (["witness", "G"], "Missing option '--pair'."),
+], ids=["flag-value", "short-option", "missing-argument", "extra-argument", "missing-option"])
+def test_usage_errors_name_the_fault_in_one_line(argv, message, graph_file, capsys):
+    path = graph_file(make_family("an", 2))
+    assert main([path if a == "G" else a for a in argv]) == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+def test_double_dash_ends_the_options(graph_file, capsys):
+    path = graph_file(make_family("an", 2))
+    assert main(["analyze", "--", path]) == 0
+    assert capsys.readouterr() == (A2_REPORT, "")
+
+
+def test_a_missing_file_and_an_output_path_are_quoted_alike(tmp_path, monkeypatch, capsys):
+    # a usual path is quoted whole by both verbs, and a longer one is cut
+    # at the same bound by both; the output paths lie in missing
+    # directories under tmp_path
+    monkeypatch.chdir(tmp_path)
+    missing = "/srv/data/graphs/some/longer/directory/missing-graph.graph"
+    assert main(["analyze", missing]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and _one_error_line(err)
+    assert err.startswith(f"error: Invalid value for 'FILE': {missing!r}: ")
+    assert main(["family", "an", "3", "-o", missing[1:]]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and _one_error_line(err) and err.endswith(f": {missing[1:]!r}\n")
+    for argv in (["analyze", "/srv/" + "m/" * 60], ["family", "an", "3", "-o", "srv/" + "m" * 120]):
+        path = argv[-1]
+        assert main(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and _one_error_line(err)
+        assert f"{path[:100]!r}... ({len(path)} characters)" in err, argv
+
+
 @pytest.mark.parametrize("argv,size,digest", [
     (["enumerate", "--max-vertices", "2", "--min-weight=-2", "--max-genus", "1"],
      6674, "e8bb6a4191759ad2f5ddb6e209fd04913df8e7fc2c79646ebe59b75497e8b573"),

@@ -50,6 +50,14 @@ def test_divisor_basics():
         Divisor(())
 
 
+@pytest.mark.parametrize("coeffs", [(0.5, 0.5), (1, 2.0), (True, 1), (1, Fraction(2))])
+def test_divisor_refuses_coefficients_that_are_not_ints(coeffs):
+    # (0.5, 0.5) on A_2 made arithmetic_genus raise AttributeError and
+    # laufer_criterion return floats; now neither sees such a divisor
+    with pytest.raises(ValueError, match="^divisor coefficients must be integers$"):
+        Divisor(coeffs)
+
+
 def test_pair_known_values(a2, star3_5):
     M = a2.intersection_matrix()
     E = Divisor((1, 1))

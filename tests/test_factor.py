@@ -9,8 +9,11 @@ adjugate its back-substitution gives (which check_star reads), the
 products adj(-M).b its solve gives (the rows and the witness vector
 that star_witness reads, without the whole adjugate), the strict
 interior divisor, and every witness of check_star and star_witness.
-The back-substitution must also stay cheap on long chains
-and forks, where a dense elimination costs far more. Lowering a diagonal
+The factor's rows of U are also compared with the dense columns of the
+column kernel it replaced (tests/oracles.py), block by block, so that
+both refuse at the same pivot. The back-substitution must also stay
+cheap on long chains and forks, where a dense elimination costs far
+more. Lowering a diagonal
 entry of a negative-definite matrix must keep its factor, as the
 enumerator's pruning assumes.
 """
@@ -32,13 +35,14 @@ from nashcone import (
 )
 from nashcone import conditions, cone, graph
 from nashcone.cli import main
-from nashcone.cone import _adjugate_times, _upper_rows, neg_adjugate
+from nashcone.cone import _adjugate_times, neg_adjugate
 
 from oracles import (
     AdjugateWitnessOracle,
     _leading_minors_negdef,
     leading_minors_fraction,
     neg_adjugate_gauss_jordan,
+    neg_factor_by_columns,
     strict_interior_divisor,
 )
 
@@ -93,12 +97,11 @@ def _adjugate_products(M, A, bs):
     """Check cone._adjugate_times against the rows of A = adj(-M) and
     against A.b for each b of ``bs``."""
     F = M.neg_factor()
-    upper = _upper_rows(F)
     n = M.n
     for r in range(n):
-        assert _adjugate_times(F, upper, [int(c == r) for c in range(n)]) == A[r], (M, r)
+        assert _adjugate_times(F, [int(c == r) for c in range(n)]) == A[r], (M, r)
     for b in bs:
-        assert _adjugate_times(F, upper, b) == tuple(
+        assert _adjugate_times(F, b) == tuple(
             sum(x * y for x, y in zip(row, b)) for row in A), (M, b)
 
 
@@ -214,6 +217,45 @@ def test_factor_is_none_exactly_when_not_negative_definite(rows):
     if F is not None:
         assert list(F.minors[1:]) == leading_minors_fraction(M)
         assert neg_adjugate(M) == neg_adjugate_gauss_jordan(M)
+
+
+def _columns_by_row(columns):
+    """The factor's old columns, ``columns[l][t]`` = U[t][l], read by row:
+    row t lists the nonzero (l, U[t][l]) with l > t, in column order."""
+    rows = [[] for _ in columns]
+    for l, col in enumerate(columns):
+        for t in range(l):
+            if col[t]:
+                rows[t].append((l, col[t]))
+    return rows
+
+
+def _assert_factor_matches_the_column_kernel(entries):
+    # each leading block, so that the two refuse at the same pivot
+    for m in range(1, len(entries) + 1):
+        F, old = graph._neg_factor(entries[:m]), neg_factor_by_columns(entries[:m])
+        assert (F is None) == (old is None), (entries, m)
+        if F is None:
+            return
+        assert F.minors == old[0], (entries, m)
+        assert list(F.rows) == _columns_by_row(old[1]), (entries, m)
+
+
+def test_factor_rows_are_the_column_kernel_read_by_row():
+    checked = 0
+    for g in _corpus():
+        _assert_factor_matches_the_column_kernel(g.intersection_matrix().entries)
+        checked += 1
+    assert checked > 1000
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(_wide_negdef_matrices().map(lambda M: M.entries),
+                 _symmetric_matrices().map(lambda rows: tuple(map(tuple, rows)))))
+def test_factor_matches_the_column_kernel_and_refuses_where_it_does(entries):
+    # wide negative-definite matrices, and small ones that are often not
+    # negative definite, where the first pivot <= 0 ends both
+    _assert_factor_matches_the_column_kernel(entries)
 
 
 # the pruning of enumerate_graphs' structure search rests on this: a

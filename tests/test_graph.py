@@ -2,6 +2,7 @@ import contextlib
 import json
 import re
 import sys
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
@@ -238,6 +239,15 @@ def test_graph_checks_its_table_before_its_weights_genera_and_labels():
                           (((0, 1), (1, 0)), "weights and genera must be integers")):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             ResolutionGraph(mult=mult, **fields)
+
+
+@pytest.mark.parametrize("entries", [((-2.5, 1), (1, -2)), ((-2, 1.0), (1.0, -2)),
+                                     ((-2, True), (True, -2)), ((-2, 1), (1, Fraction(-2)))])
+def test_intersection_matrix_refuses_entries_that_are_not_ints(entries):
+    # ((-2.5, 1), (1, -2)) was accepted, with the float minors (1, 2.5, 4.0)
+    # in its factor
+    with pytest.raises(ValueError, match="^intersection matrix entries must be integers$"):
+        IntersectionMatrix(entries)
 
 
 def test_intersection_matrix_is_built_once(a2):
